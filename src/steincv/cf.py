@@ -120,17 +120,18 @@ def _solve_with_jitter(K: np.ndarray, jitter_scale: float, base_diag: float):
     ) from last
 
 
-def _cf_solve(K0: np.ndarray, f: np.ndarray, lam_r: float, jitter_scale: float):
-    """Return (offset a, residual coefficients alpha) of the uniform-weight fit."""
+def _cf_solve(K0: np.ndarray, lam_r: float, jitter_scale: float, wt: np.ndarray,
+              f: np.ndarray):
+    """Return (offset a, Cholesky factor of K) for  a = w~^T K^-1 f / w~^T K^-1 1."""
     n = K0.shape[0]
     K = K0 + n * lam_r * np.eye(n)
     factor, _ = _solve_with_jitter(K, jitter_scale, float(np.mean(np.diag(K0))))
-    ones = np.ones(n)
     kf = cho_solve(factor, f)
-    k1 = cho_solve(factor, ones)
-    a = float(ones @ kf) / float(ones @ k1)
-    alpha = cho_solve(factor, f - a * ones)
-    return a, alpha, factor
+    k1 = cho_solve(factor, np.ones(n))
+    denom = float(wt @ k1)
+    if denom == 0.0 or not np.isfinite(denom):
+        raise ConditioningError("degenerate kernel system: w~^T K^{-1} 1 is zero")
+    return float(wt @ kf) / denom, factor
 
 
 def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,
@@ -144,17 +145,9 @@ def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,
     check_aligned(s, phi)
     if lam_r < 0:
         raise InvalidInput("kernel regulariser must be >= 0")
-    n = s.count
     K0 = stein_kernel_matrix(s, kernel)
-    K = K0 + n * lam_r * np.eye(n)
-    factor, _ = _solve_with_jitter(K, kernel.jitter, float(np.mean(np.diag(K0))))
-    wt = n * s.weights
-    kf = cho_solve(factor, phi.values)
-    k1 = cho_solve(factor, np.ones(n))
-    denom = float(wt @ k1)
-    if denom == 0.0 or not np.isfinite(denom):
-        raise ConditioningError("degenerate kernel system: w~^T K^{-1} 1 is zero")
-    return float(wt @ kf) / denom
+    a, _ = _cf_solve(K0, lam_r, kernel.jitter, s.count * s.weights, phi.values)
+    return a
 
 
 def default_bandwidth_grid() -> np.ndarray:
@@ -193,10 +186,11 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
             K0 = _gaussian_stein_cross(th_tr, g_tr, th_tr, g_tr, bw)
             K0 = 0.5 * (K0 + K0.T)
             try:
-                a, alpha, _ = _cf_solve(K0, f[mask], 0.0, 1e-10)
+                a, factor = _cf_solve(K0, 0.0, 1e-10, np.ones(K0.shape[0]), f[mask])
             except ConditioningError:
                 err = np.inf
                 break
+            alpha = cho_solve(factor, f[mask] - a)
             K_cross = _gaussian_stein_cross(
                 s.theta[hold], s.grad_log_target[hold], th_tr, g_tr, bw
             )

@@ -50,6 +50,7 @@ from .evidence import (
     VANILLA,
     CfMethod,
     CrossvalMethod,
+    _derive_seed,
     cti_estimate,
     expectation_with_provenance,
     method_label,
@@ -154,10 +155,6 @@ def parse_methods(spec: str):
 
 def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9.+-]+", "-", label)
-
-
-def _derive_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
 # --- sidecars -----------------------------------------------------------------
@@ -278,15 +275,7 @@ def cmd_smc(args) -> int:
         "command": "smc",
         "model_manifest_path": str(args.model),
         "model": resolved,
-        "smc": {
-            "n_particles": cfg.n_particles, "rho": cfg.rho,
-            "rho_tilde": cfg.rho_tilde, "h_min": cfg.h_min, "h_max": cfg.h_max,
-            "h_grid_size": cfg.h_grid_size,
-            "jump_fraction": cfg.jump_fraction,
-            "jump_threshold_stat": cfg.jump_threshold_stat,
-            "max_repeats": cfg.max_repeats, "resampling": cfg.resampling,
-            "seed": cfg.seed, "bisection_tol": cfg.bisection_tol,
-        },
+        "smc": asdict(cfg),
         "replicates": args.replicates,
         "replicate_seeds": replicate_seeds,
     })

@@ -20,14 +20,16 @@ every lasso coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import lstsq
 from scipy import linalg
 
 from .errors import ConvergenceError, InsufficientSamples, InvalidInput
-from .samples import SD_FLOOR, Standardisation, standardise, weighted_mean, weighted_sd
+from .samples import (
+    SD_FLOOR, Standardisation, moments, normalised_weights, standardise, weighted_sd,
+)
 
 _LASSO_MAX_SWEEPS = 100_000
 _LASSO_COORD_TOL = 1e-7   # max coordinate change per sweep, standardised scale
@@ -103,74 +105,91 @@ def _prepare(X, f, weights):
         raise InsufficientSamples("regression needs at least two samples")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(f))):
         raise InvalidInput("regression requires finite inputs")
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise InvalidInput("bad weight vector")
-        total = w.sum()
-        if total <= 0:
-            raise InvalidInput("weights sum to zero")
-        w = w / total
-    return X, f, w
+    return X, f, normalised_weights(weights, n)
 
 
-def _finish(gamma_full, st, x_mean, f_mean, *, method, lam, dropped,
-            rank_deficient=False, n_sweeps=0, cv_mse=None):
+def _check_penalty(lam, what):
+    if lam < 0 or not math.isfinite(lam):
+        raise InvalidInput(f"{what} must be finite and >= 0")
+
+
+def _finish(gamma, st, *, method, lam, rank_deficient=False, n_sweeps=0):
     """Map an internal ``f ~ a + X gamma`` solution to the public convention."""
-    beta = -gamma_full
-    intercept = float(f_mean + beta @ x_mean)
-    sd_f = st.response_sd if st is not None else None
-    if st is None or sd_f is None:
-        beta_s = beta.copy()
-    else:
-        sds = np.where(st.covariate_sds < SD_FLOOR, 1.0, st.covariate_sds)
-        beta_s = beta * sds / sd_f if sd_f >= SD_FLOOR else np.zeros_like(beta)
+    beta = -gamma
+    sds = np.where(st.covariate_sds < SD_FLOOR, 1.0, st.covariate_sds)
+    sd_f = st.response_sd
     return RegressionFit(
-        intercept=intercept,
+        intercept=float(st.response_mean + beta @ st.covariate_means),
         beta=beta,
-        beta_s=beta_s,
+        beta_s=beta * sds / sd_f if sd_f >= SD_FLOOR else np.zeros_like(beta),
         method=method,
         lam=float(lam),
-        cv_mse=cv_mse,
-        dropped=tuple(dropped),
+        dropped=st.dropped,
         rank_deficient=rank_deficient,
         n_sweeps=n_sweeps,
     )
 
 
+def _weighted_lstsq(A, b, w):
+    """Minimum-norm solution of min sum_i w_i (b_i - A_i x)^2, and its rank."""
+    sw = np.sqrt(w)
+    sol, _, rank, _ = lstsq(sw[:, None] * A, sw * b, rcond=None)
+    return sol, rank
+
+
+def _path(X_s, f_s, w, st, grid, method, relaxed=False):
+    """Fit one standardised data set at every lambda of a descending grid.
+
+    ``X_s, f_s, st`` come from :func:`standardise` with normalised weights
+    ``w``.  Ridge forms the weighted Gram once and adds lambda I per value;
+    lasso runs coordinate descent down the grid on one Gram, each fit
+    warm-started from the previous one.  lambda = 0 is least squares on the
+    retained columns.  Returns one RegressionFit per grid value.
+    """
+    keep = st.retained
+    f_scale = st.response_sd if st.response_sd >= SD_FLOOR else 1.0
+    sds = np.where(st.covariate_sds < SD_FLOOR, 1.0, st.covariate_sds)
+    if method == "ridge" and keep.size:
+        G = X_s.T @ (w[:, None] * X_s)
+        rhs = X_s.T @ (w * f_s)
+    live = keep.size and st.response_sd >= SD_FLOOR
+    if method == "lasso" and live:
+        gram = _lasso_gram(X_s, f_s, w)
+    fits = []
+    warm = None
+    for lam in grid:
+        gamma_s = np.zeros(st.covariate_sds.shape[0])
+        sweeps = 0
+        if keep.size and lam == 0.0:
+            gamma_s[keep], _ = _weighted_lstsq(X_s, f_s, w)
+        elif keep.size and method == "ridge":
+            gamma_s[keep] = linalg.solve(G + lam * np.eye(keep.size), rhs, assume_a="pos")
+        elif method == "lasso" and live:
+            sol, sweeps = _cd_lasso(X_s, f_s, w, lam, gram, gamma0=warm)
+            if relaxed and np.any(sol):
+                support = np.flatnonzero(sol)
+                sol = np.zeros_like(sol)
+                sol[support], _ = _weighted_lstsq(X_s[:, support], f_s, w)
+            gamma_s[keep] = sol
+        # map the standardised-scale solution back to the raw scale
+        fit = _finish(gamma_s * f_scale / sds, st, method=method, lam=lam, n_sweeps=sweeps)
+        warm = -fit.beta_s[keep]
+        fits.append(fit)
+    return fits
+
+
 def fit_ols(X, f, weights=None) -> RegressionFit:
     """Weighted least squares with intercept; minimum-norm when rank-deficient."""
     X, f, w = _prepare(X, f, weights)
-    J = X.shape[1]
-    x_mean = weighted_mean(X, w)
-    f_mean = float(weighted_mean(f, w))
-    x_sd = weighted_sd(X, w)
-    f_sd = float(weighted_sd(f, w))
-    dropped = tuple(int(j) for j in np.flatnonzero(x_sd < SD_FLOOR))
-    keep = np.array([j for j in range(J) if j not in dropped], dtype=int)
-
-    gamma = np.zeros(J)
+    st = moments(X, f, w)
+    keep = st.retained
+    gamma = np.zeros(X.shape[1])
     rank_def = False
     if keep.size:
-        sw = np.sqrt(w)
-        Aw = sw[:, None] * (X[:, keep] - x_mean[keep])
-        bw = sw * (f - f_mean)
-        sol, _, rank, _ = lstsq(Aw, bw, rcond=None)
-        gamma[keep] = sol
+        gamma[keep], rank = _weighted_lstsq(
+            X[:, keep] - st.covariate_means[keep], f - st.response_mean, w)
         rank_def = rank < keep.size
-
-    # reuse the moments already computed for beta_s
-    st = Standardisation(
-        response_mean=f_mean,
-        response_sd=f_sd if f_sd >= SD_FLOOR else 0.0,
-        covariate_means=x_mean,
-        covariate_sds=x_sd,
-        dropped=dropped,
-    )
-    return _finish(gamma, st, x_mean, f_mean, method="ols", lam=0.0,
-                   dropped=dropped, rank_deficient=rank_def)
+    return _finish(gamma, st, method="ols", lam=0.0, rank_deficient=rank_def)
 
 
 def fit_ridge(X, f, weights=None, lam: float = 0.0, *, standardised: bool = True) -> RegressionFit:
@@ -183,53 +202,23 @@ def fit_ridge(X, f, weights=None, lam: float = 0.0, *, standardised: bool = True
     control functional with regulariser lam.
     """
     X, f, w = _prepare(X, f, weights)
-    if lam < 0 or not math.isfinite(lam):
-        raise InvalidInput("ridge penalty must be finite and >= 0")
-    J = X.shape[1]
-
+    _check_penalty(lam, "ridge penalty")
     if standardised:
         X_s, f_s, st = standardise(X, f, w)
-        keep = st.retained
-        gamma_s = np.zeros(J)
-        if keep.size:
-            if lam > 0:
-                G = X_s.T @ (w[:, None] * X_s) + lam * np.eye(keep.size)
-                rhs = X_s.T @ (w * f_s)
-                gamma_s[keep] = linalg.solve(G, rhs, assume_a="pos")
-            else:
-                sw = np.sqrt(w)
-                sol, _, _, _ = lstsq(sw[:, None] * X_s, sw * f_s, rcond=None)
-                gamma_s[keep] = sol
-        # map standardised-scale solution back to raw scale
-        f_scale = st.response_sd if st.response_sd >= SD_FLOOR else 1.0
-        sds = np.where(st.covariate_sds < SD_FLOOR, 1.0, st.covariate_sds)
-        gamma = gamma_s * f_scale / sds
-        fit = _finish(gamma, st, st.covariate_means, st.response_mean,
-                      method="ridge", lam=lam, dropped=st.dropped)
-        return fit
+        return _path(X_s, f_s, w, st, (lam,), "ridge")[0]
 
-    x_mean = weighted_mean(X, w)
-    f_mean = float(weighted_mean(f, w))
-    Xc = X - x_mean
-    fc = f - f_mean
+    st = replace(moments(X, f, w), dropped=())
+    J = X.shape[1]
+    Xc = X - st.covariate_means
+    fc = f - st.response_mean
     if lam > 0:
         G = Xc.T @ (w[:, None] * Xc) + lam * np.eye(J)
         gamma = linalg.solve(G, Xc.T @ (w * fc), assume_a="pos")
         rank_def = False
     else:
-        sw = np.sqrt(w)
-        gamma, _, rank, _ = lstsq(sw[:, None] * Xc, sw * fc, rcond=None)
+        gamma, rank = _weighted_lstsq(Xc, fc, w)
         rank_def = rank < J
-    f_sd = float(weighted_sd(f, w))
-    st = Standardisation(
-        response_mean=f_mean,
-        response_sd=f_sd if f_sd >= SD_FLOOR else 0.0,
-        covariate_means=x_mean,
-        covariate_sds=weighted_sd(X, w),
-        dropped=(),
-    )
-    return _finish(gamma, st, x_mean, f_mean, method="ridge", lam=lam,
-                   dropped=(), rank_deficient=rank_def)
+    return _finish(gamma, st, method="ridge", lam=lam, rank_deficient=rank_def)
 
 
 def lasso_lambda_max(X, f, weights=None) -> float:
@@ -241,22 +230,34 @@ def lasso_lambda_max(X, f, weights=None) -> float:
     return float(np.max(np.abs(X_s.T @ (w * f_s))))
 
 
-def _cd_lasso(X_s, f_s, w, lam, gamma0=None):
-    """Cyclic coordinate descent for (1/2) sum w r^2 + lam ||gamma||_1.
+def _lasso_gram(X_s, f_s, w):
+    """Data-set quantities of :func:`_cd_lasso`: (z, G, q).
 
-    Uses Gram ("covariance") updates when X^T X is affordable, residual
-    updates otherwise; active-set sweeps between full passes.  Returns
-    (gamma, n_sweeps).
+    z_j = sum_i w_i x_ij^2; G = X^T W X and q = X^T W f when the Gram is
+    affordable, else None (coordinate descent then updates residuals).
     """
     n, J = X_s.shape
-    gamma = np.zeros(J) if gamma0 is None else gamma0.copy()
     Xw = w[:, None] * X_s
-    z = np.einsum("ij,ij->j", Xw, X_s)          # sum_i w_i x_ij^2
+    z = np.einsum("ij,ij->j", Xw, X_s)
+    if n * J * J > _GRAM_FLOP_CAP:
+        return z, None, None
+    return z, Xw.T @ X_s, Xw.T @ f_s
+
+
+def _cd_lasso(X_s, f_s, w, lam, gram, gamma0=None):
+    """Cyclic coordinate descent for (1/2) sum w r^2 + lam ||gamma||_1.
+
+    ``gram`` is :func:`_lasso_gram` of the same data.  Uses Gram
+    ("covariance") updates when it holds G, residual updates otherwise;
+    active-set sweeps between full passes.  Returns (gamma, n_sweeps).
+    """
+    J = X_s.shape[1]
+    gamma = np.zeros(J) if gamma0 is None else gamma0.copy()
+    z, G, q = gram
     zero_z = z <= 0
-    use_gram = n * J * J <= _GRAM_FLOP_CAP
+    use_gram = G is not None
+    v = r = None
     if use_gram:
-        G = Xw.T @ X_s
-        q = Xw.T @ f_s
         v = q - G @ gamma                        # v_j = sum_i w_i x_ij r_i
     else:
         r = f_s - X_s @ gamma
@@ -282,8 +283,6 @@ def _cd_lasso(X_s, f_s, w, lam, gamma0=None):
                 max_delta = max(max_delta, abs(delta))
         return max_delta
 
-    if not use_gram:
-        v = None
     obj_prev = np.inf
     sweeps = 0
     all_idx = np.arange(J)
@@ -319,8 +318,7 @@ def _cd_lasso(X_s, f_s, w, lam, gamma0=None):
     )
 
 
-def fit_lasso(X, f, weights=None, lam: float = 0.0, *, relaxed: bool = False,
-              _warm=None) -> RegressionFit:
+def fit_lasso(X, f, weights=None, lam: float = 0.0, *, relaxed: bool = False) -> RegressionFit:
     """L1-penalised weighted regression on standardised variables.
 
     ``relaxed`` refits the selected support by least squares (coefficients are
@@ -328,36 +326,11 @@ def fit_lasso(X, f, weights=None, lam: float = 0.0, *, relaxed: bool = False,
     solution; lam = 0 falls back to least squares.
     """
     X, f, w = _prepare(X, f, weights)
-    if lam < 0 or not math.isfinite(lam):
-        raise InvalidInput("lasso penalty must be finite and >= 0")
+    _check_penalty(lam, "lasso penalty")
     if lam == 0.0:
-        fit = fit_ols(X, f, w)
-        return RegressionFit(
-            intercept=fit.intercept, beta=fit.beta, beta_s=fit.beta_s,
-            method="lasso", lam=0.0, dropped=fit.dropped,
-            rank_deficient=fit.rank_deficient,
-        )
-    J = X.shape[1]
+        return replace(fit_ols(X, f, w), method="lasso")
     X_s, f_s, st = standardise(X, f, w)
-    keep = st.retained
-    gamma_s = np.zeros(J)
-    sweeps = 0
-    if keep.size and st.response_sd >= SD_FLOOR:
-        warm = None if _warm is None else _warm[keep]
-        sol, sweeps = _cd_lasso(X_s, f_s, w, lam, gamma0=warm)
-        if relaxed:
-            support = np.flatnonzero(sol != 0.0)
-            if support.size:
-                sw = np.sqrt(w)
-                refit, _, _, _ = lstsq(sw[:, None] * X_s[:, support], sw * f_s, rcond=None)
-                sol = np.zeros_like(sol)
-                sol[support] = refit
-        gamma_s[keep] = sol
-    f_scale = st.response_sd if st.response_sd >= SD_FLOOR else 1.0
-    sds = np.where(st.covariate_sds < SD_FLOOR, 1.0, st.covariate_sds)
-    gamma = gamma_s * f_scale / sds
-    return _finish(gamma, st, st.covariate_means, st.response_mean,
-                   method="lasso", lam=lam, dropped=st.dropped, n_sweeps=sweeps)
+    return _path(X_s, f_s, w, st, (lam,), "lasso", relaxed=relaxed)[0]
 
 
 def refit_fixed_intercept(X, f, weights=None, intercept: float = 0.0, *,
@@ -372,8 +345,7 @@ def refit_fixed_intercept(X, f, weights=None, intercept: float = 0.0, *,
     X, f, w = _prepare(X, f, weights)
     if method not in ("ols", "ridge", "lasso"):
         raise InvalidInput(f"unknown refit method {method!r}")
-    if lam < 0 or not math.isfinite(lam):
-        raise InvalidInput("penalty must be finite and >= 0")
+    _check_penalty(lam, "penalty")
     g = f - float(intercept)
     J = X.shape[1]
     # root-mean-square column scales (no centring); flat-zero columns drop out
@@ -384,18 +356,19 @@ def refit_fixed_intercept(X, f, weights=None, intercept: float = 0.0, *,
     if keep.size:
         Xk = X[:, keep] / rms[keep]
         if method == "ols" or lam == 0.0:
-            sw = np.sqrt(w)
-            sol, _, _, _ = lstsq(sw[:, None] * Xk, sw * g, rcond=None)
+            sol, _ = _weighted_lstsq(Xk, g, w)
         elif method == "ridge":
             G = Xk.T @ (w[:, None] * Xk) + lam * np.eye(keep.size)
             sol = linalg.solve(G, Xk.T @ (w * g), assume_a="pos")
         else:
             g_sd = float(weighted_sd(g, w))
             scale = g_sd if g_sd >= SD_FLOOR else 1.0
-            sol, sweeps = _cd_lasso(Xk, g / scale, w, lam)
+            g_s = g / scale
+            sol, sweeps = _cd_lasso(Xk, g_s, w, lam, _lasso_gram(Xk, g_s, w))
             sol = sol * scale
         gamma[keep] = sol / rms[keep]
     f_sd = float(weighted_sd(f, w))
+    # zero covariate means: the intercept stays where it was pinned
     st = Standardisation(
         response_mean=float(intercept),
         response_sd=f_sd if f_sd >= SD_FLOOR else 0.0,
@@ -403,18 +376,7 @@ def refit_fixed_intercept(X, f, weights=None, intercept: float = 0.0, *,
         covariate_sds=np.where(rms > SD_FLOOR, rms, 0.0),
         dropped=tuple(int(j) for j in range(J) if j not in keep),
     )
-    beta = -gamma
-    sds = np.where(st.covariate_sds < SD_FLOOR, 1.0, st.covariate_sds)
-    beta_s = beta * sds / f_sd if f_sd >= SD_FLOOR else np.zeros_like(beta)
-    return RegressionFit(
-        intercept=float(intercept),
-        beta=beta,
-        beta_s=beta_s,
-        method=f"{method}-fixed-intercept",
-        lam=float(lam),
-        dropped=st.dropped,
-        n_sweeps=sweeps,
-    )
+    return _finish(gamma, st, method=f"{method}-fixed-intercept", lam=lam, n_sweeps=sweeps)
 
 
 def _default_grid(lam_max: float, size: int = 100, decades: float = 4.0):
@@ -453,18 +415,15 @@ def cv_lambda(X, f, weights=None, method: str = "ridge", cfg: CvConfig | None = 
     for hold in folds:
         mask = np.ones(n, dtype=bool)
         mask[hold] = False
-        X_tr, f_tr, w_tr = X[mask], f[mask], w[mask]
+        w_tr = w[mask]
         X_ho, f_ho, w_ho = X[hold], f[hold], w[hold]
         if w_tr.sum() <= 0 or w_ho.sum() <= 0:
             continue
         used_folds += 1
-        warm = None
-        for gi, lam in enumerate(grid):
-            if method == "ridge":
-                fit = fit_ridge(X_tr, f_tr, w_tr, lam=lam)
-            else:
-                fit = fit_lasso(X_tr, f_tr, w_tr, lam=lam, _warm=warm)
-                warm = -fit.beta_s
+        # one standardisation of the training fold serves the whole grid
+        X_tr, f_tr, w_tr = _prepare(X[mask], f[mask], w_tr)
+        X_s, f_s, st = standardise(X_tr, f_tr, w_tr)
+        for gi, fit in enumerate(_path(X_s, f_s, w_tr, st, grid, method)):
             resid = f_ho - fit.predict(X_ho)
             # weighted mean squared hold-out residual for this fold
             scores[gi] += float(w_ho @ (resid * resid)) / float(w_ho.sum())
@@ -479,14 +438,5 @@ def cv_lambda(X, f, weights=None, method: str = "ridge", cfg: CvConfig | None = 
     pick = int(np.argmax(scores <= threshold))
     lam_star = float(grid[pick])
 
-    if method == "ridge":
-        fit = fit_ridge(X, f, w, lam=lam_star)
-    else:
-        fit = fit_lasso(X, f, w, lam=lam_star)
-    fit = RegressionFit(
-        intercept=fit.intercept, beta=fit.beta, beta_s=fit.beta_s,
-        method=fit.method, lam=fit.lam, cv_mse=float(scores[pick]),
-        dropped=fit.dropped, rank_deficient=fit.rank_deficient,
-        n_sweeps=fit.n_sweeps,
-    )
-    return lam_star, fit
+    refit = fit_ridge if method == "ridge" else fit_lasso
+    return lam_star, replace(refit(X, f, w, lam=lam_star), cv_mse=float(scores[pick]))

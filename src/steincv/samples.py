@@ -36,6 +36,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def normalised_weights(weights, n: int) -> np.ndarray:
+    """Check a length-n weight vector and scale it to sum to one; None is uniform."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape != (n,):
+        raise InvalidInput(f"weights shape {w.shape} != ({n},)")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise InvalidInput("weights must be finite and nonnegative")
+    total = w.sum()
+    if total <= 0:
+        raise InvalidInput("weights sum to zero")
+    return w / total
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Weighted draws theta (N, d) with log-target gradients.
@@ -69,22 +84,9 @@ class SampleSet:
         if np.any(np.isinf(grad)):
             raise InvalidInput("grad_log_target contains infinite entries")
 
-        if self.weights is None:
-            w = np.full(n, 1.0 / n)
-        else:
-            w = np.asarray(self.weights, dtype=float).reshape(-1)
-            if w.shape != (n,):
-                raise InvalidInput(f"weights shape {w.shape} != ({n},)")
-            if not np.all(np.isfinite(w)) or np.any(w < 0):
-                raise InvalidInput("weights must be finite and nonnegative")
-            total = w.sum()
-            if total <= 0:
-                raise InvalidInput("weights sum to zero")
-            w = w / total
-
         object.__setattr__(self, "theta", _readonly(theta))
         object.__setattr__(self, "grad_log_target", _readonly(grad))
-        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "weights", _readonly(normalised_weights(self.weights, n)))
         for name in ("log_like", "log_prior"):
             v = getattr(self, name)
             if v is None:
@@ -181,6 +183,19 @@ class Standardisation:
         return np.flatnonzero(keep)
 
 
+def moments(X: np.ndarray, f: np.ndarray, weights: np.ndarray) -> Standardisation:
+    """Weighted means and sds of the columns of X and of f (weights normalised)."""
+    x_sd = weighted_sd(X, weights)
+    f_sd = float(weighted_sd(f, weights))
+    return Standardisation(
+        response_mean=float(weighted_mean(f, weights)),
+        response_sd=f_sd if f_sd >= SD_FLOOR else 0.0,
+        covariate_means=_readonly(weighted_mean(X, weights)),
+        covariate_sds=_readonly(x_sd),
+        dropped=tuple(int(j) for j in np.flatnonzero(x_sd < SD_FLOOR)),
+    )
+
+
 def standardise(X, f, weights=None):
     """Centre and scale covariates and response by their weighted moments.
 
@@ -197,35 +212,10 @@ def standardise(X, f, weights=None):
         raise InsufficientSamples("standardisation needs at least two samples")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(f))):
         raise InvalidInput("standardise requires finite inputs")
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise InvalidInput("bad weight vector")
-        total = w.sum()
-        if total <= 0:
-            raise InvalidInput("weights sum to zero")
-        w = w / total
-
-    x_mean = weighted_mean(X, w)
-    x_sd = weighted_sd(X, w)
-    f_mean = float(weighted_mean(f, w))
-    f_sd = float(weighted_sd(f, w))
-
-    dropped = tuple(int(j) for j in np.flatnonzero(x_sd < SD_FLOOR))
-    keep = [j for j in range(X.shape[1]) if j not in dropped]
-    X_s = (X[:, keep] - x_mean[keep]) / x_sd[keep]
-    f_scale = f_sd if f_sd >= SD_FLOOR else 1.0
-    f_s = (f - f_mean) / f_scale
-
-    st = Standardisation(
-        response_mean=f_mean,
-        response_sd=f_sd if f_sd >= SD_FLOOR else 0.0,
-        covariate_means=_readonly(x_mean),
-        covariate_sds=_readonly(x_sd),
-        dropped=dropped,
-    )
+    st = moments(X, f, normalised_weights(weights, n))
+    keep = st.retained
+    X_s = (X[:, keep] - st.covariate_means[keep]) / st.covariate_sds[keep]
+    f_s = (f - st.response_mean) / (st.response_sd if st.response_sd >= SD_FLOOR else 1.0)
     return X_s, f_s, st
 
 

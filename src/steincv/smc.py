@@ -147,13 +147,11 @@ def reweight(weights, log_like, t_old: float, t_new: float):
 
     Returns (new_weights, log_increment) with
     log_increment = log sum_i W_i * l_i^(t_new - t_old), the evidence-ratio
-    contribution of this step.
+    contribution of this step.  t_new < t_old is allowed: post-hoc schedules
+    reweight populations backwards.
     """
     w = np.asarray(weights, dtype=float)
     ll = np.asarray(log_like, dtype=float)
-    if t_new < t_old:
-        # backwards reweighting is legal for post-hoc population reuse
-        pass
     log_un = _log_weights(w) + (t_new - t_old) * ll
     log_inc = float(logsumexp(log_un))
     if not np.isfinite(log_inc):
@@ -732,6 +730,8 @@ def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
 
     The CSVs store the tempered gradient only, so the likelihood/prior split
     is recomputed from the model's analytic gradients at the stored particles.
+    A CSV whose row count differs from the manifest's ``n_particles`` (a
+    truncated or foreign file) is rejected.
     """
     out = Path(archive_dir)
     manifest = _load_manifest(out)
@@ -742,9 +742,14 @@ def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
     accs = [float("nan")] + [float(a) for a in manifest["acceptance"]]
     snapshots = []
     for i, t in enumerate(temps):
-        s = read_sample_csv(out / f"t_{i:03d}.csv")
+        path = out / f"t_{i:03d}.csv"
+        s = read_sample_csv(path)
         if s.log_like is None or s.log_prior is None:
             raise InvalidInput("archive CSVs must carry log_like and log_prior")
+        if s.count != manifest["n_particles"]:
+            raise InvalidInput(
+                f"{path} has {s.count} rows, the manifest says {manifest['n_particles']}"
+            )
         gll = model.grad_log_like(s.theta)
         glp = model.grad_log_prior(s.theta)
         snapshots.append(

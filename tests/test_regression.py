@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import steincv.regression as regression
 from steincv.errors import ConvergenceError, InsufficientSamples, InvalidInput
 from steincv.regression import (
     CvConfig,
@@ -12,6 +13,7 @@ from steincv.regression import (
     lasso_lambda_max,
     refit_fixed_intercept,
 )
+from steincv.samples import weighted_sd
 
 
 def soft(x, lam):
@@ -206,6 +208,26 @@ def test_lasso_kkt_random_problems():
         assert kkt_violation(X, f, w, fit) <= 1e-6
 
 
+def test_lasso_residual_updates_match_gram_updates(monkeypatch):
+    # problems shaped like acceptance criterion 4; a zero flop cap forces the
+    # residual-update branch of coordinate descent
+    rng = np.random.default_rng(405)
+    problems = []
+    for _ in range(6):
+        n = int(rng.integers(30, 201))
+        J = int(rng.integers(5, 301))
+        X = rng.normal(size=(n, J)) * rng.uniform(0.5, 2.0, size=J)
+        f = X @ (rng.normal(size=J) * (rng.random(J) < 0.2)) + rng.normal(size=n)
+        w = rng.uniform(0.2, 1.0, size=n)
+        lam = float(rng.uniform(0.05, 0.5)) * lasso_lambda_max(X, f, w)
+        problems.append((X, f, w, lam, fit_lasso(X, f, w, lam=lam)))
+    monkeypatch.setattr(regression, "_GRAM_FLOP_CAP", 0)
+    for X, f, w, lam, gram_fit in problems:
+        fit = fit_lasso(X, f, w, lam=lam)
+        assert kkt_violation(X, f, w, fit) <= 1e-6
+        assert_allclose(fit.beta_s, gram_fit.beta_s, rtol=0, atol=1e-6)
+
+
 def test_lasso_lambda_max_kills_everything():
     X, f, _, _ = linear_problem(seed=10, noise=0.5)
     lam_max = lasso_lambda_max(X, f)
@@ -301,6 +323,50 @@ def test_cv_lambda_too_few_samples():
         cv_lambda(np.ones((4, 1)), np.ones(4), cfg=CvConfig(folds=10))
     with pytest.raises(InvalidInput):
         cv_lambda(np.ones((20, 1)), np.ones(20), method="ols")
+
+
+def cv_lambda_oracle(X, f, w, method, cfg):
+    """Per-lambda reference: a cold public fit on every fold at every grid value."""
+    fit_one = fit_ridge if method == "ridge" else fit_lasso
+    w = w / w.sum()
+    n = f.shape[0]
+    grid = np.asarray(cfg.lambda_grid)
+    perm = np.random.default_rng(cfg.seed).permutation(n)
+    scores = np.zeros(grid.size)
+    for k in range(cfg.folds):
+        hold = perm[k::cfg.folds]
+        mask = np.ones(n, dtype=bool)
+        mask[hold] = False
+        for gi, lam in enumerate(grid):
+            fit = fit_one(X[mask], f[mask], w[mask], lam=lam)
+            resid = f[hold] - fit.predict(X[hold])
+            scores[gi] += float(w[hold] @ (resid * resid)) / float(w[hold].sum())
+    scores /= cfg.folds
+    best = float(np.min(scores))
+    threshold = best + cfg.tolerance * max(float(weighted_sd(f, w)) ** 2, best)
+    pick = int(np.argmax(scores <= threshold))
+    return float(grid[pick]), float(scores[pick])
+
+
+@pytest.mark.parametrize("n, J", [(80, 12), (60, 120)])
+def test_cv_lambda_matches_per_lambda_oracle(n, J):
+    rng = np.random.default_rng(n + J)
+    X = rng.normal(size=(n, J)) * rng.uniform(0.5, 2.0, size=J)
+    f = X @ (rng.normal(size=J) * (rng.random(J) < 0.2)) + rng.normal(size=n)
+    w = rng.uniform(0.2, 1.0, size=n)
+    lam_max = lasso_lambda_max(X, f, w)
+    grid = tuple(np.geomspace(lam_max, 1e-2 * lam_max, 10)) + (0.0,)
+    cfg = CvConfig(folds=5, seed=7, lambda_grid=grid)
+
+    lam, fit = cv_lambda(X, f, w, method="ridge", cfg=cfg)
+    assert (lam, fit.cv_mse) == cv_lambda_oracle(X, f, w, "ridge", cfg)
+
+    # warm and cold coordinate descent stop within the same tolerance, which
+    # is set on the standardised scale: compare relative to var(f)
+    lam, fit = cv_lambda(X, f, w, method="lasso", cfg=cfg)
+    lam_ref, mse_ref = cv_lambda_oracle(X, f, w, "lasso", cfg)
+    assert lam == lam_ref
+    assert abs(fit.cv_mse - mse_ref) <= 1e-6 * float(weighted_sd(f, w / w.sum())) ** 2
 
 
 # --- fixed-intercept refit -----------------------------------------------------

@@ -576,6 +576,18 @@ def test_archive_round_trip(tmp_path):
     assert rec == ps.replay_record()
 
 
+def test_archive_truncated_csv_rejected(tmp_path):
+    model = conjugate_1d()
+    cfg = SmcConfig(n_particles=60, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
+                    h_grid_size=3, max_repeats=5)
+    save_particle_system(run_smc(model, cfg), tmp_path / "arch")
+    csv = tmp_path / "arch" / "t_001.csv"
+    lines = csv.read_text().splitlines(keepends=True)
+    csv.write_text("".join(lines[:31]))          # header plus 30 of 60 rows
+    with pytest.raises(InvalidInput, match="30 rows"):
+        load_particle_system(tmp_path / "arch", model)
+
+
 def test_archive_missing_manifest(tmp_path):
     with pytest.raises(InvalidInput):
         load_replay_record(tmp_path / "nope")
