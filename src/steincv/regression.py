@@ -31,16 +31,18 @@ from .samples import (
     SD_FLOOR, Standardisation, moments, normalised_weights, standardise, weighted_sd,
 )
 
-_LASSO_MAX_SWEEPS = 100_000
-_LASSO_COORD_TOL = 1e-7   # max coordinate change per sweep, standardised scale
-_LASSO_KKT_TOL = 1e-8     # absolute KKT slack, standardised scale
-# Gram-based coordinate descent is worthwhile until X^T X gets expensive.
-_GRAM_FLOP_CAP = 2.0e8
+# Lasso path: a joining column whose squared Cholesky pivot falls below this
+# fraction of its own Gram diagonal lies in the span of the active set.
+_PIVOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Coefficients and diagnostics of one control-variate regression."""
+    """Coefficients and diagnostics of one control-variate regression.
+
+    For the lasso, ``n_sweeps`` counts the steps (variables joining or leaving
+    the active set) its exact solution path took to reach ``lam``.
+    """
 
     intercept: float
     beta: np.ndarray
@@ -142,9 +144,10 @@ def _path(X_s, f_s, w, st, grid, method, relaxed=False):
 
     ``X_s, f_s, st`` come from :func:`standardise` with normalised weights
     ``w``.  Ridge forms the weighted Gram once and adds lambda I per value;
-    lasso runs coordinate descent down the grid on one Gram, each fit
-    warm-started from the previous one.  lambda = 0 is least squares on the
-    retained columns.  Returns one RegressionFit per grid value.
+    lasso follows its exact solution path once, down to the smallest positive
+    grid value (:func:`_lasso_path`), and ``n_sweeps`` counts the path steps
+    taken to reach each value.  lambda = 0 is least squares on the retained
+    columns.  Returns one RegressionFit per grid value.
     """
     keep = st.retained
     f_scale = st.response_sd if st.response_sd >= SD_FLOOR else 1.0
@@ -154,10 +157,10 @@ def _path(X_s, f_s, w, st, grid, method, relaxed=False):
         rhs = X_s.T @ (w * f_s)
     live = keep.size and st.response_sd >= SD_FLOOR
     if method == "lasso" and live:
-        gram = _lasso_gram(X_s, f_s, w)
+        # the grid descends, so its positive values come first
+        gammas, steps = _lasso_path(X_s, f_s, w, [lam for lam in grid if lam > 0.0])
     fits = []
-    warm = None
-    for lam in grid:
+    for gi, lam in enumerate(grid):
         gamma_s = np.zeros(st.covariate_sds.shape[0])
         sweeps = 0
         if keep.size and lam == 0.0:
@@ -165,16 +168,14 @@ def _path(X_s, f_s, w, st, grid, method, relaxed=False):
         elif keep.size and method == "ridge":
             gamma_s[keep] = linalg.solve(G + lam * np.eye(keep.size), rhs, assume_a="pos")
         elif method == "lasso" and live:
-            sol, sweeps = _cd_lasso(X_s, f_s, w, lam, gram, gamma0=warm)
+            sol, sweeps = gammas[gi], int(steps[gi])
             if relaxed and np.any(sol):
                 support = np.flatnonzero(sol)
                 sol = np.zeros_like(sol)
                 sol[support], _ = _weighted_lstsq(X_s[:, support], f_s, w)
             gamma_s[keep] = sol
         # map the standardised-scale solution back to the raw scale
-        fit = _finish(gamma_s * f_scale / sds, st, method=method, lam=lam, n_sweeps=sweeps)
-        warm = -fit.beta_s[keep]
-        fits.append(fit)
+        fits.append(_finish(gamma_s * f_scale / sds, st, method=method, lam=lam, n_sweeps=sweeps))
     return fits
 
 
@@ -230,92 +231,90 @@ def lasso_lambda_max(X, f, weights=None) -> float:
     return float(np.max(np.abs(X_s.T @ (w * f_s))))
 
 
-def _lasso_gram(X_s, f_s, w):
-    """Data-set quantities of :func:`_cd_lasso`: (z, G, q).
+def _lasso_path(X, f, w, lams):
+    """Exact lasso solutions on a descending grid of positive penalties.
 
-    z_j = sum_i w_i x_ij^2; G = X^T W X and q = X^T W f when the Gram is
-    affordable, else None (coordinate descent then updates residuals).
+    Minimises (1/2) sum_i w_i (f_i - x_i gamma)^2 + lam ||gamma||_1 by the
+    LARS-lasso homotopy (Osborne, Presnell & Turlach 2000; Efron et al. 2004):
+    from lambda_max down, the solution is piecewise linear in lam and changes
+    direction only where a variable joins or leaves the active set A.  On a
+    segment, gamma_A(lam) = u - lam d with G_AA u = q_A and G_AA d = sign_A
+    (G = X^T W X, q = X^T W f), so each grid value is read off its segment
+    exactly.  Columns of G are formed only when their variable joins, and the
+    Cholesky factor of G_AA grows by one row per join and is refactored after
+    a drop.  A joining column in the span of A (non-positive pivot) stays at
+    zero.  Returns (gammas, steps): gammas[k] solves lams[k], reached after
+    steps[k] path events (joins, drops and rejected joins); more than
+    8 max(n, J) steps raise ConvergenceError.
     """
-    n, J = X_s.shape
-    Xw = w[:, None] * X_s
-    z = np.einsum("ij,ij->j", Xw, X_s)
-    if n * J * J > _GRAM_FLOP_CAP:
-        return z, None, None
-    return z, Xw.T @ X_s, Xw.T @ f_s
-
-
-def _cd_lasso(X_s, f_s, w, lam, gram, gamma0=None):
-    """Cyclic coordinate descent for (1/2) sum w r^2 + lam ||gamma||_1.
-
-    ``gram`` is :func:`_lasso_gram` of the same data.  Uses Gram
-    ("covariance") updates when it holds G, residual updates otherwise;
-    active-set sweeps between full passes.  Returns (gamma, n_sweeps).
-    """
-    J = X_s.shape[1]
-    gamma = np.zeros(J) if gamma0 is None else gamma0.copy()
-    z, G, q = gram
-    zero_z = z <= 0
-    use_gram = G is not None
-    v = r = None
-    if use_gram:
-        v = q - G @ gamma                        # v_j = sum_i w_i x_ij r_i
-    else:
-        r = f_s - X_s @ gamma
-
-    def sweep(indices):
-        max_delta = 0.0
-        nonlocal v, r
-        for j in indices:
-            if zero_z[j]:
+    n, J = X.shape
+    q = X.T @ (w * f)
+    m = min(n, J)
+    cols = np.empty((J, m))          # G[:, A]
+    L = np.zeros((m, m))             # lower Cholesky factor of G[A][:, A]
+    active, signs, blocked = [], [], set()
+    gammas = np.zeros((len(lams), J))
+    steps = np.zeros(len(lams), dtype=int)
+    gi, n_steps, lam_cur = 0, 0, np.inf
+    while gi < len(lams):
+        k = len(active)
+        u = d = np.zeros(0)
+        if k:
+            ud = linalg.cho_solve((L[:k, :k], True), np.column_stack([q[active], signs]),
+                                  check_finite=False)
+            u, d = ud[:, 0], ud[:, 1]
+        # inactive correlations are b + lam a along the segment; a variable
+        # joins with sign s where s (b + lam a) = lam.  Only a correlation
+        # moving towards s lam as lam falls (1 - s a > 0) gets there, so a
+        # variable that has just dropped out cannot re-enter at once with its
+        # old sign, but may return later with either sign.
+        b = q - cols[:, :k] @ u
+        a = cols[:, :k] @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.stack([np.where(1.0 - s * a > 0.0, s * b / (1.0 - s * a), -np.inf)
+                              for s in (1.0, -1.0)])
+        roots[:, active + list(blocked)] = -np.inf
+        side, join = np.unravel_index(np.argmax(roots), roots.shape)
+        lam_join = min(roots[side, join], lam_cur)
+        # an active coefficient moving towards zero drops out where it gets there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drops = np.where(d * np.asarray(signs) < 0.0, u / d, -np.inf)
+        lam_drop = min(drops.max(initial=-np.inf), lam_cur)
+        lam_next = max(lam_join, lam_drop)
+        while gi < len(lams) and lams[gi] >= lam_next:
+            gammas[gi, active] = u - lams[gi] * d
+            steps[gi] = n_steps
+            gi += 1
+        if gi == len(lams):
+            break
+        n_steps += 1
+        if n_steps > 8 * max(n, J):
+            raise ConvergenceError("lasso path exceeded its step bound",
+                                   steps=n_steps, lam=float(lam_next))
+        lam_cur = lam_next
+        if lam_join >= lam_drop:
+            col = X.T @ (w * X[:, join])
+            row = linalg.solve_triangular(L[:k, :k], col[active], lower=True, check_finite=False)
+            pivot = col[join] - row @ row
+            if k == m or not pivot > _PIVOT_TOL * col[join]:
+                blocked.add(join)
                 continue
-            if use_gram:
-                rho = v[j] + z[j] * gamma[j]
-            else:
-                rho = X_s[:, j] @ (w * r) + z[j] * gamma[j]
-            new = math.copysign(max(abs(rho) - lam, 0.0), rho) / z[j]
-            delta = new - gamma[j]
-            if delta != 0.0:
-                if use_gram:
-                    v -= delta * G[:, j]
-                else:
-                    r -= delta * X_s[:, j]
-                gamma[j] = new
-                max_delta = max(max_delta, abs(delta))
-        return max_delta
-
-    obj_prev = np.inf
-    sweeps = 0
-    all_idx = np.arange(J)
-    while sweeps < _LASSO_MAX_SWEEPS:
-        max_delta = sweep(all_idx)
-        sweeps += 1
-        if __debug__:
-            r_now = f_s - X_s @ gamma
-            obj = 0.5 * float(w @ (r_now * r_now)) + lam * float(np.abs(gamma).sum())
-            assert obj <= obj_prev + 1e-10 * max(1.0, abs(obj_prev)), \
-                "lasso objective increased"
-            obj_prev = obj
-        # inner active-set passes until stable
-        active = np.flatnonzero(gamma != 0.0)
-        while max_delta >= _LASSO_COORD_TOL and active.size and sweeps < _LASSO_MAX_SWEEPS:
-            max_delta = sweep(active)
-            sweeps += 1
-        # full-pass KKT screen decides convergence
-        if use_gram:
-            corr = v
+            L[k, :k], L[k, k] = row, math.sqrt(pivot)
+            cols[:, k] = col
+            active.append(int(join))
+            signs.append(1.0 if side == 0 else -1.0)
         else:
-            corr = X_s.T @ (w * (f_s - X_s @ gamma))
-        active_now = gamma != 0.0
-        viol = np.abs(corr) - lam                     # <= 0 required at zeros
-        viol[active_now] = np.abs(corr[active_now] - lam * np.sign(gamma[active_now]))
-        if max_delta < _LASSO_COORD_TOL and float(np.max(viol, initial=0.0)) <= _LASSO_KKT_TOL:
-            return gamma, sweeps
-    raise ConvergenceError(
-        "lasso coordinate descent did not converge",
-        sweeps=sweeps,
-        lam=float(lam),
-        max_delta=float(max_delta),
-    )
+            drop = int(np.argmax(drops))
+            del active[drop], signs[drop]
+            cols[:, drop:k - 1] = cols[:, drop + 1:k].copy()
+            blocked.clear()
+            try:
+                L[:k - 1, :k - 1] = linalg.cholesky(cols[active, :k - 1], lower=True,
+                                                    check_finite=False)
+            except linalg.LinAlgError as exc:
+                raise ConvergenceError("lasso path lost its active-set factorisation",
+                                       steps=n_steps, lam=float(lam_cur)) from exc
+    return gammas, steps
 
 
 def fit_lasso(X, f, weights=None, lam: float = 0.0, *, relaxed: bool = False) -> RegressionFit:
@@ -363,9 +362,8 @@ def refit_fixed_intercept(X, f, weights=None, intercept: float = 0.0, *,
         else:
             g_sd = float(weighted_sd(g, w))
             scale = g_sd if g_sd >= SD_FLOOR else 1.0
-            g_s = g / scale
-            sol, sweeps = _cd_lasso(Xk, g_s, w, lam, _lasso_gram(Xk, g_s, w))
-            sol = sol * scale
+            gammas, steps = _lasso_path(Xk, g / scale, w, [lam])
+            sol, sweeps = gammas[0] * scale, int(steps[0])
         gamma[keep] = sol / rms[keep]
     f_sd = float(weighted_sd(f, w))
     # zero covariate means: the intercept stays where it was pinned

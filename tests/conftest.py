@@ -1,4 +1,4 @@
-"""Shared test helpers: finite-difference oracles and the acceptance tally."""
+"""Shared test helpers: finite-difference and lasso oracles, the acceptance tally."""
 
 import numpy as np
 import pytest
@@ -22,6 +22,34 @@ def rel_err(approx, exact, floor=1e-10):
     a = np.asarray(approx, dtype=float).ravel()
     b = np.asarray(exact, dtype=float).ravel()
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), floor))
+
+
+def standardise_oracle(X, f, w):
+    """Independent reimplementation of the documented standardisation.
+
+    Centred by the weighted mean, scaled by the reliability-weighted sd
+    (denominator 1 - sum w^2).
+    """
+    denom = 1.0 - float(w @ w)
+    xm = w @ X
+    Xc = X - xm
+    x_sd = np.sqrt(w @ (Xc * Xc) / denom)
+    fm = float(w @ f)
+    fc = f - fm
+    f_sd = float(np.sqrt(w @ (fc * fc) / denom))
+    return Xc / x_sd, fc / f_sd, x_sd, f_sd
+
+
+def kkt_violation(X, f, w, fit):
+    """Max KKT residual of the standardised lasso problem at the fit."""
+    w = w / w.sum()
+    X_s, f_s, _, _ = standardise_oracle(X, f, w)
+    gamma = -fit.beta_s
+    corr = X_s.T @ (w * (f_s - X_s @ gamma))
+    active = gamma != 0.0
+    viol = np.abs(corr) - fit.lam
+    viol[active] = np.abs(corr[active] - fit.lam * np.sign(gamma[active]))
+    return float(np.max(viol, initial=0.0))
 
 
 # --- acceptance tally -----------------------------------------------------

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import kkt_violation, standardise_oracle
 import steincv.regression as regression
 from steincv.errors import ConvergenceError, InsufficientSamples, InvalidInput
 from steincv.regression import (
@@ -18,22 +21,6 @@ from steincv.samples import weighted_sd
 
 def soft(x, lam):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-
-
-def standardise_oracle(X, f, w):
-    """Independent reimplementation of the documented standardisation.
-
-    Centred by the weighted mean, scaled by the reliability-weighted sd
-    (denominator 1 - sum w^2).
-    """
-    denom = 1.0 - float(w @ w)
-    xm = w @ X
-    Xc = X - xm
-    x_sd = np.sqrt(w @ (Xc * Xc) / denom)
-    fm = float(w @ f)
-    fc = f - fm
-    f_sd = float(np.sqrt(w @ (fc * fc) / denom))
-    return Xc / x_sd, fc / f_sd, x_sd, f_sd
 
 
 def linear_problem(n=30, J=4, seed=0, noise=0.0):
@@ -183,18 +170,6 @@ def test_lasso_orthogonal_design_soft_threshold():
         assert_allclose(fit.beta, -gamma_star * f_sd / x_sd, atol=1e-6)
 
 
-def kkt_violation(X, f, w, fit):
-    """Max KKT residual of the standardised lasso problem at the fit."""
-    w = w / w.sum()
-    X_s, f_s, _, _ = standardise_oracle(X, f, w)
-    gamma = -fit.beta_s
-    corr = X_s.T @ (w * (f_s - X_s @ gamma))
-    active = gamma != 0.0
-    viol = np.abs(corr) - fit.lam
-    viol[active] = np.abs(corr[active] - fit.lam * np.sign(gamma[active]))
-    return float(np.max(viol, initial=0.0))
-
-
 def test_lasso_kkt_random_problems():
     rng = np.random.default_rng(9)
     for trial in range(8):
@@ -208,24 +183,93 @@ def test_lasso_kkt_random_problems():
         assert kkt_violation(X, f, w, fit) <= 1e-6
 
 
-def test_lasso_residual_updates_match_gram_updates(monkeypatch):
-    # problems shaped like acceptance criterion 4; a zero flop cap forces the
-    # residual-update branch of coordinate descent
-    rng = np.random.default_rng(405)
-    problems = []
-    for _ in range(6):
-        n = int(rng.integers(30, 201))
-        J = int(rng.integers(5, 301))
-        X = rng.normal(size=(n, J)) * rng.uniform(0.5, 2.0, size=J)
-        f = X @ (rng.normal(size=J) * (rng.random(J) < 0.2)) + rng.normal(size=n)
-        w = rng.uniform(0.2, 1.0, size=n)
-        lam = float(rng.uniform(0.05, 0.5)) * lasso_lambda_max(X, f, w)
-        problems.append((X, f, w, lam, fit_lasso(X, f, w, lam=lam)))
-    monkeypatch.setattr(regression, "_GRAM_FLOP_CAP", 0)
-    for X, f, w, lam, gram_fit in problems:
-        fit = fit_lasso(X, f, w, lam=lam)
-        assert kkt_violation(X, f, w, fit) <= 1e-6
-        assert_allclose(fit.beta_s, gram_fit.beta_s, rtol=0, atol=1e-6)
+def cd_lasso_oracle(X, f, w, lam, tol=1e-13, max_sweeps=100_000):
+    """Cyclic coordinate descent on (1/2) sum_i w_i (f_i - x_i g)^2 + lam ||g||_1.
+
+    The slow reference for the exact path: one coordinate at a time with
+    residual updates, until no coordinate moves by more than ``tol``.
+    """
+    g = np.zeros(X.shape[1])
+    r = f.copy()
+    z = w @ (X * X)
+    for _ in range(max_sweeps):
+        biggest = 0.0
+        for j in range(X.shape[1]):
+            new = float(soft(X[:, j] @ (w * r) + z[j] * g[j], lam)) / z[j]
+            if new != g[j]:
+                r -= (new - g[j]) * X[:, j]
+                biggest = max(biggest, abs(new - g[j]))
+                g[j] = new
+        if biggest < tol:
+            return g
+    raise AssertionError("coordinate descent oracle did not converge")
+
+
+def random_lasso_problem(n, J, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, J)) * rng.uniform(0.5, 2.0, size=J)
+    f = X @ (rng.normal(size=J) * (rng.random(J) < 0.3)) + rng.normal(size=n)
+    w = rng.uniform(0.2, 1.0, size=n)
+    return X, f, w / w.sum()
+
+
+@settings(deadline=None)
+@given(n=st.integers(8, 40), extra=st.integers(1, 40), wide=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 0.9))
+def test_lasso_path_matches_coordinate_descent_oracle(n, extra, wide, seed, frac):
+    J = n + extra if wide else max(1, n - extra)
+    X, f, w = random_lasso_problem(n, J, seed)
+    lam = frac * lasso_lambda_max(X, f, w)
+    fit = fit_lasso(X, f, w, lam=lam)
+    X_s, f_s, _, _ = standardise_oracle(X, f, w)
+    assert_allclose(-fit.beta_s, cd_lasso_oracle(X_s, f_s, w, lam), rtol=0, atol=1e-6)
+    assert kkt_violation(X, f, w, fit) <= 1e-8
+
+
+@pytest.mark.parametrize("n, J", [(80, 12), (40, 90)])
+def test_lasso_grid_path_equals_per_lambda_fits(n, J):
+    X, f, w = random_lasso_problem(n, J, seed=n * J)
+    grid = regression._default_grid(lasso_lambda_max(X, f, w))
+    X_s, f_s, stz = regression.standardise(X, f, w)
+    fits = regression._path(X_s, f_s, w, stz, grid, "lasso")
+    assert [fit.n_sweeps for fit in fits] == sorted(fit.n_sweeps for fit in fits)
+    for lam, fit in zip(grid, fits):
+        cold = fit_lasso(X, f, w, lam=lam)
+        assert cold.n_sweeps == fit.n_sweeps
+        assert_allclose(fit.beta_s, cold.beta_s, rtol=0, atol=1e-10)
+        assert kkt_violation(X, f, w, fit) <= 1e-8
+
+
+@pytest.mark.parametrize("n, J", [(40, 8), (20, 60)])
+def test_lasso_degenerate_designs(n, J):
+    # duplicated column, a column that is the sum of two others and, for
+    # J > N, more columns than the rank of the design
+    X, f, w = random_lasso_problem(n, J, seed=J)
+    X[:, 1] = X[:, 0]
+    X[:, 4] = X[:, 2] + X[:, 3]
+    f = f + X[:, 0] + X[:, 4]
+    lam_max = lasso_lambda_max(X, f, w)
+    for frac in (0.5, 0.1, 1e-2, 1e-4):
+        fit = fit_lasso(X, f, w, lam=frac * lam_max)
+        assert np.all(np.isfinite(fit.beta))
+        assert kkt_violation(X, f, w, fit) <= 1e-8
+    _, fit = cv_lambda(X, f, w, method="lasso", cfg=CvConfig(folds=5, seed=1))
+    assert np.all(np.isfinite(fit.beta)) and np.isfinite(fit.cv_mse)
+    assert kkt_violation(X, f, w, fit) <= 1e-8
+
+    # pinned intercept: no centring, so a constant column is a live regressor
+    X[:, 5] = 2.0
+    c0 = 0.5
+    fit = refit_fixed_intercept(X, f, w, intercept=c0, method="lasso", lam=0.05)
+    assert fit.dropped == () and np.all(np.isfinite(fit.beta))
+    rms = np.sqrt(w @ (X * X))
+    scale = float(weighted_sd(f, w))
+    X_k, g = X / rms, (f - c0) / scale
+    gamma = -fit.beta * rms / scale
+    corr = X_k.T @ (w * (g - X_k @ gamma))
+    on = gamma != 0.0
+    assert np.all(np.abs(corr[~on]) <= 0.05 + 1e-8)
+    assert_allclose(corr[on], 0.05 * np.sign(gamma[on]), rtol=0, atol=1e-8)
 
 
 def test_lasso_lambda_max_kills_everything():
@@ -355,18 +399,16 @@ def test_cv_lambda_matches_per_lambda_oracle(n, J):
     f = X @ (rng.normal(size=J) * (rng.random(J) < 0.2)) + rng.normal(size=n)
     w = rng.uniform(0.2, 1.0, size=n)
     lam_max = lasso_lambda_max(X, f, w)
-    grid = tuple(np.geomspace(lam_max, 1e-2 * lam_max, 10)) + (0.0,)
+    grid = tuple(np.geomspace(lam_max, 1e-4 * lam_max, 10)) + (0.0,)
     cfg = CvConfig(folds=5, seed=7, lambda_grid=grid)
 
     lam, fit = cv_lambda(X, f, w, method="ridge", cfg=cfg)
     assert (lam, fit.cv_mse) == cv_lambda_oracle(X, f, w, "ridge", cfg)
 
-    # warm and cold coordinate descent stop within the same tolerance, which
-    # is set on the standardised scale: compare relative to var(f)
+    # a cold fit at one lambda takes the same path steps as the fold's path
+    # down the whole grid, so the lasso agrees exactly too
     lam, fit = cv_lambda(X, f, w, method="lasso", cfg=cfg)
-    lam_ref, mse_ref = cv_lambda_oracle(X, f, w, "lasso", cfg)
-    assert lam == lam_ref
-    assert abs(fit.cv_mse - mse_ref) <= 1e-6 * float(weighted_sd(f, w / w.sum())) ** 2
+    assert (lam, fit.cv_mse) == cv_lambda_oracle(X, f, w, "lasso", cfg)
 
 
 # --- fixed-intercept refit -----------------------------------------------------

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import kkt_violation
 from steincv.errors import InsufficientSamples, InvalidInput
-from steincv.polybasis import SubsetSpec
+from steincv.polybasis import SubsetSpec, build_design_matrix, enumerate_exponents
 from steincv.samples import IntegrandValues, SampleSet
 from steincv.zvcv import CvSelectionResult, ZvSpec, apriori_estimate, crossval_select, zvcv_estimate
 
@@ -81,6 +82,22 @@ def test_penalty_cv_dispatch():
     est, fit = zvcv_estimate(s, phi, ZvSpec(degree=1, penalty="lasso"))
     assert fit.cv_mse is not None        # lam=None went through cross-validation
     assert np.isfinite(est)
+
+
+@pytest.mark.parametrize("subset, J", [(None, 495), (SubsetSpec(tuple(range(25))), 350)])
+def test_lasso_cv_more_covariates_than_draws(subset, J):
+    # the paper's regime: a degree-2 basis in d = 30 has more columns than N = 300
+    n, d = 300, 30
+    theta = np.random.default_rng(31).normal(size=(n, d))
+    s = SampleSet(theta=theta, grad_log_target=-theta, weights=None)
+    f = theta[:, 0] + 0.5 * theta[:, 0] * theta[:, 1] + np.sin(theta[:, 2])
+    est, fit = zvcv_estimate(s, IntegrandValues(f), ZvSpec(degree=2, penalty="lasso", subset=subset))
+    X = build_design_matrix(s, enumerate_exponents(d, 2, subset))
+    assert X.shape == (n, J)
+    assert fit.cv_mse is not None and 0.0 < fit.lam
+    assert kkt_violation(X, f, s.weights, fit) <= 1e-8
+    # E[f] = 0; the plain mean of these draws is 0.074
+    assert abs(est) < 0.05
 
 
 # --- split estimator -----------------------------------------------------------
