@@ -215,8 +215,8 @@ class LogisticModel(TargetModel):
     """Bayesian logistic regression with independent Gaussian priors.
 
     log_like(theta) = sum_i [y_i x_i.theta - log(1 + exp(x_i.theta))],
-    evaluated stably for |x.theta| up to ~700.  The response may be coded
-    {0,1} or {-1,1}; both give the same likelihood.
+    evaluated stably for any finite linear predictor x.theta.  The response
+    may be coded {0,1} or {-1,1}; both give the same likelihood.
     """
 
     def __init__(self, design, response, prior_sds):
@@ -256,20 +256,31 @@ class LogisticModel(TargetModel):
         return -theta / self.prior_sds**2
 
     def log_like(self, theta):
+        # log(1 + e^a) = (a + |a|)/2 + log1p(e^-|a|), so the linear term folds
+        # into a.(y - 1/2); every other step works in place in the one buffer.
         theta = self._check(theta)
         a = theta @ self.design.T                      # (n_particles, n_obs)
-        return a @ self.response - np.sum(np.logaddexp(0.0, a), axis=1)
+        ll = a @ (self.response - 0.5)
+        np.abs(a, out=a)
+        ll -= 0.5 * a.sum(axis=1)
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        np.log1p(a, out=a)
+        ll -= a.sum(axis=1)
+        return ll
 
     def grad_log_like(self, theta):
         theta = self._check(theta)
         a = theta @ self.design.T
-        # sigmoid without overflow in either tail
-        p = np.empty_like(a)
-        pos = a >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-        ex = np.exp(a[~pos])
-        p[~pos] = ex / (1.0 + ex)
-        return (self.response - p) @ self.design
+        # sigmoid(a) = 1/(1 + e^-a); where e^-a overflows, 1/(1 + inf) = 0 is
+        # the exact limit.
+        np.negative(a, out=a)
+        with np.errstate(over="ignore"):
+            np.exp(a, out=a)
+        a += 1.0
+        np.reciprocal(a, out=a)
+        np.subtract(self.response, a, out=a)
+        return a @ self.design
 
     def sample_prior(self, n, rng):
         rng = np.random.default_rng(rng)

@@ -385,12 +385,11 @@ def write_sample_csv(s: SampleSet, path) -> None:
     cols = np.hstack([s.theta, s.grad_log_target, s.weights[:, None]])
     if with_logs:
         cols = np.hstack([cols, s.log_like[:, None], s.log_prior[:, None]])
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sample_csv_header(s.dim, with_logs))
-        for row in cols:
-            writer.writerow([repr(float(v)) for v in row])
+    # No field needs quoting, so this is what csv.writer writes, CRLF included.
+    lines = [",".join(sample_csv_header(s.dim, with_logs))]
+    lines += [",".join(map(repr, row)) for row in cols.tolist()]
+    lines.append("")
+    Path(path).write_text("\r\n".join(lines), newline="")
 
 
 def read_sample_csv(path) -> SampleSet:

@@ -23,6 +23,7 @@ spawn keys, so runs are replayable.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -687,9 +688,15 @@ def posthoc_schedule(ps: ParticleSystem, rho_tilde: float | None = None,
 
 
 def save_particle_system(ps: ParticleSystem, out_dir, model_manifest: dict | None = None):
-    """Write one CSV per temperature plus a JSON schedule manifest."""
+    """Write one CSV per temperature plus a JSON schedule manifest.
+
+    The manifest is what makes an archive loadable, so an existing one is
+    removed before any CSV is written and the new one is moved into place
+    last: an interrupted save, also over an older archive, never loads.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     for i, snap in enumerate(ps.snapshots):
         write_sample_csv(snap.sample_set(), out / f"t_{i:03d}.csv")
     manifest = {
@@ -702,9 +709,9 @@ def save_particle_system(ps: ParticleSystem, out_dir, model_manifest: dict | Non
         "model": model_manifest if model_manifest is not None else ps.model_manifest,
         "n_particles": ps.snapshots[0].count,
     }
-    with (out / "manifest.json").open("w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = out / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, out / "manifest.json")
 
 
 def load_replay_record(archive_dir) -> ReplayRecord:

@@ -1,9 +1,12 @@
 """Target models: analytic gradients, closed forms, the recapture likelihood."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -189,6 +192,50 @@ def test_logistic_extreme_linear_predictor_is_finite():
     assert np.all(np.isfinite(ll)) and np.all(np.isfinite(g))
     assert ll[0] == pytest.approx(0.0, abs=1e-10)        # saturated correct class
     assert ll[1] == pytest.approx(-5 * 800.0, rel=1e-12)
+
+
+def logistic_log_like_oracle(X, y01, theta):
+    """The log-likelihood as first written: logaddexp over the linear predictor."""
+    a = theta @ X.T
+    return a @ y01 - np.sum(np.logaddexp(0.0, a), axis=1)
+
+
+def logistic_grad_oracle(X, y01, theta):
+    """The gradient as first written: a sigmoid masked by the sign of a."""
+    a = theta @ X.T
+    p = np.empty_like(a)
+    pos = a >= 0
+    p[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    p[~pos] = ex / (1.0 + ex)
+    return (y01 - p) @ X
+
+
+# linear predictors at the centre, just off it, and around exp's overflow point
+EDGE_PREDICTORS = [0.0, 1e-8, -1e-8, 708.0, -708.0, 709.8, -709.8, 800.0, -800.0]
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 30), dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       pm_one=st.booleans(), scale=st.floats(1e-3, 100.0))
+def test_logistic_matches_logaddexp_oracle(n, dim, seed, pm_one, scale):
+    rng = np.random.default_rng(seed)
+    X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, dim - 1))])
+    y01 = (rng.uniform(size=n) < 0.5).astype(float)
+    model = LogisticModel(X, 2.0 * y01 - 1.0 if pm_one else y01, [5.0])
+    # an intercept-only row puts every a_i exactly at c; a small slope spreads
+    # the a_i just around c
+    edge = np.zeros((len(EDGE_PREDICTORS), dim))
+    edge[:, 0] = EDGE_PREDICTORS
+    near = edge.copy()
+    near[:, 1:] = 1e-3 * rng.normal(size=(len(EDGE_PREDICTORS), dim - 1))
+    theta = np.vstack([edge, near, scale * rng.normal(size=(6, dim))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ll = model.log_like(theta)
+        g = model.grad_log_like(theta)
+    assert_allclose(ll, logistic_log_like_oracle(X, y01, theta), rtol=1e-12, atol=1e-10)
+    assert_allclose(g, logistic_grad_oracle(X, y01, theta), rtol=1e-12, atol=1e-10)
 
 
 def test_logistic_prior_closed_form():

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -249,6 +251,37 @@ def test_csv_round_trip_without_logs(tmp_path):
     back = read_sample_csv(path)
     assert back.log_like is None and back.log_prior is None
     assert_array_equal(back.theta, s.theta)
+
+
+def csv_writer_oracle(s, path):
+    """The archive writer as first written: one csv.writer row per draw."""
+    with_logs = s.log_like is not None and s.log_prior is not None
+    cols = np.hstack([s.theta, s.grad_log_target, s.weights[:, None]])
+    if with_logs:
+        cols = np.hstack([cols, s.log_like[:, None], s.log_prior[:, None]])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(sample_csv_header(s.dim, with_logs))
+        for row in cols:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("logs", [True, False])
+def test_csv_bytes_match_csv_writer_oracle(tmp_path, logs):
+    big = 1.7976931348623157e308
+    special = [-0.0, 5e-324, big, -big, 0.1, 1.0, 1e16]
+    rng = np.random.default_rng(3)
+    theta = np.column_stack([special, rng.normal(size=7), np.arange(7.0)])
+    grad = np.column_stack([special[::-1], np.full(7, np.nan), rng.normal(size=7)])
+    grad[2, 2] = np.nan
+    kw = {"log_like": special[::-1], "log_prior": special} if logs else {}
+    s = SampleSet(theta=theta, grad_log_target=grad,
+                  weights=np.array([0.0, 5e-324, 1.0, 0.1, 2.0, 1e16, 3.0]), **kw)
+    write_sample_csv(s, tmp_path / "new.csv")
+    csv_writer_oracle(s, tmp_path / "old.csv")
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "old.csv").read_bytes()
+    assert got.count(b"\r\n") == 8 and b"nan" in got and b"-0.0" in got
 
 
 def test_csv_header_layout():

@@ -1,5 +1,7 @@
 """Annealing sampler: weights, temperature search, kernels, archives, replay."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -586,6 +588,33 @@ def test_archive_truncated_csv_rejected(tmp_path):
     csv.write_text("".join(lines[:31]))          # header plus 30 of 60 rows
     with pytest.raises(InvalidInput, match="30 rows"):
         load_particle_system(tmp_path / "arch", model)
+
+
+def test_interrupted_overwrite_does_not_load(tmp_path, monkeypatch):
+    model = conjugate_1d()
+    cfg = SmcConfig(n_particles=40, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
+                    h_grid_size=3, max_repeats=5)
+    arch = tmp_path / "arch"
+    save_particle_system(run_smc(model, cfg), arch)
+    other = run_smc(model, replace(cfg, seed=10))
+    real_write = smc_mod.write_sample_csv
+    calls = []
+
+    def write_then_fail(s, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real_write(s, path)
+
+    monkeypatch.setattr(smc_mod, "write_sample_csv", write_then_fail)
+    with pytest.raises(OSError):
+        save_particle_system(other, arch)
+    with pytest.raises(InvalidInput):
+        load_particle_system(arch, model)
+    monkeypatch.undo()
+    save_particle_system(other, arch)
+    assert not (arch / "manifest.json.tmp").exists()
+    assert load_particle_system(arch, model).log_evidence == other.log_evidence
 
 
 def test_archive_missing_manifest(tmp_path):
