@@ -29,6 +29,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import ConditioningError, InvalidInput
 from .polybasis import design_columns, enumerate_exponents
+from .regression import _fold_slices
 from .samples import IntegrandValues, SampleSet, check_aligned
 
 _JITTER_DOUBLINGS = 8
@@ -67,25 +68,29 @@ class KernelSpec:
 
 def _gaussian_stein_cross(theta_a, grad_a, theta_b, grad_b, bandwidth):
     """First-order Stein kernel for k = exp(-||x-y||^2 / bw), cross block."""
+    # three (n_a, n_b) buffers: sq (later the core), K, and one per product
     c = 2.0 / bandwidth
     d = theta_a.shape[1]
-    sq = (
-        np.sum(theta_a**2, axis=1)[:, None]
-        - 2.0 * theta_a @ theta_b.T
-        + np.sum(theta_b**2, axis=1)[None, :]
-    )
-    K = np.exp(-sq / bandwidth)
-    P = theta_a @ grad_b.T            # x_i . u(y_l)
-    Q = grad_a @ theta_b.T            # u(x_i) . y_l
     qa = np.sum(theta_a * grad_a, axis=1)   # x_i . u(x_i)
     qb = np.sum(theta_b * grad_b, axis=1)   # y_l . u(y_l)
+    sq = (2.0 * theta_a) @ theta_b.T        # not theta_a @ .T: no symmetric path
+    np.subtract(np.sum(theta_a**2, axis=1)[:, None], sq, out=sq)
+    sq += np.sum(theta_b**2, axis=1)[None, :]
+    K = np.negative(sq)
+    np.exp(np.divide(K, bandwidth, out=K), out=K)
     # div_x div_y k = c K (d - c ||x - y||^2)
-    core = c * (d - c * sq)
+    core = np.subtract(d, np.multiply(sq, c, out=sq), out=sq)
+    core *= c
     # grad_x k . u(y) = -c (x - y) . u(y) k ; grad_y k . u(x) = c (x - y) . u(x) k
-    core = core - c * (P - qb[None, :])
-    core = core + c * (qa[:, None] - Q)
-    core = core + grad_a @ grad_b.T
-    return K * core
+    buf = theta_a @ grad_b.T                # x_i . u(y_l)
+    buf -= qb[None, :]
+    core -= np.multiply(buf, c, out=buf)
+    np.matmul(grad_a, theta_b.T, out=buf)   # u(x_i) . y_l
+    np.subtract(qa[:, None], buf, out=buf)
+    core += np.multiply(buf, c, out=buf)
+    core += np.matmul(grad_a, grad_b.T, out=buf)
+    K *= core
+    return K
 
 
 def _design(s: SampleSet, degree: int) -> np.ndarray:
@@ -170,39 +175,28 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     n = s.count
     if n < folds:
         raise InvalidInput(f"{n} draws cannot fill {folds} folds")
-    if np.any(np.isnan(s.grad_log_target)):
-        raise InvalidInput("gaussian Stein kernel needs all gradient columns")
-    perm = np.random.default_rng(seed).permutation(n)
-    fold_idx = [perm[k::folds] for k in range(folds)]
+    fold_idx = _fold_slices(n, folds, seed)
     f = phi.values
 
     scores = np.zeros(grid.size)
     for gi, bw in enumerate(grid):
+        # every fold's training and hold-out blocks come from this one kernel
+        K0 = stein_kernel_matrix(s, KernelSpec(bandwidth=float(bw)))
         err = 0.0
         for hold in fold_idx:
-            mask = np.ones(n, dtype=bool)
-            mask[hold] = False
-            th_tr, g_tr = s.theta[mask], s.grad_log_target[mask]
-            K0 = _gaussian_stein_cross(th_tr, g_tr, th_tr, g_tr, bw)
-            K0 = 0.5 * (K0 + K0.T)
+            train = np.delete(np.arange(n), hold)
             try:
-                a, factor = _cf_solve(K0, 0.0, 1e-10, np.ones(K0.shape[0]), f[mask])
+                a, factor = _cf_solve(K0[np.ix_(train, train)], 0.0, 1e-10,
+                                      np.ones(train.size), f[train])
             except ConditioningError:
                 err = np.inf
                 break
-            alpha = cho_solve(factor, f[mask] - a)
-            K_cross = _gaussian_stein_cross(
-                s.theta[hold], s.grad_log_target[hold], th_tr, g_tr, bw
-            )
-            pred = a + K_cross @ alpha
+            alpha = cho_solve(factor, f[train] - a)
+            pred = a + K0[np.ix_(hold, train)] @ alpha
             err += float(np.mean((f[hold] - pred) ** 2))
         scores[gi] = err
     best = float(np.min(scores))
     if not np.isfinite(best):
         raise ConditioningError("every candidate bandwidth failed to factorise")
-    # scan from the largest bandwidth down; first (near-)minimiser wins
-    order = np.argsort(grid)[::-1]
-    for gi in order:
-        if scores[gi] <= best * (1 + 1e-12) + 1e-300:
-            return float(grid[gi])
-    return float(grid[order[-1]])
+    # the largest bandwidth among the (near-)minimisers wins
+    return float(np.max(grid[scores <= best * (1 + 1e-12) + 1e-300]))

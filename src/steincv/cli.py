@@ -61,6 +61,7 @@ from .polybasis import SubsetSpec
 from .samples import read_sample_csv
 from .smc import (
     SmcConfig,
+    _manifest_fields,
     load_particle_system,
     posthoc_schedule,
     run_smc,
@@ -315,14 +316,16 @@ def _build_integrands(tokens: str, theta: np.ndarray):
 def cmd_postprocess(args) -> int:
     archive = Path(args.archive)
     manifest = _read_json(archive / "manifest.json")
-    n_temps = len(manifest["temperatures"])
+    with _manifest_fields(archive / "manifest.json"):
+        temps = [float(t) for t in manifest["temperatures"]]
+    n_temps = len(temps)
     idx = args.snapshot if args.snapshot is not None else n_temps - 1
     if idx < 0:
         idx += n_temps
     if not 0 <= idx < n_temps:
         raise InvalidInput(f"snapshot index {args.snapshot} out of range")
     s = read_sample_csv(archive / f"t_{idx:03d}.csv")
-    temperature = float(manifest["temperatures"][idx])
+    temperature = temps[idx]
 
     methods = parse_methods(args.methods)
     integrands = _build_integrands(args.integrands, s.theta)
@@ -369,9 +372,10 @@ def cmd_postprocess(args) -> int:
 def cmd_evidence(args) -> int:
     archive = Path(args.archive)
     manifest = _read_json(archive / "manifest.json")
-    if not manifest.get("model"):
-        raise InvalidInput("archive manifest has no embedded model")
-    model = model_from_manifest(manifest["model"])
+    with _manifest_fields(archive / "manifest.json"):
+        if not manifest.get("model"):
+            raise InvalidInput("archive manifest has no embedded model")
+        model = model_from_manifest(manifest["model"])
     ps = load_particle_system(archive, model)
     schedule = ps.schedule()
     if args.posthoc_rho is not None:

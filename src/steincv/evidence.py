@@ -243,7 +243,7 @@ def stabilised_cv_expectation(s: SampleSet, phi, method=VANILLA, *,
     the weighted mean of phi; if the result is still non-positive (and always
     for kernel methods) the plain weighted mean is used instead.
     """
-    est, _ = _stabilised(s, phi, method, ratio=ratio, seed=seed)
+    _, est, _ = _stabilised(s, _values(s, phi), method, ratio=ratio, seed=seed)
     return est
 
 
@@ -252,37 +252,52 @@ def expectation_with_provenance(s: SampleSet, phi, method=VANILLA, *,
                                 temperature: float = float("nan"),
                                 kind: str = "E") -> ExpectationRecord:
     """Like :func:`stabilised_cv_expectation`, but returns a full record."""
-    values = phi.values if isinstance(phi, IntegrandValues) else \
-        np.asarray(phi, dtype=float).reshape(-1)
-    est, out = _stabilised(s, values, method, ratio=ratio, seed=seed)
-    return ExpectationRecord(
-        temperature=temperature,
-        kind=kind,
-        raw=float(s.weights @ values),
-        estimate=est,
-        method=out.label,
-        detail=out.detail,
-        fallback=out.fallback,
-    )
+    raw, est, out = _stabilised(s, _values(s, phi), method, ratio=ratio, seed=seed)
+    return _record(temperature, kind, raw, est, out)
 
 
-def _stabilised(s: SampleSet, phi, method, *, ratio: bool, seed: int):
+def _values(s: SampleSet, phi) -> np.ndarray:
     values = phi.values if isinstance(phi, IntegrandValues) else \
         np.asarray(phi, dtype=float).reshape(-1)
     if values.shape[0] != s.count:
         raise InvalidInput("integrand length does not match the sample set")
+    return values
+
+
+def _record(temperature: float, kind: str, raw: float, estimate: float,
+            out: _MethodOutcome, *, log_scale: bool = False, **detail) -> ExpectationRecord:
+    return ExpectationRecord(
+        temperature=temperature, kind=kind, raw=raw, estimate=estimate,
+        method=out.label, detail={**out.detail, **detail}, fallback=out.fallback,
+        log_scale=log_scale,
+    )
+
+
+def _report(estimator: str, log_z: float, temperatures, records, cv) -> EvidenceReport:
+    return EvidenceReport(
+        estimator=estimator,
+        log_evidence=log_z,
+        temperatures=temperatures,
+        per_expectation=tuple(records),
+        method=method_label(cv),
+        fallbacks_triggered=sum(r.fallback is not None for r in records),
+    )
+
+
+def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: int):
+    """(raw weighted mean, estimate, outcome) of E[values] under ``method``."""
     raw = float(s.weights @ values)
     if method is None or method == VANILLA:
-        return raw, _MethodOutcome(raw, VANILLA, {})
+        return raw, raw, _MethodOutcome(raw, VANILLA, {})
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
-        return 0.0, _MethodOutcome(0.0, method_label(method), {"scale": 0.0})
+        return raw, 0.0, _MethodOutcome(0.0, method_label(method), {"scale": 0.0})
     out = _apply_method(s, IntegrandValues(values / scale), method, seed)
     est = out.estimate * scale
     if not ratio:
-        return est, out
+        return raw, est, out
     if est > 0.0 and np.isfinite(est):
-        return est, out
+        return raw, est, out
     # positivity rescue for ratio factors
     c0 = raw  # weighted mean; positive whenever the integrand is
     if out.zv_spec is not None:
@@ -295,15 +310,15 @@ def _stabilised(s: SampleSet, phi, method, *, ratio: bool, seed: int):
         )
         est_fb = scale * float(c0 / scale + s.weights @ (X @ fb.beta))
         if est_fb > 0.0 and np.isfinite(est_fb):
-            return est_fb, _MethodOutcome(est_fb, out.label, out.detail,
-                                          zv_spec=spec, lam=out.lam,
-                                          fallback="fixed_intercept")
+            return raw, est_fb, _MethodOutcome(est_fb, out.label, out.detail,
+                                               zv_spec=spec, lam=out.lam,
+                                               fallback="fixed_intercept")
     if not (c0 > 0.0 and np.isfinite(c0)):
         raise DegenerateWeights(
             "ratio factor has non-positive weighted mean; no rescue possible",
             raw=c0,
         )
-    return c0, _MethodOutcome(c0, out.label, out.detail, fallback="vanilla")
+    return raw, c0, _MethodOutcome(c0, out.label, out.detail, fallback="vanilla")
 
 
 def _as_snapshots(snapshots) -> list[Snapshot]:
@@ -372,37 +387,23 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
         if ss.log_like is None:
             raise InvalidInput("snapshots lack log-likelihood values")
         ll = ss.log_like
-        raw_e = float(ss.weights @ ll)
-        est_e, out = _stabilised(ss, ll, cv, ratio=False, seed=_derive_seed(seed, j, 0))
-        records.append(ExpectationRecord(
-            temperature=t, kind="E_logl", raw=raw_e, estimate=est_e,
-            method=out.label, detail=out.detail, fallback=out.fallback,
-        ))
+        raw_e, est_e, out = _stabilised(ss, ll, cv, ratio=False,
+                                        seed=_derive_seed(seed, j, 0))
+        records.append(_record(t, "E_logl", raw_e, est_e, out))
         e_vals.append(est_e)
         if order == 2:
             centre = est_e if v_mean_mode == "cv" else raw_e
             dev = ll - centre
             sq = dev * dev
-            raw_v = float(ss.weights @ sq)
-            est_v, out_v = _stabilised(ss, sq, cv, ratio=False,
-                                       seed=_derive_seed(seed, j, 1))
-            records.append(ExpectationRecord(
-                temperature=t, kind="V_logl", raw=raw_v, estimate=est_v,
-                method=out_v.label, detail=out_v.detail, fallback=out_v.fallback,
-            ))
+            raw_v, est_v, out_v = _stabilised(ss, sq, cv, ratio=False,
+                                              seed=_derive_seed(seed, j, 1))
+            records.append(_record(t, "V_logl", raw_v, est_v, out_v))
             v_vals.append(est_v)
 
     log_z = cti_quadrature(
         schedule.temperatures, e_vals, v_vals if order == 2 else None
     )
-    return EvidenceReport(
-        estimator=f"cti{order}",
-        log_evidence=log_z,
-        temperatures=schedule.temperatures,
-        per_expectation=tuple(records),
-        method=method_label(cv),
-        fallbacks_triggered=sum(1 for r in records if r.fallback is not None),
-    )
+    return _report(f"cti{order}", log_z, schedule.temperatures, records, cv)
 
 
 def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
@@ -440,22 +441,11 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
             est_log, out = raw_log, _MethodOutcome(raw_log, VANILLA, {})
         else:
             phi_scaled = np.exp(dll - shift)   # in (0, 1], max-scaling in log space
-            est, out = _stabilised(
+            _, est, out = _stabilised(
                 ss, phi_scaled, cv, ratio=True, seed=_derive_seed(seed, j, 2)
             )
             est_log = shift + float(np.log(est))
-        records.append(ExpectationRecord(
-            temperature=t_prev, kind="ratio", raw=raw_log, estimate=est_log,
-            method=out.label,
-            detail={**out.detail, "t_next": t_next},
-            fallback=out.fallback, log_scale=True,
-        ))
+        records.append(_record(t_prev, "ratio", raw_log, est_log, out,
+                               log_scale=True, t_next=t_next))
         log_z += est_log
-    return EvidenceReport(
-        estimator="smc",
-        log_evidence=log_z,
-        temperatures=temps,
-        per_expectation=tuple(records),
-        method=method_label(cv),
-        fallbacks_triggered=sum(1 for r in records if r.fallback is not None),
-    )
+    return _report("smc", log_z, temps, records, cv)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -697,6 +698,9 @@ def save_particle_system(ps: ParticleSystem, out_dir, model_manifest: dict | Non
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
+    for old in out.glob("t_*.csv"):         # snapshots of the older archive
+        if old.stem[2:].isdigit():
+            old.unlink()
     for i, snap in enumerate(ps.snapshots):
         write_sample_csv(snap.sample_set(), out / f"t_{i:03d}.csv")
     manifest = {
@@ -716,12 +720,13 @@ def save_particle_system(ps: ParticleSystem, out_dir, model_manifest: dict | Non
 
 def load_replay_record(archive_dir) -> ReplayRecord:
     manifest = _load_manifest(archive_dir)
-    return ReplayRecord(
-        temperatures=tuple(manifest["temperatures"]),
-        step_sizes=tuple(manifest["step_sizes"]),
-        repeats=tuple(manifest["repeats"]),
-        resampling=manifest.get("config", {}).get("resampling", "multinomial"),
-    )
+    with _manifest_fields(Path(archive_dir) / "manifest.json"):
+        return ReplayRecord(
+            temperatures=tuple(manifest["temperatures"]),
+            step_sizes=tuple(manifest["step_sizes"]),
+            repeats=tuple(manifest["repeats"]),
+            resampling=manifest.get("config", {}).get("resampling", "multinomial"),
+        )
 
 
 def _load_manifest(archive_dir) -> dict:
@@ -732,31 +737,47 @@ def _load_manifest(archive_dir) -> dict:
         raise InvalidInput(f"cannot read archive manifest {path}: {exc}") from exc
 
 
+@contextmanager
+def _manifest_fields(path):
+    """Re-raise a missing key or a bad value read from a manifest as InvalidInput."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(
+            f"malformed archive manifest {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
     """Rebuild a ParticleSystem from an archive directory.
 
     The CSVs store the tempered gradient only, so the likelihood/prior split
     is recomputed from the model's analytic gradients at the stored particles.
     A CSV whose row count differs from the manifest's ``n_particles`` (a
-    truncated or foreign file) is rejected.
+    truncated or foreign file) is rejected, and so is a manifest with a
+    missing entry, a bad value or per-temperature lists of unequal length.
     """
     out = Path(archive_dir)
     manifest = _load_manifest(out)
-    temps = [float(v) for v in manifest["temperatures"]]
-    incs = [float(v) for v in manifest["log_increments"]]
-    hs = [None] + list(manifest["step_sizes"])
-    reps = [0] + [int(r) for r in manifest["repeats"]]
-    accs = [float("nan")] + [float(a) for a in manifest["acceptance"]]
+    with _manifest_fields(out / "manifest.json"):
+        temps = [float(v) for v in manifest["temperatures"]]
+        incs = [float(v) for v in manifest["log_increments"]]
+        hs = [None] + list(manifest["step_sizes"])
+        reps = [0] + [int(r) for r in manifest["repeats"]]
+        accs = [float("nan")] + [float(a) for a in manifest["acceptance"]]
+        n_particles = int(manifest["n_particles"])
+        cfg = SmcConfig(**manifest["config"])
+        model_manifest = manifest.get("model")
+    if not len(temps) == len(incs) == len(hs) == len(reps) == len(accs):
+        raise InvalidInput(f"manifest in {out} has per-temperature lists of unequal length")
     snapshots = []
     for i, t in enumerate(temps):
         path = out / f"t_{i:03d}.csv"
         s = read_sample_csv(path)
         if s.log_like is None or s.log_prior is None:
             raise InvalidInput("archive CSVs must carry log_like and log_prior")
-        if s.count != manifest["n_particles"]:
-            raise InvalidInput(
-                f"{path} has {s.count} rows, the manifest says {manifest['n_particles']}"
-            )
+        if s.count != n_particles:
+            raise InvalidInput(f"{path} has {s.count} rows, the manifest says {n_particles}")
         gll = model.grad_log_like(s.theta)
         glp = model.grad_log_prior(s.theta)
         snapshots.append(
@@ -768,6 +789,4 @@ def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
                 h=hs[i], repeats=reps[i], acceptance=accs[i],
             )
         )
-    cfg = SmcConfig(**manifest["config"])
-    return ParticleSystem(snapshots=snapshots, config=cfg,
-                          model_manifest=manifest.get("model"))
+    return ParticleSystem(snapshots=snapshots, config=cfg, model_manifest=model_manifest)

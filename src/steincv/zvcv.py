@@ -94,6 +94,23 @@ def _cv_corrected_mean(phi, X, weights, fit: RegressionFit) -> float:
     return float(weights @ (phi + X @ fit.beta))
 
 
+def _halves(n: int, seed: int, what: str):
+    """The two halves of a seeded random permutation of n >= 4 draws."""
+    if n < 4:
+        raise InsufficientSamples(f"{what} needs at least four draws")
+    perm = np.random.default_rng(seed).permutation(n)
+    return perm[: n // 2], perm[n // 2 :]
+
+
+def _half_fits(X, f, w, spec: ZvSpec, halves, seed: int):
+    """Fit on each half in turn; yield (fit, X, f, normalised weights) of the other."""
+    for train, hold in (halves, halves[::-1]):
+        w_tr = w[train] / w[train].sum()
+        fit = _fit_dispatch(X[train], f[train], w_tr, spec, seed)
+        w_ho = w[hold] / w[hold].sum()
+        yield fit, X[hold], f[hold], w_ho
+
+
 def zvcv_estimate(s: SampleSet, phi: IntegrandValues, spec: ZvSpec, seed: int = 0):
     """Control-variate estimate of E[phi] under the samples' target.
 
@@ -111,21 +128,12 @@ def zvcv_estimate(s: SampleSet, phi: IntegrandValues, spec: ZvSpec, seed: int = 
         fit = _fit_dispatch(X, f, w, spec, seed)
         return _cv_corrected_mean(f, X, w, fit), fit
 
-    n = s.count
-    if n < 4:
-        raise InsufficientSamples("split estimator needs at least four draws")
-    perm = np.random.default_rng(seed).permutation(n)
-    halves = (perm[: n // 2], perm[n // 2 :])
-    estimates = []
-    first_fit = None
-    for train, hold in (halves, halves[::-1]):
-        w_tr = w[train] / w[train].sum()
-        fit = _fit_dispatch(X[train], f[train], w_tr, spec, seed)
-        if first_fit is None:
-            first_fit = fit
-        w_ho = w[hold] / w[hold].sum()
-        estimates.append(_cv_corrected_mean(f[hold], X[hold], w_ho, fit))
-    return float(np.mean(estimates)), first_fit
+    halves = _halves(s.count, seed, "split estimator")
+    fits, estimates = [], []
+    for fit, X_ho, f_ho, w_ho in _half_fits(X, f, w, spec, halves, seed):
+        fits.append(fit)
+        estimates.append(_cv_corrected_mean(f_ho, X_ho, w_ho, fit))
+    return float(np.mean(estimates)), fits[0]
 
 
 def apriori_estimate(s: SampleSet, phi: IntegrandValues, subset: SubsetSpec,
@@ -139,14 +147,11 @@ def apriori_estimate(s: SampleSet, phi: IntegrandValues, subset: SubsetSpec,
     return est
 
 
-def _holdout_error(X, f, w, spec: ZvSpec, folds, seed: int) -> float:
-    """Weighted mean squared hold-out residual averaged over the folds."""
+def _holdout_error(X, f, w, spec: ZvSpec, halves, seed: int) -> float:
+    """Weighted mean squared hold-out residual averaged over both directions."""
     errs = []
-    for train, hold in (folds, folds[::-1]):
-        w_tr = w[train] / w[train].sum()
-        fit = _fit_dispatch(X[train], f[train], w_tr, spec, seed)
-        resid = f[hold] - fit.predict(X[hold])
-        w_ho = w[hold] / w[hold].sum()
+    for fit, X_ho, f_ho, w_ho in _half_fits(X, f, w, spec, halves, seed):
+        resid = f_ho - fit.predict(X_ho)
         errs.append(float(w_ho @ (resid * resid)))
     return float(np.mean(errs))
 
@@ -177,11 +182,7 @@ def crossval_select(
     if min_degree < 1:
         raise InvalidInput("min_degree must be >= 1")
 
-    n = s.count
-    if n < 4:
-        raise InsufficientSamples("2-fold selection needs at least four draws")
-    perm = np.random.default_rng(seed).permutation(n)
-    folds = (perm[: n // 2], perm[n // 2 :])
+    halves = _halves(s.count, seed, "2-fold selection")
     f, w = phi.values, s.weights
 
     trace: list[tuple[ZvSpec, float]] = []
@@ -195,7 +196,7 @@ def crossval_select(
             try:
                 A = enumerate_exponents(s.dim, q, subset)
                 X = build_design_matrix(s, A)
-                err = _holdout_error(X, f, w, spec, folds, seed)
+                err = _holdout_error(X, f, w, spec, halves, seed)
             except BasisTooLarge:
                 break
             except SteinCvError as exc:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cho_solve
 from scipy.stats import norm
 
 import steincv.cf as cf_mod
 from steincv.cf import (
     KernelSpec,
+    _cf_solve,
     _gaussian_stein_cross,
     cf_cv_bandwidth,
     cf_estimate,
@@ -198,3 +199,148 @@ def test_bandwidth_cv_validation():
         cf_cv_bandwidth(s, phi, grid=[])
     with pytest.raises(InvalidInput):
         cf_cv_bandwidth(s, phi, grid=[-1.0, 1.0], folds=2)
+
+
+# --- oracles: the pre-slicing kernel build and per-fold search ---------------------
+
+
+def stein_cross_reference(theta_a, grad_a, theta_b, grad_b, bandwidth):
+    """The gaussian Stein cross block as one expression, with full-size temporaries."""
+    c = 2.0 / bandwidth
+    d = theta_a.shape[1]
+    sq = (
+        np.sum(theta_a**2, axis=1)[:, None]
+        - 2.0 * theta_a @ theta_b.T
+        + np.sum(theta_b**2, axis=1)[None, :]
+    )
+    K = np.exp(-sq / bandwidth)
+    P = theta_a @ grad_b.T
+    Q = grad_a @ theta_b.T
+    qa = np.sum(theta_a * grad_a, axis=1)
+    qb = np.sum(theta_b * grad_b, axis=1)
+    core = c * (d - c * sq)
+    core = core - c * (P - qb[None, :])
+    core = core + c * (qa[:, None] - Q)
+    core = core + grad_a @ grad_b.T
+    return K * core
+
+
+def per_fold_search_reference(s, phi, grid=None, folds=5, seed=0):
+    """Bandwidth CV building each fold's training and cross kernel from scratch."""
+    grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
+    n = s.count
+    perm = np.random.default_rng(seed).permutation(n)
+    f = phi.values
+    scores = np.zeros(grid.size)
+    for gi, bw in enumerate(grid):
+        err = 0.0
+        for hold in [perm[k::folds] for k in range(folds)]:
+            mask = np.ones(n, dtype=bool)
+            mask[hold] = False
+            th_tr, g_tr = s.theta[mask], s.grad_log_target[mask]
+            K0 = stein_cross_reference(th_tr, g_tr, th_tr, g_tr, bw)
+            K0 = 0.5 * (K0 + K0.T)
+            try:
+                a, factor = _cf_solve(K0, 0.0, 1e-10, np.ones(K0.shape[0]), f[mask])
+            except ConditioningError:
+                err = np.inf
+                break
+            alpha = cho_solve(factor, f[mask] - a)
+            K_cross = stein_cross_reference(
+                s.theta[hold], s.grad_log_target[hold], th_tr, g_tr, bw
+            )
+            err += float(np.mean((f[hold] - (a + K_cross @ alpha)) ** 2))
+        scores[gi] = err
+    best = float(np.min(scores))
+    if not np.isfinite(best):
+        raise ConditioningError("every candidate bandwidth failed to factorise")
+    for gi in np.argsort(grid)[::-1]:
+        if scores[gi] <= best * (1 + 1e-12) + 1e-300:
+            return float(grid[gi])
+
+
+def test_in_place_cross_block_equals_reference_bitwise():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        na, nb = rng.choice(np.arange(1, 90), size=2, replace=False)
+        d = int(rng.integers(1, 6))
+        bw = float(10.0 ** rng.uniform(-3.0, 4.0))
+        ta, ga = rng.normal(size=(na, d)), rng.normal(size=(na, d))
+        tb, gb = rng.normal(size=(nb, d)), rng.normal(size=(nb, d))
+        got = _gaussian_stein_cross(ta, ga, tb, gb, bw)
+        assert np.array_equal(got, stein_cross_reference(ta, ga, tb, gb, bw))
+
+
+@pytest.mark.parametrize("n, d", [(60, 1), (60, 3), (201, 5), (500, 5)])
+def test_in_place_square_kernel_equals_reference_bitwise(n, d):
+    # theta_a is theta_b: the case where a plain theta @ theta.T would take
+    # numpy's symmetric-product path and round differently
+    rng = np.random.default_rng(n)
+    theta = rng.normal(size=(n, d))
+    grad = -theta + 0.1 * rng.normal(size=(n, d))
+    for bw in (1e-3, 0.7, 30.0, 1e4):
+        got = _gaussian_stein_cross(theta, grad, theta, grad, bw)
+        assert np.array_equal(got, stein_cross_reference(theta, grad, theta, grad, bw))
+
+
+def weighted_draws(n, seed, d):
+    s = gaussian_draws(n, seed, d=d, mu=0.3, sd=1.4)
+    w = np.random.default_rng(seed + 100).uniform(0.2, 2.0, n)
+    return SampleSet(theta=s.theta, grad_log_target=s.grad_log_target, weights=w)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("grid", [None, [0.05, 0.3, 1.0, 4.0, 40.0]])
+def test_sliced_search_matches_per_fold_search(weighted, grid):
+    for trial, (n, d) in enumerate([(45, 1), (70, 2), (96, 3)]):
+        draw = weighted_draws if weighted else gaussian_draws
+        s = draw(n, 20 + trial, d=d)
+        phi = IntegrandValues(np.sin(s.theta[:, 0]) + 0.5 * s.theta[:, -1] ** 2)
+        for seed in (1, 2):
+            want = per_fold_search_reference(s, phi, grid=grid, seed=seed)
+            assert cf_cv_bandwidth(s, phi, grid=grid, seed=seed) == want
+
+
+def test_sliced_search_scores_failing_bandwidths_like_per_fold_search(monkeypatch):
+    # Cholesky fails on every kernel with a large diagonal, i.e. every small
+    # bandwidth (diag K0 = 2 d / bw + |u|^2), so those folds raise
+    # ConditioningError after the jitter escalation and score inf
+    real = cf_mod.cho_factor
+
+    def fails_on_small_bandwidths(K, *args, **kwargs):
+        if np.mean(np.diag(K)) > 50.0:
+            raise LinAlgError("not positive definite")
+        return real(K, *args, **kwargs)
+
+    monkeypatch.setattr(cf_mod, "cho_factor", fails_on_small_bandwidths)
+    s = weighted_draws(60, 31, d=2)
+    phi = IntegrandValues(np.cos(s.theta[:, 1]))
+    grid = [0.01, 0.03, 0.3, 3.0]          # 0.01 and 0.03 fail
+    want = per_fold_search_reference(s, phi, grid=grid, seed=4)
+    assert want in (0.3, 3.0)
+    assert cf_cv_bandwidth(s, phi, grid=grid, seed=4) == want
+    with pytest.raises(ConditioningError):
+        per_fold_search_reference(s, phi, grid=[0.01, 0.03], seed=4)
+    with pytest.raises(ConditioningError):
+        cf_cv_bandwidth(s, phi, grid=[0.01, 0.03], seed=4)
+
+
+def test_search_builds_one_full_kernel_per_bandwidth(monkeypatch):
+    kernels, blocks = [], []
+    real_kernel, real_block = cf_mod.stein_kernel_matrix, cf_mod._gaussian_stein_cross
+
+    def kernel(s, spec):
+        kernels.append(spec.bandwidth)
+        return real_kernel(s, spec)
+
+    def block(*args):
+        blocks.append(real_block(*args).shape)
+        return real_block(*args)
+
+    monkeypatch.setattr(cf_mod, "stein_kernel_matrix", kernel)
+    monkeypatch.setattr(cf_mod, "_gaussian_stein_cross", block)
+    s = gaussian_draws(30, seed=12, d=2)
+    grid = [0.5, 2.0, 8.0]
+    cf_cv_bandwidth(s, IntegrandValues(s.theta[:, 0]), grid=grid)
+    assert kernels == grid
+    assert blocks == [(30, 30)] * len(grid)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 from datetime import datetime
 from pathlib import Path
 
@@ -234,6 +235,40 @@ def test_evidence_posthoc_and_smc_estimator(pipeline):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["posthoc_rho"] == 0.95
     assert summary["n_temperatures"] >= 2
+
+
+def _archive_with_manifest(pipeline, tmp_path, name, edit):
+    archive = tmp_path / name
+    shutil.copytree(pipeline / "run_a" / "pilot", archive)
+    manifest = json.loads((archive / "manifest.json").read_text())
+    edit(manifest)
+    (archive / "manifest.json").write_text(json.dumps(manifest))
+    return archive
+
+
+def test_malformed_manifest_exits_config(pipeline, tmp_path, capsys):
+    no_incs = _archive_with_manifest(
+        pipeline, tmp_path, "no_incs", lambda m: m.pop("log_increments"))
+    odd_cfg = _archive_with_manifest(
+        pipeline, tmp_path, "odd_cfg", lambda m: m["config"].update(colour="blue"))
+    no_temps = _archive_with_manifest(
+        pipeline, tmp_path, "no_temps", lambda m: m.pop("temperatures"))
+    no_data = _archive_with_manifest(
+        pipeline, tmp_path, "no_data", lambda m: m["model"].pop("data"))
+    listed = tmp_path / "listed"
+    shutil.copytree(no_incs, listed)
+    (listed / "manifest.json").write_text("[1, 2]")
+    for archive in (no_incs, odd_cfg, no_data, listed):
+        capsys.readouterr()
+        assert main([
+            "evidence", "--archive", str(archive), "--methods", "vanilla",
+            "--out", str(tmp_path / f"ev_{archive.name}"),
+        ]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+    assert main([
+        "postprocess", "--archive", str(no_temps), "--out", str(tmp_path / "pp"),
+    ]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
 
 
 def test_efficiency_from_pipeline(pipeline):

@@ -1,5 +1,6 @@
 """Annealing sampler: weights, temperature search, kernels, archives, replay."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -615,6 +616,49 @@ def test_interrupted_overwrite_does_not_load(tmp_path, monkeypatch):
     save_particle_system(other, arch)
     assert not (arch / "manifest.json.tmp").exists()
     assert load_particle_system(arch, model).log_evidence == other.log_evidence
+
+
+def test_shorter_archive_replaces_every_snapshot_file(tmp_path):
+    cfg = SmcConfig(n_particles=40, rho=0.9, seed=9, h_min=0.1, h_max=1.0,
+                    h_grid_size=3, max_repeats=5)
+    long = run_smc(conjugate_1d(data=[1.5] * 50), cfg)
+    assert len(long.snapshots) >= 10
+    short = run_smc(conjugate_1d(), replace(cfg, rho=0.7))
+    assert len(short.snapshots) == 3
+    arch = tmp_path / "arch"
+    save_particle_system(long, arch)
+    save_particle_system(short, arch)
+    assert sorted(p.name for p in arch.iterdir()) == [
+        "manifest.json", "t_000.csv", "t_001.csv", "t_002.csv"]
+    back = load_particle_system(arch, conjugate_1d())
+    assert back.temperatures == short.temperatures
+    assert back.log_evidence == short.log_evidence
+
+
+def load_conjugate_archive(arch):
+    return load_particle_system(arch, conjugate_1d())
+
+
+@pytest.mark.parametrize("load, edit", [
+    (load_conjugate_archive, lambda m: m.pop("log_increments")),
+    (load_conjugate_archive, lambda m: m.pop("n_particles")),
+    (load_conjugate_archive, lambda m: m["config"].update(colour="blue")),
+    (load_conjugate_archive, lambda m: m.update(acceptance="high")),
+    (load_conjugate_archive, lambda m: m["repeats"].pop()),
+    (load_replay_record, lambda m: m.pop("step_sizes")),
+    (load_replay_record, lambda m: m.update(temperatures=["zero", "one"])),
+    (load_replay_record, lambda m: m.update(config=[])),
+])
+def test_malformed_manifest_is_invalid_input(tmp_path, load, edit):
+    cfg = SmcConfig(n_particles=40, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
+                    h_grid_size=3, max_repeats=5)
+    arch = tmp_path / "arch"
+    save_particle_system(run_smc(conjugate_1d(), cfg), arch)
+    manifest = json.loads((arch / "manifest.json").read_text())
+    edit(manifest)
+    (arch / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(InvalidInput):
+        load(arch)
 
 
 def test_archive_missing_manifest(tmp_path):
