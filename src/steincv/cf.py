@@ -18,6 +18,12 @@ Two base kernels are supported:
 * ``polynomial``: the Gram matrix of the degree-Q second-order Stein
   covariates, K0 = X X^T.  With regulariser lambda_r this reproduces the
   unstandardised ridge ZV-CV estimate exactly.
+
+A ``_KernelSystem`` factorises K once for a set of draws and then estimates
+any number of integrands on that factor.  The gaussian system is an N x N
+Cholesky factor.  The polynomial kernel has rank J, so while J < N its
+system is solved in the J x J space of X^T X and no N x N matrix is formed;
+J >= N (the paper's regime) keeps the N x N factor.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import ConditioningError, InvalidInput
-from .polybasis import design_columns, enumerate_exponents
+from .polybasis import basis_size, design_columns, enumerate_exponents
 from .regression import _fold_slices
 from .samples import IntegrandValues, SampleSet, check_aligned
 
@@ -42,7 +48,10 @@ class KernelSpec:
     ``bandwidth`` is the squared-distance scale of the gaussian kernel (no
     factor 2); ``degree`` is the polynomial order of the covariate Gram
     kernel.  ``jitter`` scales mean(diag K0) and is doubled on factorisation
-    failure up to 8 times.
+    failure up to 8 times.  For the polynomial kernel mean(diag K0) is
+    ||X||_F^2 / N, and in J-space the jittered diagonal shift
+    N lambda_r + jitter * ||X||_F^2 / N is added to X^T X instead of X X^T;
+    at jitter 0 and lambda_r 0 that is the limit of a vanishing shift.
     """
 
     kind: str = "gaussian"
@@ -110,14 +119,26 @@ def stein_kernel_matrix(s: SampleSet, kernel: KernelSpec) -> np.ndarray:
     return X @ X.T
 
 
-def _solve_with_jitter(K: np.ndarray, jitter_scale: float, base_diag: float):
+def _factor_with_jitter(A: np.ndarray, shift: float, jitter_scale: float,
+                        base_diag: float):
+    """Cholesky factor of symmetric A + (shift + jitter) I, doubling jitter on failure.
+
+    One Fortran-ordered working copy of A is factorised in place; each try
+    sets its diagonal to (diag A + shift) + jitter.  The copy is taken of A^T,
+    which equals A and, for a C-ordered A, is already in Fortran order.
+    """
     jitter = jitter_scale * base_diag if base_diag > 0 else jitter_scale
+    diag = np.diag(A) + shift
+    M = np.array(A.T, order="F")
+    on_diag = np.diag_indices_from(M)
     last = None
     for _ in range(_JITTER_DOUBLINGS + 1):
+        M[on_diag] = diag + jitter
         try:
-            return cho_factor(K + jitter * np.eye(K.shape[0]), lower=True), jitter
+            return cho_factor(M, lower=True, overwrite_a=True)
         except LinAlgError as exc:
             last = exc
+            M[...] = A.T                    # undo a partial factorisation
             jitter = max(jitter * 2.0, np.finfo(float).tiny)
     raise ConditioningError(
         "kernel system stayed non-positive-definite after jitter escalation",
@@ -125,18 +146,63 @@ def _solve_with_jitter(K: np.ndarray, jitter_scale: float, base_diag: float):
     ) from last
 
 
+class _KernelSystem:
+    """The factorised system K = K0 + N lam_r I (+ jitter) of one set of draws.
+
+    ``solve(v)`` returns c K^{-1} v for one positive constant c, so that
+    ``estimate(f)`` = w~^T K^{-1} f / w~^T K^{-1} 1 for any integrand f.  In
+    N-space c = 1.  In J-space (polynomial kernel, K0 = X X^T with J < N
+    columns) c = delta = N lam_r + jitter, using
+
+        K^{-1} v = (v - X (delta I + X^T X)^{-1} X^T v) / delta,
+
+    which factorises only the J x J matrix; delta cancels in the estimate.
+    """
+
+    def __init__(self, factor, wt: np.ndarray, X: np.ndarray | None = None):
+        self.factor = factor
+        self._X = X
+        self._wt = wt
+        denom = float(wt @ self.solve(np.ones(wt.size)))
+        if denom == 0.0 or not np.isfinite(denom):
+            raise ConditioningError("degenerate kernel system: w~^T K^{-1} 1 is zero")
+        self._denom = denom
+
+    @classmethod
+    def of(cls, s: SampleSet, kernel: KernelSpec, lam_r: float) -> "_KernelSystem":
+        n = s.count
+        wt = n * s.weights
+        if kernel.kind == "polynomial" and basis_size(s.dim, kernel.degree) < n:
+            X = _design(s, kernel.degree)
+            G = X.T @ X
+            # jitter scales mean(diag X X^T) = trace(X^T X) / N, as in N-space
+            factor = _factor_with_jitter(G, n * lam_r, kernel.jitter, float(np.trace(G)) / n)
+            return cls(factor, wt, X)
+        return cls.from_kernel(stein_kernel_matrix(s, kernel), lam_r, kernel.jitter, wt)
+
+    @classmethod
+    def from_kernel(cls, K0: np.ndarray, lam_r: float, jitter_scale: float,
+                    wt: np.ndarray) -> "_KernelSystem":
+        """N-space system of an explicit kernel matrix K0."""
+        n = K0.shape[0]
+        base_diag = float(np.mean(np.diag(K0)))
+        return cls(_factor_with_jitter(K0, n * lam_r, jitter_scale, base_diag), wt)
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        # the factor passed cho_factor's finiteness check; integrands are checked
+        if self._X is None:
+            return cho_solve(self.factor, v, check_finite=False)
+        return v - self._X @ cho_solve(self.factor, self._X.T @ v, check_finite=False)
+
+    def estimate(self, f: np.ndarray) -> float:
+        return float(self._wt @ self.solve(f)) / self._denom
+
+
 def _cf_solve(K0: np.ndarray, lam_r: float, jitter_scale: float, wt: np.ndarray,
               f: np.ndarray):
     """Return (offset a, Cholesky factor of K) for  a = w~^T K^-1 f / w~^T K^-1 1."""
-    n = K0.shape[0]
-    K = K0 + n * lam_r * np.eye(n)
-    factor, _ = _solve_with_jitter(K, jitter_scale, float(np.mean(np.diag(K0))))
-    kf = cho_solve(factor, f)
-    k1 = cho_solve(factor, np.ones(n))
-    denom = float(wt @ k1)
-    if denom == 0.0 or not np.isfinite(denom):
-        raise ConditioningError("degenerate kernel system: w~^T K^{-1} 1 is zero")
-    return float(wt @ kf) / denom, factor
+    system = _KernelSystem.from_kernel(K0, lam_r, jitter_scale, wt)
+    return system.estimate(f), system.factor
 
 
 def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,
@@ -150,9 +216,7 @@ def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,
     check_aligned(s, phi)
     if lam_r < 0:
         raise InvalidInput("kernel regulariser must be >= 0")
-    K0 = stein_kernel_matrix(s, kernel)
-    a, _ = _cf_solve(K0, lam_r, kernel.jitter, s.count * s.weights, phi.values)
-    return a
+    return _KernelSystem.of(s, kernel, lam_r).estimate(phi.values)
 
 
 def default_bandwidth_grid() -> np.ndarray:

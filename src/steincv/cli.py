@@ -56,12 +56,11 @@ from .evidence import (
     method_label,
     smc_evidence_estimate,
 )
-from .models import model_from_manifest
+from .models import _manifest_fields, model_from_manifest
 from .polybasis import SubsetSpec
 from .samples import read_sample_csv
 from .smc import (
     SmcConfig,
-    _manifest_fields,
     load_particle_system,
     posthoc_schedule,
     run_smc,
@@ -316,7 +315,7 @@ def _build_integrands(tokens: str, theta: np.ndarray):
 def cmd_postprocess(args) -> int:
     archive = Path(args.archive)
     manifest = _read_json(archive / "manifest.json")
-    with _manifest_fields(archive / "manifest.json"):
+    with _manifest_fields(f"archive manifest {archive / 'manifest.json'}"):
         temps = [float(t) for t in manifest["temperatures"]]
     n_temps = len(temps)
     idx = args.snapshot if args.snapshot is not None else n_temps - 1
@@ -372,7 +371,7 @@ def cmd_postprocess(args) -> int:
 def cmd_evidence(args) -> int:
     archive = Path(args.archive)
     manifest = _read_json(archive / "manifest.json")
-    with _manifest_fields(archive / "manifest.json"):
+    with _manifest_fields(f"archive manifest {archive / 'manifest.json'}"):
         if not manifest.get("model"):
             raise InvalidInput("archive manifest has no embedded model")
         model = model_from_manifest(manifest["model"])

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
-from .cf import KernelSpec, cf_cv_bandwidth, cf_estimate
+from .cf import KernelSpec, _KernelSystem, cf_cv_bandwidth
+from .cf import cf_estimate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .errors import DegenerateWeights, InvalidInput, InvalidSchedule
 from .polybasis import build_design_matrix, enumerate_exponents
 from .regression import refit_fixed_intercept
@@ -198,7 +199,8 @@ class _MethodOutcome:
     fallback: str | None = None
 
 
-def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int) -> _MethodOutcome:
+def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int,
+                  systems: dict) -> _MethodOutcome:
     if method is None or method == VANILLA:
         return _MethodOutcome(float(s.weights @ phi.values), VANILLA, {})
     if isinstance(method, ZvSpec):
@@ -215,8 +217,11 @@ def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int) -> _Met
         else:
             kernel = KernelSpec(kind="polynomial", degree=method.degree)
             detail = {"Q": method.degree, "lam_r": method.lam_r}
-        est = cf_estimate(s, phi, kernel, lam_r=method.lam_r)
-        return _MethodOutcome(est, kernel.label(), detail)
+        # one factorised kernel system per (kernel, lam_r) on this sample set
+        key = (kernel, method.lam_r)
+        if key not in systems:
+            systems[key] = _KernelSystem.of(s, kernel, method.lam_r)
+        return _MethodOutcome(systems[key].estimate(phi.values), kernel.label(), detail)
     if isinstance(method, CrossvalMethod):
         result, est = crossval_select(
             s, phi, seed=seed,
@@ -284,15 +289,21 @@ def _report(estimator: str, log_z: float, temperatures, records, cv) -> Evidence
     )
 
 
-def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: int):
-    """(raw weighted mean, estimate, outcome) of E[values] under ``method``."""
+def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: int,
+                systems: dict | None = None):
+    """(raw weighted mean, estimate, outcome) of E[values] under ``method``.
+
+    ``systems`` holds the CF kernel systems already factorised on ``s``; pass
+    one dict to every expectation of one sample set to share them.
+    """
     raw = float(s.weights @ values)
     if method is None or method == VANILLA:
         return raw, raw, _MethodOutcome(raw, VANILLA, {})
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return raw, 0.0, _MethodOutcome(0.0, method_label(method), {"scale": 0.0})
-    out = _apply_method(s, IntegrandValues(values / scale), method, seed)
+    out = _apply_method(s, IntegrandValues(values / scale), method, seed,
+                        {} if systems is None else systems)
     est = out.estimate * scale
     if not ratio:
         return raw, est, out
@@ -368,7 +379,9 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
     V_t[log l]) are estimated from the serving snapshot reweighted to t, each
     expectation improved by the ``cv`` method independently.  The variance
     integrand squares deviations from the CV-improved mean
-    (``v_mean_mode="cv"``) or the raw weighted mean (``"raw"``).
+    (``v_mean_mode="cv"``) or the raw weighted mean (``"raw"``).  A
+    fixed-kernel CF method factorises its kernel system once per temperature
+    and solves E, then V, on it.
     """
     if order not in (1, 2):
         raise InvalidInput("quadrature order must be 1 or 2")
@@ -387,8 +400,9 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
         if ss.log_like is None:
             raise InvalidInput("snapshots lack log-likelihood values")
         ll = ss.log_like
+        systems: dict = {}   # E and V share this temperature's kernel system
         raw_e, est_e, out = _stabilised(ss, ll, cv, ratio=False,
-                                        seed=_derive_seed(seed, j, 0))
+                                        seed=_derive_seed(seed, j, 0), systems=systems)
         records.append(_record(t, "E_logl", raw_e, est_e, out))
         e_vals.append(est_e)
         if order == 2:
@@ -396,7 +410,8 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
             dev = ll - centre
             sq = dev * dev
             raw_v, est_v, out_v = _stabilised(ss, sq, cv, ratio=False,
-                                              seed=_derive_seed(seed, j, 1))
+                                              seed=_derive_seed(seed, j, 1),
+                                              systems=systems)
             records.append(_record(t, "V_logl", raw_v, est_v, out_v))
             v_vals.append(est_v)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 import json
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -500,17 +501,31 @@ def _read_csv_matrix(path) -> np.ndarray:
     return data
 
 
+@contextmanager
+def _manifest_fields(what: str):
+    """Re-raise a missing key or a bad value read from a manifest as InvalidInput."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
 def model_from_manifest(manifest: dict, base_dir=None) -> TargetModel:
     """Build a model from a JSON-style manifest dict.
 
     Recognised kinds: gaussian, conjugate_gaussian, logistic,
     synthetic_logistic, recapture.  Relative CSV paths resolve against
     ``base_dir``.  ``use_transform`` (default true) wraps models that declare
-    a transform so sampling happens on the unbounded scale.
+    a transform so sampling happens on the unbounded scale.  A missing key or
+    a value that does not convert raises InvalidInput.
     """
     if "kind" not in manifest:
         raise InvalidInput("model manifest needs a 'kind'")
-    kind = manifest["kind"]
+    with _manifest_fields("model manifest"):
+        return _model_of_kind(manifest["kind"], manifest, base_dir)
+
+
+def _model_of_kind(kind, manifest: dict, base_dir) -> TargetModel:
     base = Path(base_dir) if base_dir is not None else Path.cwd()
 
     def path_of(key):

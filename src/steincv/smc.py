@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -41,7 +40,7 @@ from .errors import (
     InvalidInput,
     InvalidSchedule,
 )
-from .models import TargetModel
+from .models import TargetModel, _manifest_fields
 from .samples import SampleSet, read_sample_csv, write_sample_csv
 
 _MIN_TEMPERATURE_STEP = 1e-8
@@ -720,7 +719,7 @@ def save_particle_system(ps: ParticleSystem, out_dir, model_manifest: dict | Non
 
 def load_replay_record(archive_dir) -> ReplayRecord:
     manifest = _load_manifest(archive_dir)
-    with _manifest_fields(Path(archive_dir) / "manifest.json"):
+    with _manifest_fields(f"archive manifest {Path(archive_dir) / 'manifest.json'}"):
         return ReplayRecord(
             temperatures=tuple(manifest["temperatures"]),
             step_sizes=tuple(manifest["step_sizes"]),
@@ -737,17 +736,6 @@ def _load_manifest(archive_dir) -> dict:
         raise InvalidInput(f"cannot read archive manifest {path}: {exc}") from exc
 
 
-@contextmanager
-def _manifest_fields(path):
-    """Re-raise a missing key or a bad value read from a manifest as InvalidInput."""
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(
-            f"malformed archive manifest {path}: {type(exc).__name__}: {exc}"
-        ) from exc
-
-
 def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
     """Rebuild a ParticleSystem from an archive directory.
 
@@ -759,7 +747,7 @@ def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
     """
     out = Path(archive_dir)
     manifest = _load_manifest(out)
-    with _manifest_fields(out / "manifest.json"):
+    with _manifest_fields(f"archive manifest {out / 'manifest.json'}"):
         temps = [float(v) for v in manifest["temperatures"]]
         incs = [float(v) for v in manifest["log_increments"]]
         hs = [None] + list(manifest["step_sizes"])

@@ -19,7 +19,7 @@ from steincv.cf import (
 )
 from steincv.errors import ConditioningError, InvalidInput
 from steincv.regression import fit_ridge
-from steincv.polybasis import enumerate_exponents, design_columns
+from steincv.polybasis import basis_size, enumerate_exponents, design_columns
 from steincv.samples import IntegrandValues, SampleSet
 
 
@@ -344,3 +344,96 @@ def test_search_builds_one_full_kernel_per_bandwidth(monkeypatch):
     cf_cv_bandwidth(s, IntegrandValues(s.theta[:, 0]), grid=grid)
     assert kernels == grid
     assert blocks == [(30, 30)] * len(grid)
+
+
+# --- oracle: the polynomial system against an SVD of the covariates ---------------
+
+
+def svd_estimate_reference(s, f, degree, lam_r, jitter=1e-10):
+    """w~^T K^-1 f / w~^T K^-1 1 for K = X X^T + delta I, from the SVD of X.
+
+    With the thin SVD X = U S V^T, K^-1 = U diag(1/(s^2 + delta)) U^T
+    + (I - U U^T) / delta.  The second term is written through the full N x N
+    U with zero singular values past rank(X), so no near-zero difference is
+    divided by delta when J >= N.
+    """
+    X = design_columns(enumerate_exponents(s.dim, degree).A, s.theta, s.grad_log_target)
+    n = s.count
+    delta = n * lam_r + jitter * np.sum(X * X) / n
+    U, sv, _ = np.linalg.svd(X, full_matrices=True)
+    s2 = np.zeros(n)
+    s2[:min(n, sv.size)] = sv[:n] ** 2
+
+    def k_inv(v):
+        return U @ ((U.T @ v) / (s2 + delta))
+
+    wt = n * s.weights
+    return float(wt @ k_inv(f)) / float(wt @ k_inv(np.ones(n)))
+
+
+def pseudo_log_like(s):
+    """A log-likelihood-shaped integrand: a Gaussian in theta around a data point."""
+    return -0.5 * np.sum((s.theta - 0.4) ** 2, axis=1) / 0.3 - 7.0
+
+
+@pytest.mark.parametrize("n", [40, 10, 9, 7])   # J = 9: J < N, N - 1, N, > N
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("lam_r", [0.0, 0.3])
+def test_polynomial_estimate_matches_svd_reference(n, weighted, lam_r):
+    draw = weighted_draws if weighted else gaussian_draws
+    s = draw(n, 40 + n, d=2)
+    assert basis_size(2, 3) == 9
+    ll = pseudo_log_like(s)
+    e = float(s.weights @ ll)
+    integrands = {
+        "E": ll,
+        "V": (ll - e) ** 2,                 # where an N x N factor of X X^T drifts
+        "sin": np.sin(s.theta[:, 0]) + s.theta[:, 1] ** 3,
+    }
+    for name, f in integrands.items():
+        got = cf_estimate(s, IntegrandValues(f), KernelSpec("polynomial", degree=3), lam_r)
+        want = svd_estimate_reference(s, f, 3, lam_r)
+        assert got == pytest.approx(want, rel=1e-10), name
+
+
+def test_polynomial_system_stays_in_j_space(monkeypatch):
+    # J < N: only the J x J matrix X^T X is factorised and no N x N kernel is built
+    shapes = []
+    real = cf_mod.cho_factor
+
+    def factor(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return real(M, *args, **kwargs)
+
+    def no_kernel(*args):
+        raise AssertionError("N x N kernel built")
+
+    monkeypatch.setattr(cf_mod, "cho_factor", factor)
+    monkeypatch.setattr(cf_mod, "stein_kernel_matrix", no_kernel)
+    s = gaussian_draws(50, seed=13, d=3)
+    cf_estimate(s, IntegrandValues(s.theta[:, 0] ** 2), KernelSpec("polynomial", degree=2))
+    assert shapes == [(9, 9)]
+
+
+@pytest.mark.parametrize("n, degree", [(6, 2), (6, 8)])    # J-space, then N-space
+def test_polynomial_jitter_escalation_exhaustion(monkeypatch, n, degree):
+    def always_fail(*args, **kwargs):
+        raise LinAlgError("not positive definite")
+
+    monkeypatch.setattr(cf_mod, "cho_factor", always_fail)
+    s = gaussian_draws(n, seed=7)
+    with pytest.raises(ConditioningError) as ei:
+        cf_estimate(s, IntegrandValues(s.theta[:, 0]), KernelSpec("polynomial", degree=degree))
+    assert ei.value.diagnostics["jitter"] > 0
+
+
+def test_polynomial_without_jitter_or_regulariser_is_the_vanishing_shift_limit():
+    # jitter 0, lam_r 0, J < N: K = X X^T is singular, and the estimate is the
+    # delta -> 0 limit w~^T (I - P) f / w~^T (I - P) 1 with P the projection
+    # onto the columns of X, i.e. the least-squares intercept of f on [1, X]
+    s = gaussian_draws(30, seed=14, d=2)
+    f = np.exp(0.3 * s.theta[:, 0]) + s.theta[:, 1] ** 2
+    got = cf_estimate(s, IntegrandValues(f), KernelSpec("polynomial", degree=2, jitter=0.0))
+    X = design_columns(enumerate_exponents(2, 2).A, s.theta, s.grad_log_target)
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(30), X]), f, rcond=None)
+    assert got == pytest.approx(coef[0], rel=1e-10)

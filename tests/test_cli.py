@@ -387,6 +387,21 @@ def test_exit_config_on_bad_model(tmp_path):
     assert main(["smc", "--model", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+
+@pytest.mark.parametrize("manifest", [
+    {"kind": "conjugate_gaussian", "prior_mean": [0.0], "prior_cov": [[1.0]],
+     "obs_cov": [[1.0]]},                                         # no data
+    {"kind": "gaussian", "mu": [0.0]},                            # no sigma
+    {"kind": "gaussian", "mu": [0.0], "sigma": "abc"},            # not a number
+])
+def test_smc_malformed_model_manifest_exits_config(tmp_path, capsys, manifest):
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps(manifest))
+    assert main(["smc", "--model", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error:" in err and "malformed model manifest" in err
+    assert "Traceback" not in err
+
 def test_exit_io_on_missing_files(tmp_path):
     assert main(["efficiency", "--inputs", str(tmp_path / "absent.json"),
                  "--gold", "0.0", "--out", str(tmp_path / "o")]) == EXIT_IO

@@ -1,10 +1,15 @@
 """Evidence estimators: quadrature identities, telescoping factors, fallbacks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import steincv.cf as cf_mod
+import steincv.evidence as evidence_mod
+from steincv.cf import KernelSpec, cf_estimate
 from steincv.errors import DegenerateWeights, InvalidInput, InvalidSchedule
 from steincv.evidence import (
     VANILLA,
@@ -298,3 +303,77 @@ def test_report_round_trip(tmp_path, conjugate_run):
     (tmp_path / "bad.json").write_text("{}")
     with pytest.raises(InvalidInput):
         EvidenceReport.load(tmp_path / "bad.json")
+
+
+# --- oracle: one CF kernel system per temperature ------------------------------------
+
+
+def scaled_cf(ss, values, kernel, lam_r):
+    scale = float(np.max(np.abs(values)))
+    return cf_estimate(ss, IntegrandValues(values / scale), kernel, lam_r) * scale
+
+
+def cti2_cf_loop_reference(sched, snaps, kernel_of, lam_r):
+    """cti2 E/V estimates from one cf_estimate call (own factor) per integrand."""
+    out = []
+    for j, (t, k) in enumerate(zip(sched.temperatures, sched.population_index)):
+        ss = snaps[k].sample_set(t)
+        ll = ss.log_like
+        est_e = scaled_cf(ss, ll, kernel_of(2 * j), lam_r)
+        dev = ll - est_e
+        out += [est_e, scaled_cf(ss, dev * dev, kernel_of(2 * j + 1), lam_r)]
+    return out
+
+
+@pytest.mark.parametrize("method, kernel", [
+    (CfMethod(bandwidth=2.0), KernelSpec(bandwidth=2.0)),
+    (CfMethod(bandwidth=0.5, lam_r=0.01), KernelSpec(bandwidth=0.5)),
+    (CfMethod(kind="polynomial", degree=2), KernelSpec(kind="polynomial", degree=2)),
+    (CfMethod(kind="polynomial", degree=3, lam_r=0.2),
+     KernelSpec(kind="polynomial", degree=3)),
+])
+def test_cti2_cf_shares_one_factor_per_temperature(conjugate_run, monkeypatch, method, kernel):
+    _, ps = conjugate_run
+    sched = ps.schedule()
+    want = cti2_cf_loop_reference(sched, ps.snapshots, lambda i: kernel, method.lam_r)
+    calls = Counter()
+    for name in ("stein_kernel_matrix", "cho_factor", "design_columns"):
+        real = getattr(cf_mod, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cf_mod, name, counted)
+    report = cti_estimate(sched, ps, order=2, cv=method, seed=5)
+    assert [r.estimate for r in report.per_expectation] == want
+    n = len(sched)
+    assert calls["cho_factor"] == n
+    if kernel.kind == "gaussian":
+        assert calls["stein_kernel_matrix"] == n and calls["design_columns"] == 0
+    else:   # d = 1, so J = Q < N: J-space, no N x N kernel
+        assert calls["stein_kernel_matrix"] == 0 and calls["design_columns"] == n
+
+
+def test_cti2_cv_bandwidth_searches_every_expectation(monkeypatch):
+    model = ConjugateGaussianModel(
+        prior_mean=[0.0], prior_cov=[[1.0]], obs_cov=[[1.0]], data=[[0.3], [0.8]],
+    )
+    ps = run_smc(model, SmcConfig(n_particles=40, rho=0.5, seed=3, h_min=0.1,
+                                  h_max=2.0, h_grid_size=3, max_repeats=5))
+    sched = ps.schedule()
+    real = evidence_mod.cf_cv_bandwidth
+    chosen = []
+
+    def search(*args, **kwargs):
+        chosen.append(real(*args, **kwargs))
+        return chosen[-1]
+
+    monkeypatch.setattr(evidence_mod, "cf_cv_bandwidth", search)
+    report = cti_estimate(sched, ps, order=2, cv=CfMethod(folds=3), seed=2)
+    recs = report.per_expectation
+    assert len(chosen) == len(recs) == 2 * len(sched)
+    assert [r.detail["bandwidth"] for r in recs] == chosen
+    want = cti2_cf_loop_reference(sched, ps.snapshots,
+                                  lambda i: KernelSpec(bandwidth=chosen[i]), 0.0)
+    assert [r.estimate for r in recs] == want

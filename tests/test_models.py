@@ -428,6 +428,17 @@ def test_manifest_kinds(tmp_path):
     assert isinstance(r_raw, RecaptureModel)
     with pytest.raises(InvalidInput):
         model_from_manifest({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("manifest", [
+    {"kind": "gaussian", "mu": [0.0]},
+    {"kind": "gaussian", "mu": [0.0], "sigma": "abc"},
+    {"kind": "logistic", "design": [[1.0, 0.2]]},
+    {"kind": "synthetic_logistic", "n": "many"},
+])
+def test_manifest_missing_or_bad_field_is_invalid_input(manifest):
+    with pytest.raises(InvalidInput, match="malformed model manifest"):
+        model_from_manifest(manifest)
     with pytest.raises(InvalidInput):
         model_from_manifest({})
 
