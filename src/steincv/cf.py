@@ -14,7 +14,12 @@ Two base kernels are supported:
 * ``gaussian``: k(x, y) = exp(-||x - y||^2 / bandwidth), turned into a Stein
   kernel with the first-order (Langevin) operator applied in both arguments:
   K0 = div_x div_y k + grad_x k . u(y) + grad_y k . u(x) + k u(x).u(y) with
-  u = grad log target.
+  u = grad log target.  The core is bilinear in [x, u]; with c = 2 / bandwidth,
+  e = ||x||^2 / bandwidth, W = [x, u] L = [sqrt(2) c x - u/sqrt(2), u/sqrt(2)]
+  (L L^T = [[2c^2, -c], [-c, 1]]) and r = c x.u - c^2 ||x||^2 + c d / 2,
+      K0(x, y) = exp(c x.y - e_x - e_y) (W_x . W_y + r_x + r_y),
+  built in one fused pass of two matrix products.  The square kernel is
+  symmetric to rounding, not bitwise, and is not symmetrised afterwards.
 * ``polynomial``: the Gram matrix of the degree-Q second-order Stein
   covariates, K0 = X X^T.  With regulariser lambda_r this reproduces the
   unstandardised ridge ZV-CV estimate exactly.
@@ -76,29 +81,25 @@ class KernelSpec:
 
 
 def _gaussian_stein_cross(theta_a, grad_a, theta_b, grad_b, bandwidth):
-    """First-order Stein kernel for k = exp(-||x-y||^2 / bw), cross block."""
-    # three (n_a, n_b) buffers: sq (later the core), K, and one per product
+    """First-order Stein kernel for k = exp(-||x-y||^2 / bw), cross block.
+
+    The fused form of the module docstring as two products of augmented rows,
+    [t_a, 1, m_a] . [1, t_b, m_b] = t_a + t_b + m_a . m_b; exp taken in place.
+    """
     c = 2.0 / bandwidth
-    d = theta_a.shape[1]
-    qa = np.sum(theta_a * grad_a, axis=1)   # x_i . u(x_i)
-    qb = np.sum(theta_b * grad_b, axis=1)   # y_l . u(y_l)
-    sq = (2.0 * theta_a) @ theta_b.T        # not theta_a @ .T: no symmetric path
-    np.subtract(np.sum(theta_a**2, axis=1)[:, None], sq, out=sq)
-    sq += np.sum(theta_b**2, axis=1)[None, :]
-    K = np.negative(sq)
-    np.exp(np.divide(K, bandwidth, out=K), out=K)
-    # div_x div_y k = c K (d - c ||x - y||^2)
-    core = np.subtract(d, np.multiply(sq, c, out=sq), out=sq)
-    core *= c
-    # grad_x k . u(y) = -c (x - y) . u(y) k ; grad_y k . u(x) = c (x - y) . u(x) k
-    buf = theta_a @ grad_b.T                # x_i . u(y_l)
-    buf -= qb[None, :]
-    core -= np.multiply(buf, c, out=buf)
-    np.matmul(grad_a, theta_b.T, out=buf)   # u(x_i) . y_l
-    np.subtract(qa[:, None], buf, out=buf)
-    core += np.multiply(buf, c, out=buf)
-    core += np.matmul(grad_a, grad_b.T, out=buf)
-    K *= core
+
+    def terms(theta, grad):
+        z = np.sqrt(c) * theta                      # z_i . z_l = c x_i . y_l
+        e = 0.5 * np.einsum("ij,ij->i", z, z)       # ||x||^2 / bw
+        v = np.sqrt(0.5) * grad
+        r = c * (np.einsum("ij,ij->i", theta, grad) + 0.5 * theta.shape[1]) - 2.0 * c * e
+        return z, -e, np.column_stack([np.sqrt(2.0) * c * theta - v, v]), r, np.ones_like(e)
+
+    z_a, ne_a, W_a, r_a, one_a = terms(theta_a, grad_a)
+    z_b, ne_b, W_b, r_b, one_b = terms(theta_b, grad_b)
+    K = np.column_stack([ne_a, one_a, z_a]) @ np.column_stack([one_b, ne_b, z_b]).T
+    np.exp(K, out=K)
+    K *= np.column_stack([r_a, one_a, W_a]) @ np.column_stack([one_b, r_b, W_b]).T
     return K
 
 
@@ -108,13 +109,13 @@ def _design(s: SampleSet, degree: int) -> np.ndarray:
 
 
 def stein_kernel_matrix(s: SampleSet, kernel: KernelSpec) -> np.ndarray:
-    """Symmetric PSD matrix K0 with rows/columns indexed by the draws."""
+    """PSD K0 indexed by the draws; the gaussian K0 = exp(c x.y - e_x - e_y)
+    (W_x . W_y + r_x + r_y) is symmetric to rounding (e, r added in either order)."""
     if kernel.kind == "gaussian":
         g = s.grad_log_target
         if np.any(np.isnan(g)):
             raise InvalidInput("gaussian Stein kernel needs all gradient columns")
-        K0 = _gaussian_stein_cross(s.theta, g, s.theta, g, kernel.bandwidth)
-        return 0.5 * (K0 + K0.T)
+        return _gaussian_stein_cross(s.theta, g, s.theta, g, kernel.bandwidth)
     X = _design(s, kernel.degree)
     return X @ X.T
 
@@ -123,9 +124,10 @@ def _factor_with_jitter(A: np.ndarray, shift: float, jitter_scale: float,
                         base_diag: float):
     """Cholesky factor of symmetric A + (shift + jitter) I, doubling jitter on failure.
 
-    One Fortran-ordered working copy of A is factorised in place; each try
-    sets its diagonal to (diag A + shift) + jitter.  The copy is taken of A^T,
-    which equals A and, for a C-ordered A, is already in Fortran order.
+    One Fortran-ordered working copy of A^T (for a C-ordered A, already in
+    Fortran order) is factorised in place; each try sets its diagonal to
+    (diag A + shift) + jitter.  Only one triangle is read, so a matrix
+    symmetric to rounding is factorised as that triangle.
     """
     jitter = jitter_scale * base_diag if base_diag > 0 else jitter_scale
     diag = np.diag(A) + shift
@@ -239,16 +241,14 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     n = s.count
     if n < folds:
         raise InvalidInput(f"{n} draws cannot fill {folds} folds")
-    fold_idx = _fold_slices(n, folds, seed)
+    splits = [(hold, np.delete(np.arange(n), hold)) for hold in _fold_slices(n, folds, seed)]
     f = phi.values
-
     scores = np.zeros(grid.size)
     for gi, bw in enumerate(grid):
         # every fold's training and hold-out blocks come from this one kernel
         K0 = stein_kernel_matrix(s, KernelSpec(bandwidth=float(bw)))
         err = 0.0
-        for hold in fold_idx:
-            train = np.delete(np.arange(n), hold)
+        for hold, train in splits:
             try:
                 a, factor = _cf_solve(K0[np.ix_(train, train)], 0.0, 1e-10,
                                       np.ones(train.size), f[train])

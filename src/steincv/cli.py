@@ -220,9 +220,6 @@ def _run_replicate(model_manifest: dict, cfg_kwargs: dict, record, out_dir: str)
 
 
 def cmd_smc(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    side = _Sidecar(out)
     manifest = _read_json(Path(args.model))
     resolved = _resolve_manifest_paths(manifest, Path(args.model).parent)
     model = model_from_manifest(resolved)
@@ -238,6 +235,10 @@ def cmd_smc(args) -> int:
         seed=args.seed,
     )
 
+    # --out is created only once the manifest and configuration are accepted
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    side = _Sidecar(out)
     side.note(f"pilot run starting: N={cfg.n_particles} seed={cfg.seed}")
     t0 = time.perf_counter()
     pilot = run_smc(model, cfg)

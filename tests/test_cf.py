@@ -201,7 +201,7 @@ def test_bandwidth_cv_validation():
         cf_cv_bandwidth(s, phi, grid=[-1.0, 1.0], folds=2)
 
 
-# --- oracles: the pre-slicing kernel build and per-fold search ---------------------
+# --- oracles: the unfused kernel build and per-fold search ------------------------
 
 
 def stein_cross_reference(theta_a, grad_a, theta_b, grad_b, bandwidth):
@@ -259,7 +259,23 @@ def per_fold_search_reference(s, phi, grid=None, folds=5, seed=0):
             return float(grid[gi])
 
 
-def test_in_place_cross_block_equals_reference_bitwise():
+EPS = np.finfo(float).eps
+
+
+def reference_tolerance(bw, *thetas):
+    """Allowed max|fused - reference| / max|reference| at bandwidth bw.
+
+    Both builds form exponent terms as large as ||theta||^2 / bw (and core
+    terms as large as c^2 ||theta||^2), so an ulp of those is their shared
+    rounding floor: about 1e-14 at bw >= 0.7 and 1e-10 at bw = 1e-3 for
+    standard normal draws.  The worst of 600 random cross blocks reached 21
+    such ulps.
+    """
+    sq = max(float(np.max(np.sum(t * t, axis=1))) for t in thetas)
+    return 32 * EPS * (1.0 + sq / bw)
+
+
+def test_fused_cross_block_matches_reference():
     rng = np.random.default_rng(11)
     for _ in range(60):
         na, nb = rng.choice(np.arange(1, 90), size=2, replace=False)
@@ -268,19 +284,71 @@ def test_in_place_cross_block_equals_reference_bitwise():
         ta, ga = rng.normal(size=(na, d)), rng.normal(size=(na, d))
         tb, gb = rng.normal(size=(nb, d)), rng.normal(size=(nb, d))
         got = _gaussian_stein_cross(ta, ga, tb, gb, bw)
-        assert np.array_equal(got, stein_cross_reference(ta, ga, tb, gb, bw))
+        want = stein_cross_reference(ta, ga, tb, gb, bw)
+        tol = reference_tolerance(bw, ta, tb)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n, d", [(60, 1), (60, 3), (201, 5), (500, 5)])
-def test_in_place_square_kernel_equals_reference_bitwise(n, d):
-    # theta_a is theta_b: the case where a plain theta @ theta.T would take
-    # numpy's symmetric-product path and round differently
+def test_fused_square_kernel_matches_reference(n, d):
     rng = np.random.default_rng(n)
     theta = rng.normal(size=(n, d))
     grad = -theta + 0.1 * rng.normal(size=(n, d))
     for bw in (1e-3, 0.7, 30.0, 1e4):
         got = _gaussian_stein_cross(theta, grad, theta, grad, bw)
-        assert np.array_equal(got, stein_cross_reference(theta, grad, theta, grad, bw))
+        want = stein_cross_reference(theta, grad, theta, grad, bw)
+        tol = reference_tolerance(bw, theta)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, d, bw, spread", [
+    (40, 1, 1e-3, 30.0),        # |theta| up to 30: exp underflows off the diagonal
+    (40, 3, 1e-3, 30.0),
+    (2, 3, 1e-3, 30.0),
+    (40, 2, 1e4, 3.0),
+    (1, 2, 1.0, 1.0),
+    (2, 1, 1.0, 1.0),
+    (30, 1, 3.0, 3.0),
+])
+def test_fused_kernel_edge_cases(n, d, bw, spread):
+    rng = np.random.default_rng(100 * n + d)
+    theta = rng.uniform(-spread, spread, size=(n, d)) / np.sqrt(d)
+    grad = -theta + rng.normal(size=(n, d))
+    K0 = stein_kernel_matrix(SampleSet(theta=theta, grad_log_target=grad, weights=None),
+                             KernelSpec(bandwidth=bw))
+    assert K0.shape == (n, n) and np.all(np.isfinite(K0))
+    if bw == 1e-3 and n > 2:
+        assert np.any(K0 == 0.0)
+    # k0(x, x) = c d + ||u(x)||^2, reached by cancelling terms as large as
+    # c ||x||^2 in the exponent and c^2 ||x||^2 in the core
+    want = 2.0 / bw * d + np.sum(grad**2, axis=1)
+    tol = 32 * EPS * (1.0 + np.sum(theta**2, axis=1) / bw)
+    assert np.all(np.abs(np.diag(K0) - want) <= tol * want)
+
+
+@pytest.mark.parametrize("bw", [0.1, 1.0, 3.0, 30.0, 1e4])
+def test_fused_kernel_symmetric_to_rounding(bw):
+    s = gaussian_draws(1000, seed=15, d=3)
+    K0 = stein_kernel_matrix(s, KernelSpec(bandwidth=bw))
+    assert np.max(np.abs(K0 - K0.T)) <= 1e-14 * np.max(np.abs(K0))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("lam_r, rel", [(0.01, 1e-12), (0.0, 1e-4)])
+def test_fused_estimate_matches_reference_kernel_estimate(weighted, lam_r, rel):
+    # lam_r = 0 interpolates through K0 + 1e-10 mean(diag K0) I: the reference
+    # estimate itself moves by up to 5e-6 relative when its kernel is
+    # perturbed at 1e-16, and the fused one sits within 1.2e-5 of it
+    draw = weighted_draws if weighted else gaussian_draws
+    for n, d in [(40, 1), (120, 2), (200, 3), (150, 5)]:
+        s = draw(n, 50 + n, d=d)
+        f = np.sin(s.theta[:, 0]) + 0.5 * s.theta[:, -1] ** 2
+        for bw in (0.1, 1.0, 3.0, 30.0):
+            got = cf_estimate(s, IntegrandValues(f), KernelSpec(bandwidth=bw), lam_r)
+            R = stein_cross_reference(s.theta, s.grad_log_target,
+                                      s.theta, s.grad_log_target, bw)
+            want, _ = _cf_solve(0.5 * (R + R.T), lam_r, 1e-10, n * s.weights, f)
+            assert got == pytest.approx(want, rel=rel), (n, d, bw)
 
 
 def weighted_draws(n, seed, d):

@@ -402,6 +402,16 @@ def test_smc_malformed_model_manifest_exits_config(tmp_path, capsys, manifest):
     assert "error:" in err and "malformed model manifest" in err
     assert "Traceback" not in err
 
+
+def test_smc_rejected_manifest_leaves_no_output_directory(tmp_path, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps({"kind": "gaussian", "mu": [0.0]}))    # no sigma
+    out = tmp_path / "o"
+    assert main(["smc", "--model", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_io_on_missing_files(tmp_path):
     assert main(["efficiency", "--inputs", str(tmp_path / "absent.json"),
                  "--gold", "0.0", "--out", str(tmp_path / "o")]) == EXIT_IO
