@@ -58,9 +58,9 @@ from .evidence import (
 )
 from .models import _manifest_fields, model_from_manifest
 from .polybasis import SubsetSpec
-from .samples import read_sample_csv
 from .smc import (
     SmcConfig,
+    _read_snapshot,
     load_particle_system,
     posthoc_schedule,
     run_smc,
@@ -324,7 +324,7 @@ def cmd_postprocess(args) -> int:
         idx += n_temps
     if not 0 <= idx < n_temps:
         raise InvalidInput(f"snapshot index {args.snapshot} out of range")
-    s = read_sample_csv(archive / f"t_{idx:03d}.csv")
+    s = _read_snapshot(archive, idx, manifest)
     temperature = temps[idx]
 
     methods = parse_methods(args.methods)

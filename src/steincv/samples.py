@@ -367,7 +367,7 @@ def transform_samples(s: SampleSet, tmap: ParameterTransform) -> SampleSet:
     )
 
 
-# --- CSV archive -------------------------------------------------------------
+# --- archive columns, CSV export -------------------------------------------
 
 
 def sample_csv_header(dim: int, with_logs: bool) -> list[str]:
@@ -379,15 +379,31 @@ def sample_csv_header(dim: int, with_logs: bool) -> list[str]:
     return cols
 
 
+def _sample_columns(s: SampleSet) -> np.ndarray:
+    """The draws as one C-ordered (N, 2d + 1 [+ 2]) array in ``sample_csv_header`` order."""
+    cols = [s.theta, s.grad_log_target, s.weights[:, None]]
+    if s.log_like is not None and s.log_prior is not None:
+        cols += [s.log_like[:, None], s.log_prior[:, None]]
+    return np.hstack(cols)
+
+
+def _sample_set_of_columns(data: np.ndarray, dim: int, with_logs: bool) -> SampleSet:
+    """Inverse of :func:`_sample_columns`."""
+    return SampleSet(
+        theta=data[:, :dim],
+        grad_log_target=data[:, dim : 2 * dim],
+        weights=data[:, 2 * dim],
+        log_like=data[:, 2 * dim + 1] if with_logs else None,
+        log_prior=data[:, 2 * dim + 2] if with_logs else None,
+    )
+
+
 def write_sample_csv(s: SampleSet, path) -> None:
     """Write a SampleSet as CSV with round-trip (repr) float formatting."""
     with_logs = s.log_like is not None and s.log_prior is not None
-    cols = np.hstack([s.theta, s.grad_log_target, s.weights[:, None]])
-    if with_logs:
-        cols = np.hstack([cols, s.log_like[:, None], s.log_prior[:, None]])
     # No field needs quoting, so this is what csv.writer writes, CRLF included.
     lines = [",".join(sample_csv_header(s.dim, with_logs))]
-    lines += [",".join(map(repr, row)) for row in cols.tolist()]
+    lines += [",".join(map(repr, row)) for row in _sample_columns(s).tolist()]
     lines.append("")
     Path(path).write_text("\r\n".join(lines), newline="")
 
@@ -414,10 +430,4 @@ def read_sample_csv(path) -> SampleSet:
             data[i] = [float(v) for v in row]
         except ValueError as exc:
             raise InvalidInput(f"{path}: row {i + 2}: {exc}") from None
-    return SampleSet(
-        theta=data[:, :dim],
-        grad_log_target=data[:, dim : 2 * dim],
-        weights=data[:, 2 * dim],
-        log_like=data[:, 2 * dim + 1] if with_logs else None,
-        log_prior=data[:, 2 * dim + 2] if with_logs else None,
-    )
+    return _sample_set_of_columns(data, dim, with_logs)

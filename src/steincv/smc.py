@@ -41,7 +41,8 @@ from .errors import (
     InvalidSchedule,
 )
 from .models import TargetModel, _manifest_fields
-from .samples import SampleSet, read_sample_csv, write_sample_csv
+from .samples import SampleSet, _sample_columns, _sample_set_of_columns, read_sample_csv
+from .samples import write_sample_csv  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 _MIN_TEMPERATURE_STEP = 1e-8
 _BISECTION_ITERS = 50
@@ -686,23 +687,30 @@ def posthoc_schedule(ps: ParticleSystem, rho_tilde: float | None = None,
 
 # --- archives -----------------------------------------------------------------
 
+_SNAPSHOT_FORMATS = ("csv", "npy")
+
 
 def save_particle_system(ps: ParticleSystem, out_dir, model_manifest: dict | None = None):
-    """Write one CSV per temperature plus a JSON schedule manifest.
+    """Write one ``t_NNN.npy`` per temperature plus a JSON schedule manifest.
 
-    The manifest is what makes an archive loadable, so an existing one is
-    removed before any CSV is written and the new one is moved into place
-    last: an interrupted save, also over an older archive, never loads.
+    Each snapshot is one float64 array whose columns are
+    ``sample_csv_header(d, True)``: theta, the tempered gradient, weight,
+    log_like and log_prior; values round-trip bit-exactly.  The manifest is
+    what makes an archive loadable, so an existing one is removed before any
+    snapshot is written, together with every old ``t_NNN.csv``/``t_NNN.npy``,
+    and the new one is moved into place last: an interrupted save, also over
+    an older archive, never loads.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
-    for old in out.glob("t_*.csv"):         # snapshots of the older archive
-        if old.stem[2:].isdigit():
+    for old in out.glob("t_*"):             # snapshots of the older archive
+        if old.suffix[1:] in _SNAPSHOT_FORMATS and old.stem[2:].isdigit():
             old.unlink()
     for i, snap in enumerate(ps.snapshots):
-        write_sample_csv(snap.sample_set(), out / f"t_{i:03d}.csv")
+        _write_snapshot(snap.sample_set(), out / f"t_{i:03d}.npy")
     manifest = {
+        "format": "npy",
         "temperatures": list(ps.temperatures),
         "log_increments": [s.log_increment for s in ps.snapshots],
         "step_sizes": [s.h for s in ps.snapshots[1:]],
@@ -736,14 +744,58 @@ def _load_manifest(archive_dir) -> dict:
         raise InvalidInput(f"cannot read archive manifest {path}: {exc}") from exc
 
 
+def _write_snapshot(s: SampleSet, path: Path) -> None:
+    with path.open("wb") as fh:
+        np.save(fh, _sample_columns(s), allow_pickle=False)
+
+
+def _read_snapshot(out: Path, i: int, manifest: dict) -> SampleSet:
+    """Snapshot ``i`` of the archive in ``out``, checked against its manifest.
+
+    A manifest without ``"format"`` predates the binary snapshots and
+    describes a CSV archive.  Any file that is unreadable, corrupt, of the
+    wrong shape or dtype, or whose row count differs from ``n_particles``
+    raises InvalidInput.
+    """
+    with _manifest_fields(f"archive manifest {out / 'manifest.json'}"):
+        fmt = manifest.get("format", "csv")
+        n_particles = int(manifest["n_particles"])
+    if fmt not in _SNAPSHOT_FORMATS:
+        raise InvalidInput(f"archive {out} has unknown snapshot format {fmt!r}")
+    path = out / f"t_{i:03d}.{fmt}"
+    try:
+        if fmt == "csv":
+            s = read_sample_csv(path)
+            if s.log_like is None or s.log_prior is None:
+                raise InvalidInput(f"{path} lacks the log_like and log_prior columns")
+            rows = s.count
+        else:
+            with path.open("rb") as fh:
+                data = np.lib.format.read_array(fh, allow_pickle=False)
+            width = data.shape[1] if data.ndim == 2 else 0
+            if data.dtype != np.float64 or width < 5 or width % 2 == 0:
+                raise InvalidInput(f"{path} is not a float64 array of 2d + 3 columns "
+                                   f"(dtype {data.dtype}, shape {data.shape})")
+            rows = data.shape[0]
+    except (ValueError, EOFError, OSError) as exc:
+        raise InvalidInput(f"cannot read snapshot {path}: {exc}") from exc
+    if rows != n_particles:
+        raise InvalidInput(f"{path} has {rows} rows, the manifest says {n_particles}")
+    return s if fmt == "csv" else _sample_set_of_columns(data, (width - 3) // 2, with_logs=True)
+
+
 def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
     """Rebuild a ParticleSystem from an archive directory.
 
-    The CSVs store the tempered gradient only, so the likelihood/prior split
-    is recomputed from the model's analytic gradients at the stored particles.
-    A CSV whose row count differs from the manifest's ``n_particles`` (a
-    truncated or foreign file) is rejected, and so is a manifest with a
-    missing entry, a bad value or per-temperature lists of unequal length.
+    Reads the ``t_NNN.npy`` snapshots that :func:`save_particle_system`
+    writes, and the ``t_NNN.csv`` ones of archives whose manifest has no
+    ``"format"`` entry (written before the binary format).  Snapshots store
+    the tempered gradient only, so the likelihood/prior split is recomputed
+    from the model's analytic gradients at the stored particles.  A snapshot
+    that is truncated, corrupt, of the wrong dtype or shape, or whose row
+    count differs from the manifest's ``n_particles`` is rejected, and so is a
+    manifest with a missing entry, a bad value, an unknown format or
+    per-temperature lists of unequal length.
     """
     out = Path(archive_dir)
     manifest = _load_manifest(out)
@@ -753,19 +805,13 @@ def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
         hs = [None] + list(manifest["step_sizes"])
         reps = [0] + [int(r) for r in manifest["repeats"]]
         accs = [float("nan")] + [float(a) for a in manifest["acceptance"]]
-        n_particles = int(manifest["n_particles"])
         cfg = SmcConfig(**manifest["config"])
         model_manifest = manifest.get("model")
     if not len(temps) == len(incs) == len(hs) == len(reps) == len(accs):
         raise InvalidInput(f"manifest in {out} has per-temperature lists of unequal length")
     snapshots = []
     for i, t in enumerate(temps):
-        path = out / f"t_{i:03d}.csv"
-        s = read_sample_csv(path)
-        if s.log_like is None or s.log_prior is None:
-            raise InvalidInput("archive CSVs must carry log_like and log_prior")
-        if s.count != n_particles:
-            raise InvalidInput(f"{path} has {s.count} rows, the manifest says {n_particles}")
+        s = _read_snapshot(out, i, manifest)
         gll = model.grad_log_like(s.theta)
         glp = model.grad_log_prior(s.theta)
         snapshots.append(

@@ -1,7 +1,12 @@
-"""Shared test helpers: finite-difference and lasso oracles, the acceptance tally."""
+"""Shared test helpers: finite-difference and lasso oracles, archive fixtures, the
+acceptance tally."""
+
+import json
 
 import numpy as np
 import pytest
+
+from steincv.samples import write_sample_csv
 
 
 def fd_gradient(fn, x, eps=1e-5):
@@ -50,6 +55,49 @@ def kkt_violation(X, f, w, fit):
     viol = np.abs(corr) - fit.lam
     viol[active] = np.abs(corr[active] - fit.lam * np.sign(gamma[active]))
     return float(np.max(viol, initial=0.0))
+
+
+# --- snapshot archives ----------------------------------------------------
+
+
+def rewrite_as_csv_archive(ps, arch):
+    """Turn the archive of ``ps`` in ``arch`` into the layout written before
+    binary snapshots: one ``write_sample_csv`` file per temperature and a
+    manifest without ``"format"``."""
+    for i, snap in enumerate(ps.snapshots):
+        write_sample_csv(snap.sample_set(), arch / f"t_{i:03d}.csv")
+        (arch / f"t_{i:03d}.npy").unlink()
+    manifest = json.loads((arch / "manifest.json").read_text())
+    del manifest["format"]
+    (arch / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _resave(arch, edit):
+    path = arch / "t_001.npy"
+    np.save(path, edit(np.load(path)), allow_pickle=True)
+
+
+def _cut(arch, keep):
+    path = arch / "t_001.npy"
+    path.write_bytes(path.read_bytes()[:keep(path.stat().st_size)])
+
+
+def _set_format(arch, fmt):
+    manifest = json.loads((arch / "manifest.json").read_text())
+    manifest["format"] = fmt
+    (arch / "manifest.json").write_text(json.dumps(manifest))
+
+
+# One corruption of snapshot t_001 (or of the manifest's format) per entry.
+MALFORMED_NPY = {
+    "truncated": lambda arch: _cut(arch, lambda size: size // 2),
+    "empty": lambda arch: _cut(arch, lambda size: 0),
+    "pickled": lambda arch: _resave(arch, lambda a: np.array([{"theta": a}], dtype=object)),
+    "float32": lambda arch: _resave(arch, lambda a: a.astype(np.float32)),
+    "wrong_width": lambda arch: _resave(arch, lambda a: a[:, :-1]),
+    "wrong_rows": lambda arch: _resave(arch, lambda a: a[: len(a) // 2]),
+    "unknown_format": lambda arch: _set_format(arch, "parquet"),
+}
 
 
 # --- acceptance tally -----------------------------------------------------

@@ -429,6 +429,10 @@ def test_criterion_12_pipeline_determinism(criterion, tmp_path):
 
     a = pipeline()
     b = pipeline()
-    same = a == b and any(k.endswith(".csv") for k in a) and any(k.endswith(".json") for k in a)
+    n_temps = len(json.loads(a["run/pilot/manifest.json"])["temperatures"])
+    snapshots = sorted(k for k in a if k.startswith("run/pilot/t_"))
+    same = (a == b and any(k.endswith(".json") for k in a)
+            and snapshots == [f"run/pilot/t_{i:03d}.npy" for i in range(n_temps)]
+            and all(a[k] == b[k] for k in snapshots))
     ok = criterion(12, "repeated pipeline is byte-identical", same)
     assert ok, f"{len(a)} vs {len(b)} files, equal={a == b}"

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_NPY, rewrite_as_csv_archive
 from steincv.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -20,7 +21,9 @@ from steincv.cli import (
 )
 from steincv.errors import InvalidInput
 from steincv.evidence import VANILLA, CfMethod, CrossvalMethod
+from steincv.models import model_from_manifest
 from steincv.polybasis import SubsetSpec
+from steincv.smc import load_particle_system
 from steincv.zvcv import ZvSpec
 
 
@@ -120,8 +123,9 @@ def test_smc_outputs_and_rerun_identical(model_file, pipeline):
     manifest = json.loads((pilot / "manifest.json").read_text())
     n_temps = len(manifest["temperatures"])
     assert n_temps >= 3
-    assert sorted(p.name for p in pilot.glob("t_*.csv")) == [
-        f"t_{i:03d}.csv" for i in range(n_temps)
+    assert manifest["format"] == "npy"
+    assert sorted(p.name for p in pilot.glob("t_*")) == [
+        f"t_{i:03d}.npy" for i in range(n_temps)
     ]
     cfg = json.loads((run_a / "run_config.json").read_text())
     assert cfg["replicate_seeds"] == [6, 7]
@@ -269,6 +273,69 @@ def test_malformed_manifest_exits_config(pipeline, tmp_path, capsys):
         "postprocess", "--archive", str(no_temps), "--out", str(tmp_path / "pp"),
     ]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+def _copy_pilot(pipeline, tmp_path, fmt):
+    """The pipeline's pilot archive, rewritten in the CSV layout for ``fmt="csv"``."""
+    archive = tmp_path / f"pilot_{fmt}"
+    shutil.copytree(pipeline / "run_a" / "pilot", archive)
+    if fmt == "csv":
+        manifest = json.loads((archive / "manifest.json").read_text())
+        ps = load_particle_system(archive, model_from_manifest(manifest["model"]))
+        rewrite_as_csv_archive(ps, archive)
+    return archive
+
+
+def _exits_config(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == EXIT_CONFIG and "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["npy", "csv"])
+def test_postprocess_rejects_truncated_snapshot(pipeline, tmp_path, capsys, fmt):
+    archive = _copy_pilot(pipeline, tmp_path, fmt)
+    argv = ["postprocess", "--archive", str(archive), "--snapshot", "1",
+            "--out", str(tmp_path / "pp")]
+    assert main(argv) == EXIT_OK                  # the intact copy loads
+    snap = archive / f"t_001.{fmt}"
+    if fmt == "csv":
+        lines = snap.read_text().splitlines(keepends=True)
+        snap.write_text("".join(lines[:33]))      # header plus 32 of 64 rows
+    else:
+        raw = snap.read_bytes()
+        snap.write_bytes(raw[: len(raw) - 32 * 5 * 8])
+    assert _exits_config(capsys, argv)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NPY))
+def test_malformed_npy_snapshot_exits_config(pipeline, tmp_path, capsys, case):
+    archive = _copy_pilot(pipeline, tmp_path, "npy")
+    MALFORMED_NPY[case](archive)
+    assert _exits_config(capsys, ["postprocess", "--archive", str(archive), "--snapshot", "1",
+                                  "--out", str(tmp_path / "pp")])
+    assert _exits_config(capsys, ["evidence", "--archive", str(archive), "--methods", "vanilla",
+                                  "--out", str(tmp_path / "ev")])
+
+
+def test_csv_archive_postprocess_and_evidence_match(pipeline, tmp_path):
+    csv_archive = _copy_pilot(pipeline, tmp_path, "csv")
+    npy_archive = pipeline / "run_a" / "pilot"
+    for cmd in (["postprocess", "--methods", "vanilla,zv:Q=2"],
+                ["evidence", "--methods", "vanilla,zv:Q=2"]):
+        outs = []
+        for archive in (npy_archive, csv_archive):
+            out = tmp_path / f"{cmd[0]}_{archive.name}"
+            assert main([*cmd, "--archive", str(archive), "--out", str(out)]) == EXIT_OK
+            payload = {}
+            for path in sorted(out.glob("*.json")):
+                if path.name != "timings.json":
+                    rows = json.loads(path.read_text())
+                    rows.pop("archive", None)
+                    payload[path.name] = rows
+            outs.append(payload)
+        assert outs[0] == outs[1]
 
 
 def test_efficiency_from_pipeline(pipeline):

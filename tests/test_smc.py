@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import steincv.smc as smc_mod
+from conftest import MALFORMED_NPY, rewrite_as_csv_archive
 from steincv.errors import (
     ConvergenceError,
     DegenerateWeights,
@@ -17,6 +18,7 @@ from steincv.errors import (
     InvalidSchedule,
 )
 from steincv.models import ConjugateGaussianModel, GaussianModel, TargetModel
+from steincv.samples import SampleSet
 from steincv.smc import (
     ParticleSystem,
     ReplayRecord,
@@ -26,6 +28,8 @@ from steincv.smc import (
     _Cloud,
     _evaluate,
     _mala_sweep,
+    _read_snapshot,
+    _write_snapshot,
     cess,
     choose_num_repeats,
     ess,
@@ -559,6 +563,10 @@ def test_posthoc_schedule_flat_run():
 # --- archives --------------------------------------------------------------------
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 def test_archive_round_trip(tmp_path):
     model = conjugate_1d()
     cfg = SmcConfig(n_particles=48, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
@@ -570,25 +578,101 @@ def test_archive_round_trip(tmp_path):
     assert back.config == cfg
     assert back.log_evidence == ps.log_evidence
     for a, b in zip(ps.snapshots, back.snapshots):
-        assert_array_equal(a.theta, b.theta)         # repr round trip is exact
+        assert_array_equal(a.theta, b.theta)         # binary round trip is exact
         assert_array_equal(a.weights, b.weights)
         assert_array_equal(a.log_like, b.log_like)
+        assert_array_equal(a.log_prior, b.log_prior)
         assert_allclose(a.grad_log_like, b.grad_log_like, rtol=1e-12)
         assert a.h == b.h and a.repeats == b.repeats
     rec = load_replay_record(tmp_path / "arch")
     assert rec == ps.replay_record()
 
 
+def test_snapshot_round_trip_is_bit_exact(tmp_path):
+    tiny = np.finfo(float).smallest_subnormal
+    theta = np.array([[-0.0, 1e308], [tiny, -1e308], [0.0, -tiny], [3.0, 1e-310]])
+    grad = np.array([[np.nan, -0.0], [1e308, np.nan], [-tiny, 2.5], [np.nan, np.nan]])
+    s = SampleSet(theta=theta, grad_log_target=grad, weights=np.full(4, 0.25),
+                  log_like=[-0.0, -1e308, tiny, 1e308], log_prior=[1e-310, -0.0, -5.0, 0.0])
+    _write_snapshot(s, tmp_path / "t_000.npy")
+    back = _read_snapshot(tmp_path, 0, {"format": "npy", "n_particles": 4})
+    for name in ("theta", "grad_log_target", "weights", "log_like", "log_prior"):
+        assert np.array_equal(getattr(back, name), getattr(s, name), equal_nan=True)
+        assert_array_equal(bits(getattr(back, name)), bits(getattr(s, name)))
+
+
+def test_snapshot_files_are_c_ordered_float64(tmp_path):
+    model = conjugate_1d()
+    ps = run_smc(model, SmcConfig(n_particles=40, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
+                                  h_grid_size=3, max_repeats=5))
+    save_particle_system(ps, tmp_path / "arch")
+    manifest = json.loads((tmp_path / "arch" / "manifest.json").read_text())
+    assert manifest["format"] == "npy"
+    for i, snap in enumerate(ps.snapshots):
+        with open(tmp_path / "arch" / f"t_{i:03d}.npy", "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        assert (shape, fortran, dtype) == ((40, 5), False, np.dtype(np.float64))
+        data = np.load(tmp_path / "arch" / f"t_{i:03d}.npy", allow_pickle=False)
+        s = snap.sample_set()
+        assert_array_equal(data, np.column_stack(
+            [s.theta, s.grad_log_target, s.weights, s.log_like, s.log_prior]))
+
+
+def test_csv_archive_still_loads(tmp_path):
+    model = conjugate_1d()
+    cfg = SmcConfig(n_particles=48, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
+                    h_grid_size=3, max_repeats=5)
+    ps = run_smc(model, cfg)
+    save_particle_system(ps, tmp_path / "npy")
+    save_particle_system(ps, tmp_path / "csv")
+    rewrite_as_csv_archive(ps, tmp_path / "csv")
+    assert "format" not in json.loads((tmp_path / "csv" / "manifest.json").read_text())
+    new = load_particle_system(tmp_path / "npy", model)
+    old = load_particle_system(tmp_path / "csv", model)
+    assert old.temperatures == new.temperatures and old.config == new.config
+    assert old.log_evidence == new.log_evidence
+    for a, b in zip(new.snapshots, old.snapshots):
+        for name in ("theta", "weights", "log_like", "log_prior",
+                     "grad_log_like", "grad_log_prior"):
+            assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_archive_truncated_csv_rejected(tmp_path):
     model = conjugate_1d()
     cfg = SmcConfig(n_particles=60, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
                     h_grid_size=3, max_repeats=5)
-    save_particle_system(run_smc(model, cfg), tmp_path / "arch")
+    ps = run_smc(model, cfg)
+    save_particle_system(ps, tmp_path / "arch")
+    rewrite_as_csv_archive(ps, tmp_path / "arch")
     csv = tmp_path / "arch" / "t_001.csv"
     lines = csv.read_text().splitlines(keepends=True)
     csv.write_text("".join(lines[:31]))          # header plus 30 of 60 rows
     with pytest.raises(InvalidInput, match="30 rows"):
         load_particle_system(tmp_path / "arch", model)
+
+
+def test_archive_truncated_npy_rejected(tmp_path):
+    model = conjugate_1d()
+    cfg = SmcConfig(n_particles=60, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
+                    h_grid_size=3, max_repeats=5)
+    save_particle_system(run_smc(model, cfg), tmp_path / "arch")
+    npy = tmp_path / "arch" / "t_001.npy"
+    raw = npy.read_bytes()
+    npy.write_bytes(raw[: len(raw) - 30 * 5 * 8])   # header plus 30 of 60 rows
+    with pytest.raises(InvalidInput, match="t_001.npy"):
+        load_particle_system(tmp_path / "arch", model)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NPY))
+def test_malformed_npy_snapshot_is_invalid_input(tmp_path, case):
+    cfg = SmcConfig(n_particles=40, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
+                    h_grid_size=3, max_repeats=5)
+    arch = tmp_path / "arch"
+    save_particle_system(run_smc(conjugate_1d(), cfg), arch)
+    MALFORMED_NPY[case](arch)
+    with pytest.raises(InvalidInput):
+        load_particle_system(arch, conjugate_1d())
 
 
 def test_interrupted_overwrite_does_not_load(tmp_path, monkeypatch):
@@ -598,7 +682,7 @@ def test_interrupted_overwrite_does_not_load(tmp_path, monkeypatch):
     arch = tmp_path / "arch"
     save_particle_system(run_smc(model, cfg), arch)
     other = run_smc(model, replace(cfg, seed=10))
-    real_write = smc_mod.write_sample_csv
+    real_write = smc_mod._write_snapshot
     calls = []
 
     def write_then_fail(s, path):
@@ -607,7 +691,7 @@ def test_interrupted_overwrite_does_not_load(tmp_path, monkeypatch):
             raise OSError("disk full")
         real_write(s, path)
 
-    monkeypatch.setattr(smc_mod, "write_sample_csv", write_then_fail)
+    monkeypatch.setattr(smc_mod, "_write_snapshot", write_then_fail)
     with pytest.raises(OSError):
         save_particle_system(other, arch)
     with pytest.raises(InvalidInput):
@@ -629,10 +713,25 @@ def test_shorter_archive_replaces_every_snapshot_file(tmp_path):
     save_particle_system(long, arch)
     save_particle_system(short, arch)
     assert sorted(p.name for p in arch.iterdir()) == [
-        "manifest.json", "t_000.csv", "t_001.csv", "t_002.csv"]
+        "manifest.json", "t_000.npy", "t_001.npy", "t_002.npy"]
     back = load_particle_system(arch, conjugate_1d())
     assert back.temperatures == short.temperatures
     assert back.log_evidence == short.log_evidence
+
+
+def test_overwriting_csv_archive_leaves_only_npy_snapshots(tmp_path):
+    cfg = SmcConfig(n_particles=40, rho=0.9, seed=9, h_min=0.1, h_max=1.0,
+                    h_grid_size=3, max_repeats=5)
+    long = run_smc(conjugate_1d(data=[1.5] * 50), cfg)
+    short = run_smc(conjugate_1d(), replace(cfg, rho=0.7))
+    arch = tmp_path / "arch"
+    save_particle_system(long, arch)
+    rewrite_as_csv_archive(long, arch)
+    (arch / "t_notes.csv").write_text("kept\n")    # not a snapshot name
+    save_particle_system(short, arch)
+    assert sorted(p.name for p in arch.iterdir()) == [
+        "manifest.json", "t_000.npy", "t_001.npy", "t_002.npy", "t_notes.csv"]
+    assert load_particle_system(arch, conjugate_1d()).log_evidence == short.log_evidence
 
 
 def load_conjugate_archive(arch):
