@@ -24,11 +24,14 @@ Two base kernels are supported:
   covariates, K0 = X X^T.  With regulariser lambda_r this reproduces the
   unstandardised ridge ZV-CV estimate exactly.
 
-A ``_KernelSystem`` factorises K once for a set of draws and then estimates
-any number of integrands on that factor.  The gaussian system is an N x N
-Cholesky factor.  The polynomial kernel has rank J, so while J < N its
-system is solved in the J x J space of X^T X and no N x N matrix is formed;
-J >= N (the paper's regime) keeps the N x N factor.
+For a fixed kernel the estimator is a fixed weighting of the draws,
+a_hat = v^T phi with v = K^{-1} w~ / 1^T K^{-1} w~, so ``_cf_weights`` factorises
+K once, solves once against w~ and keeps only the N weights: every integrand
+on the same draws, kernel and lambda_r is then one inner product, and the
+evidence reports on one particle system share v across calls.  The gaussian
+system is an N x N Cholesky factor.  The polynomial kernel has rank J, so
+while J < N its system is solved in the J x J space of X^T X and no N x N
+matrix is formed; J >= N (the paper's regime) keeps the N x N factor.
 """
 
 from __future__ import annotations
@@ -148,63 +151,44 @@ def _factor_with_jitter(A: np.ndarray, shift: float, jitter_scale: float,
     ) from last
 
 
-class _KernelSystem:
-    """The factorised system K = K0 + N lam_r I (+ jitter) of one set of draws.
+def _normalised_weights(u: np.ndarray) -> np.ndarray:
+    """u / 1^T u, read-only; u is proportional to K^{-1} w~."""
+    denom = float(np.sum(u))
+    if denom == 0.0 or not np.isfinite(denom):
+        raise ConditioningError("degenerate kernel system: w~^T K^{-1} 1 is zero")
+    v = u / denom
+    v.setflags(write=False)
+    return v
 
-    ``solve(v)`` returns c K^{-1} v for one positive constant c, so that
-    ``estimate(f)`` = w~^T K^{-1} f / w~^T K^{-1} 1 for any integrand f.  In
-    N-space c = 1.  In J-space (polynomial kernel, K0 = X X^T with J < N
-    columns) c = delta = N lam_r + jitter, using
 
-        K^{-1} v = (v - X (delta I + X^T X)^{-1} X^T v) / delta,
+def _kernel_weights(K0: np.ndarray, shift: float, jitter_scale: float, wt: np.ndarray):
+    """(Cholesky factor of K = K0 + shift I (+ jitter), CF weights of K and w~)."""
+    factor = _factor_with_jitter(K0, shift, jitter_scale, float(np.mean(np.diag(K0))))
+    # the factor passed cho_factor's finiteness check, and w~ is finite
+    return factor, _normalised_weights(cho_solve(factor, wt, check_finite=False))
 
-    which factorises only the J x J matrix; delta cancels in the estimate.
+
+def _cf_weights(s: SampleSet, kernel: KernelSpec, lam_r: float) -> np.ndarray:
+    """CF weights v = K^{-1} w~ / 1^T K^{-1} w~ of K = K0 + N lam_r I (+ jitter).
+
+    The estimate of E[f] is v @ f for every integrand f.  One jittered
+    factorisation and one solve; the factor is dropped on return.  For the
+    polynomial kernel with J < N columns, K0 = X X^T and
+    delta = N lam_r + jitter,
+
+        delta K^{-1} w~ = w~ - X (delta I + X^T X)^{-1} X^T w~,
+
+    which factorises only the J x J matrix; delta cancels in v.
     """
-
-    def __init__(self, factor, wt: np.ndarray, X: np.ndarray | None = None):
-        self.factor = factor
-        self._X = X
-        self._wt = wt
-        denom = float(wt @ self.solve(np.ones(wt.size)))
-        if denom == 0.0 or not np.isfinite(denom):
-            raise ConditioningError("degenerate kernel system: w~^T K^{-1} 1 is zero")
-        self._denom = denom
-
-    @classmethod
-    def of(cls, s: SampleSet, kernel: KernelSpec, lam_r: float) -> "_KernelSystem":
-        n = s.count
-        wt = n * s.weights
-        if kernel.kind == "polynomial" and basis_size(s.dim, kernel.degree) < n:
-            X = _design(s, kernel.degree)
-            G = X.T @ X
-            # jitter scales mean(diag X X^T) = trace(X^T X) / N, as in N-space
-            factor = _factor_with_jitter(G, n * lam_r, kernel.jitter, float(np.trace(G)) / n)
-            return cls(factor, wt, X)
-        return cls.from_kernel(stein_kernel_matrix(s, kernel), lam_r, kernel.jitter, wt)
-
-    @classmethod
-    def from_kernel(cls, K0: np.ndarray, lam_r: float, jitter_scale: float,
-                    wt: np.ndarray) -> "_KernelSystem":
-        """N-space system of an explicit kernel matrix K0."""
-        n = K0.shape[0]
-        base_diag = float(np.mean(np.diag(K0)))
-        return cls(_factor_with_jitter(K0, n * lam_r, jitter_scale, base_diag), wt)
-
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        # the factor passed cho_factor's finiteness check; integrands are checked
-        if self._X is None:
-            return cho_solve(self.factor, v, check_finite=False)
-        return v - self._X @ cho_solve(self.factor, self._X.T @ v, check_finite=False)
-
-    def estimate(self, f: np.ndarray) -> float:
-        return float(self._wt @ self.solve(f)) / self._denom
-
-
-def _cf_solve(K0: np.ndarray, lam_r: float, jitter_scale: float, wt: np.ndarray,
-              f: np.ndarray):
-    """Return (offset a, Cholesky factor of K) for  a = w~^T K^-1 f / w~^T K^-1 1."""
-    system = _KernelSystem.from_kernel(K0, lam_r, jitter_scale, wt)
-    return system.estimate(f), system.factor
+    n = s.count
+    wt = n * s.weights
+    if kernel.kind == "polynomial" and basis_size(s.dim, kernel.degree) < n:
+        X = _design(s, kernel.degree)
+        G = X.T @ X
+        # jitter scales mean(diag X X^T) = trace(X^T X) / N, as in N-space
+        factor = _factor_with_jitter(G, n * lam_r, kernel.jitter, float(np.trace(G)) / n)
+        return _normalised_weights(wt - X @ cho_solve(factor, X.T @ wt, check_finite=False))
+    return _kernel_weights(stein_kernel_matrix(s, kernel), n * lam_r, kernel.jitter, wt)[1]
 
 
 def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,
@@ -218,7 +202,7 @@ def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,
     check_aligned(s, phi)
     if lam_r < 0:
         raise InvalidInput("kernel regulariser must be >= 0")
-    return _KernelSystem.of(s, kernel, lam_r).estimate(phi.values)
+    return float(_cf_weights(s, kernel, lam_r) @ phi.values)
 
 
 def default_bandwidth_grid() -> np.ndarray:
@@ -250,11 +234,12 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
         err = 0.0
         for hold, train in splits:
             try:
-                a, factor = _cf_solve(K0[np.ix_(train, train)], 0.0, 1e-10,
-                                      np.ones(train.size), f[train])
+                factor, v = _kernel_weights(K0[np.ix_(train, train)], 0.0, 1e-10,
+                                            np.ones(train.size))
             except ConditioningError:
                 err = np.inf
                 break
+            a = float(v @ f[train])
             alpha = cho_solve(factor, f[train] - a)
             pred = a + K0[np.ix_(hold, train)] @ alpha
             err += float(np.mean((f[hold] - pred) ** 2))

@@ -51,8 +51,9 @@ from .evidence import (
     CfMethod,
     CrossvalMethod,
     _derive_seed,
+    _record,
+    _stabilised,
     cti_estimate,
-    expectation_with_provenance,
     method_label,
     smc_evidence_estimate,
 )
@@ -318,6 +319,7 @@ def cmd_postprocess(args) -> int:
     manifest = _read_json(archive / "manifest.json")
     with _manifest_fields(f"archive manifest {archive / 'manifest.json'}"):
         temps = [float(t) for t in manifest["temperatures"]]
+        model = model_from_manifest(manifest["model"]) if manifest.get("model") else None
     n_temps = len(temps)
     idx = args.snapshot if args.snapshot is not None else n_temps - 1
     if idx < 0:
@@ -325,6 +327,8 @@ def cmd_postprocess(args) -> int:
     if not 0 <= idx < n_temps:
         raise InvalidInput(f"snapshot index {args.snapshot} out of range")
     s = _read_snapshot(archive, idx, manifest)
+    if model is not None and s.dim != model.dim:
+        raise InvalidInput(f"snapshot {idx} has dim {s.dim}, the archive's model has {model.dim}")
     temperature = temps[idx]
 
     methods = parse_methods(args.methods)
@@ -334,15 +338,15 @@ def cmd_postprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     side = _Sidecar(out)
     results = []
+    cf_memo: dict = {}   # CF weights of this snapshot, shared by every integrand
     for mi, method in enumerate(methods):
         label = method_label(method)
         for ii, (name, values) in enumerate(integrands):
             t0 = time.perf_counter()
-            rec = expectation_with_provenance(
-                s, values, method,
-                seed=_derive_seed(args.seed, mi, ii),
-                temperature=temperature,
-            )
+            rec = _record(temperature, "E", *_stabilised(
+                s, values, method, ratio=False, seed=_derive_seed(args.seed, mi, ii),
+                cf_memo=cf_memo,
+            ))
             side.record(f"{name}|{label}", time.perf_counter() - t0)
             results.append({
                 "integrand": name,

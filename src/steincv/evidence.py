@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
-from .cf import KernelSpec, _KernelSystem, cf_cv_bandwidth
+from .cf import KernelSpec, _cf_weights, cf_cv_bandwidth
 from .cf import cf_estimate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .errors import DegenerateWeights, InvalidInput, InvalidSchedule
 from .polybasis import build_design_matrix, enumerate_exponents
@@ -200,7 +200,7 @@ class _MethodOutcome:
 
 
 def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int,
-                  systems: dict) -> _MethodOutcome:
+                  cf_memo: dict) -> _MethodOutcome:
     if method is None or method == VANILLA:
         return _MethodOutcome(float(s.weights @ phi.values), VANILLA, {})
     if isinstance(method, ZvSpec):
@@ -217,11 +217,11 @@ def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int,
         else:
             kernel = KernelSpec(kind="polynomial", degree=method.degree)
             detail = {"Q": method.degree, "lam_r": method.lam_r}
-        # one factorised kernel system per (kernel, lam_r) on this sample set
+        # the CF weights depend on the draws, the kernel and lam_r only
         key = (kernel, method.lam_r)
-        if key not in systems:
-            systems[key] = _KernelSystem.of(s, kernel, method.lam_r)
-        return _MethodOutcome(systems[key].estimate(phi.values), kernel.label(), detail)
+        if key not in cf_memo:
+            cf_memo[key] = _cf_weights(s, kernel, method.lam_r)
+        return _MethodOutcome(float(cf_memo[key] @ phi.values), kernel.label(), detail)
     if isinstance(method, CrossvalMethod):
         result, est = crossval_select(
             s, phi, seed=seed,
@@ -290,11 +290,11 @@ def _report(estimator: str, log_z: float, temperatures, records, cv) -> Evidence
 
 
 def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: int,
-                systems: dict | None = None):
+                cf_memo: dict | None = None):
     """(raw weighted mean, estimate, outcome) of E[values] under ``method``.
 
-    ``systems`` holds the CF kernel systems already factorised on ``s``; pass
-    one dict to every expectation of one sample set to share them.
+    ``cf_memo`` maps (KernelSpec, lam_r) to the CF weights of ``s``; pass one
+    dict to every expectation of one sample set to share them.
     """
     raw = float(s.weights @ values)
     if method is None or method == VANILLA:
@@ -303,7 +303,7 @@ def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: 
     if scale == 0.0:
         return raw, 0.0, _MethodOutcome(0.0, method_label(method), {"scale": 0.0})
     out = _apply_method(s, IntegrandValues(values / scale), method, seed,
-                        {} if systems is None else systems)
+                        {} if cf_memo is None else cf_memo)
     est = out.estimate * scale
     if not ratio:
         return raw, est, out
@@ -339,6 +339,11 @@ def _as_snapshots(snapshots) -> list[Snapshot]:
     if not snaps:
         raise InvalidInput("no snapshots given")
     return snaps
+
+
+def _cf_memo(snap: Snapshot, t: float) -> dict:
+    """CF weight memo of ``snap`` retempered to ``t``, shared by every report."""
+    return snap._cf_weights.setdefault(t, {})
 
 
 def _check_schedule(schedule: TemperatureSchedule, snaps: list[Snapshot]) -> None:
@@ -380,8 +385,8 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
     expectation improved by the ``cv`` method independently.  The variance
     integrand squares deviations from the CV-improved mean
     (``v_mean_mode="cv"``) or the raw weighted mean (``"raw"``).  A
-    fixed-kernel CF method factorises its kernel system once per temperature
-    and solves E, then V, on it.
+    fixed-kernel CF method weights E and V with one weight vector per
+    temperature, kept on the serving snapshot for later reports.
     """
     if order not in (1, 2):
         raise InvalidInput("quadrature order must be 1 or 2")
@@ -400,9 +405,9 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
         if ss.log_like is None:
             raise InvalidInput("snapshots lack log-likelihood values")
         ll = ss.log_like
-        systems: dict = {}   # E and V share this temperature's kernel system
+        cf_memo = _cf_memo(snaps[k], t)   # E and V share this temperature's CF weights
         raw_e, est_e, out = _stabilised(ss, ll, cv, ratio=False,
-                                        seed=_derive_seed(seed, j, 0), systems=systems)
+                                        seed=_derive_seed(seed, j, 0), cf_memo=cf_memo)
         records.append(_record(t, "E_logl", raw_e, est_e, out))
         e_vals.append(est_e)
         if order == 2:
@@ -411,7 +416,7 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
             sq = dev * dev
             raw_v, est_v, out_v = _stabilised(ss, sq, cv, ratio=False,
                                               seed=_derive_seed(seed, j, 1),
-                                              systems=systems)
+                                              cf_memo=cf_memo)
             records.append(_record(t, "V_logl", raw_v, est_v, out_v))
             v_vals.append(est_v)
 
@@ -429,7 +434,9 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
     serving snapshot on the max-scaled integrand and accumulated in log
     space; the scaling itself is done on log values, so likelihoods spanning
     hundreds of log units are safe.  With cv="vanilla" each factor is exactly
-    the reweighting increment an SMC run would record.
+    the reweighting increment an SMC run would record.  A fixed-kernel CF
+    method reuses the weight vectors :func:`cti_estimate` left on the
+    snapshots at t_{j-1}, and leaves its own for later reports.
     """
     if not _is_method(cv):
         raise InvalidInput(f"unknown control-variate method {cv!r}")
@@ -457,7 +464,8 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
         else:
             phi_scaled = np.exp(dll - shift)   # in (0, 1], max-scaling in log space
             _, est, out = _stabilised(
-                ss, phi_scaled, cv, ratio=True, seed=_derive_seed(seed, j, 2)
+                ss, phi_scaled, cv, ratio=True, seed=_derive_seed(seed, j, 2),
+                cf_memo=_cf_memo(snaps[pops[j - 1]], t_prev),
             )
             est_log = shift + float(np.log(est))
         records.append(_record(t_prev, "ratio", raw_log, est_log, out,

@@ -409,6 +409,11 @@ def write_sample_csv(s: SampleSet, path) -> None:
 
 
 def read_sample_csv(path) -> SampleSet:
+    return _sample_set_of_columns(*_read_sample_columns(path))
+
+
+def _read_sample_columns(path) -> tuple[np.ndarray, int, bool]:
+    """(columns, d, with_logs) of a ``write_sample_csv`` file, checked for shape only."""
     path = Path(path)
     with path.open("r", newline="") as fh:
         reader = csv.reader(fh)
@@ -430,4 +435,4 @@ def read_sample_csv(path) -> SampleSet:
             data[i] = [float(v) for v in row]
         except ValueError as exc:
             raise InvalidInput(f"{path}: row {i + 2}: {exc}") from None
-    return _sample_set_of_columns(data, dim, with_logs)
+    return data, dim, with_logs

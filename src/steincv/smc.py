@@ -41,7 +41,10 @@ from .errors import (
     InvalidSchedule,
 )
 from .models import TargetModel, _manifest_fields
-from .samples import SampleSet, _sample_columns, _sample_set_of_columns, read_sample_csv
+from .samples import (
+    SampleSet, _read_sample_columns, _readonly, _sample_columns, _sample_set_of_columns,
+)
+from .samples import read_sample_csv  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .samples import write_sample_csv  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 _MIN_TEMPERATURE_STEP = 1e-8
@@ -413,7 +416,14 @@ def choose_num_repeats(sweep_fn, threshold_distance: float, threshold_fraction: 
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Particle population at one temperature, with split gradients."""
+    """Particle population at one temperature, with split gradients.
+
+    Arrays are frozen after construction, as a SampleSet's, so the sample set
+    at any temperature is a fixed function of the snapshot.  That lets the
+    evidence reports keep the CF weights of each retempered sample set here,
+    keyed by temperature and then (KernelSpec, lam_r): N floats per entry,
+    living as long as the snapshot.
+    """
 
     t: float
     theta: np.ndarray
@@ -426,6 +436,12 @@ class Snapshot:
     h: float | None = None
     repeats: int = 0
     acceptance: float = float("nan")
+    _cf_weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("theta", "weights", "log_like", "log_prior",
+                     "grad_log_like", "grad_log_prior"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def count(self) -> int:
@@ -765,10 +781,9 @@ def _read_snapshot(out: Path, i: int, manifest: dict) -> SampleSet:
     path = out / f"t_{i:03d}.{fmt}"
     try:
         if fmt == "csv":
-            s = read_sample_csv(path)
-            if s.log_like is None or s.log_prior is None:
+            data, dim, with_logs = _read_sample_columns(path)
+            if not with_logs:
                 raise InvalidInput(f"{path} lacks the log_like and log_prior columns")
-            rows = s.count
         else:
             with path.open("rb") as fh:
                 data = np.lib.format.read_array(fh, allow_pickle=False)
@@ -776,12 +791,13 @@ def _read_snapshot(out: Path, i: int, manifest: dict) -> SampleSet:
             if data.dtype != np.float64 or width < 5 or width % 2 == 0:
                 raise InvalidInput(f"{path} is not a float64 array of 2d + 3 columns "
                                    f"(dtype {data.dtype}, shape {data.shape})")
-            rows = data.shape[0]
+            dim = (width - 3) // 2
     except (ValueError, EOFError, OSError) as exc:
         raise InvalidInput(f"cannot read snapshot {path}: {exc}") from exc
-    if rows != n_particles:
-        raise InvalidInput(f"{path} has {rows} rows, the manifest says {n_particles}")
-    return s if fmt == "csv" else _sample_set_of_columns(data, (width - 3) // 2, with_logs=True)
+    # checked before the SampleSet is built, so zero rows is a bad file too
+    if data.shape[0] != n_particles:
+        raise InvalidInput(f"{path} has {data.shape[0]} rows, the manifest says {n_particles}")
+    return _sample_set_of_columns(data, dim, with_logs=True)
 
 
 def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:

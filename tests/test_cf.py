@@ -10,7 +10,7 @@ from scipy.stats import norm
 import steincv.cf as cf_mod
 from steincv.cf import (
     KernelSpec,
-    _cf_solve,
+    _factor_with_jitter,
     _gaussian_stein_cross,
     cf_cv_bandwidth,
     cf_estimate,
@@ -201,7 +201,21 @@ def test_bandwidth_cv_validation():
         cf_cv_bandwidth(s, phi, grid=[-1.0, 1.0], folds=2)
 
 
-# --- oracles: the unfused kernel build and per-fold search ------------------------
+# --- oracles: the two-solve estimate, the unfused kernel build, per-fold search -----
+
+
+def two_solve_reference(K0, lam_r, jitter_scale, wt, f):
+    """(a, factor) for a = w~^T K^-1 f / w~^T K^-1 1, one solve per right-hand side.
+
+    K = K0 + N lam_r I (+ jitter) is factorised as the library does; the
+    estimate is the ratio of two solves instead of the weight vector v.
+    """
+    factor = _factor_with_jitter(K0, K0.shape[0] * lam_r, jitter_scale,
+                                 float(np.mean(np.diag(K0))))
+    denom = float(wt @ cho_solve(factor, np.ones(wt.size)))
+    if denom == 0.0 or not np.isfinite(denom):
+        raise ConditioningError("degenerate kernel system")
+    return float(wt @ cho_solve(factor, f)) / denom, factor
 
 
 def stein_cross_reference(theta_a, grad_a, theta_b, grad_b, bandwidth):
@@ -241,7 +255,7 @@ def per_fold_search_reference(s, phi, grid=None, folds=5, seed=0):
             K0 = stein_cross_reference(th_tr, g_tr, th_tr, g_tr, bw)
             K0 = 0.5 * (K0 + K0.T)
             try:
-                a, factor = _cf_solve(K0, 0.0, 1e-10, np.ones(K0.shape[0]), f[mask])
+                a, factor = two_solve_reference(K0, 0.0, 1e-10, np.ones(K0.shape[0]), f[mask])
             except ConditioningError:
                 err = np.inf
                 break
@@ -347,7 +361,7 @@ def test_fused_estimate_matches_reference_kernel_estimate(weighted, lam_r, rel):
             got = cf_estimate(s, IntegrandValues(f), KernelSpec(bandwidth=bw), lam_r)
             R = stein_cross_reference(s.theta, s.grad_log_target,
                                       s.theta, s.grad_log_target, bw)
-            want, _ = _cf_solve(0.5 * (R + R.T), lam_r, 1e-10, n * s.weights, f)
+            want, _ = two_solve_reference(0.5 * (R + R.T), lam_r, 1e-10, n * s.weights, f)
             assert got == pytest.approx(want, rel=rel), (n, d, bw)
 
 
@@ -505,3 +519,58 @@ def test_polynomial_without_jitter_or_regulariser_is_the_vanishing_shift_limit()
     X = design_columns(enumerate_exponents(2, 2).A, s.theta, s.grad_log_target)
     coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(30), X]), f, rcond=None)
     assert got == pytest.approx(coef[0], rel=1e-10)
+
+
+# --- oracle: the weight vector v against the two-solve estimate -------------------
+
+
+def two_solve_estimate(s, f, kernel, lam_r):
+    """w~^T K^-1 f / w~^T K^-1 1 from two solves on the library's factor.
+
+    The polynomial kernel with J < N solves in J-space, where the solve returns
+    delta K^-1 v = v - X (delta I + X^T X)^-1 X^T v and delta cancels.
+    """
+    n = s.count
+    wt = n * s.weights
+    if kernel.kind == "polynomial" and basis_size(s.dim, kernel.degree) < n:
+        X = design_columns(enumerate_exponents(s.dim, kernel.degree).A, s.theta,
+                           s.grad_log_target)
+        G = X.T @ X
+        factor = _factor_with_jitter(G, n * lam_r, kernel.jitter, float(np.trace(G)) / n)
+
+        def solve(v):
+            return v - X @ cho_solve(factor, X.T @ v)
+
+        return float(wt @ solve(f)) / float(wt @ solve(np.ones(n)))
+    return two_solve_reference(stein_kernel_matrix(s, kernel), lam_r, kernel.jitter, wt, f)[0]
+
+
+# lam_r = 0 interpolates through K0 + 1e-10 mean(diag K0) I, whose condition
+# number reaches 5e11 on this grid; the two forms then differ by rounding
+# amplified up to 2.1e-10 relative (weighted gaussian, N = 120, bw = 3), so
+# that case gets 1e-8.  With lam_r > 0 they agree to 9e-15.
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("lam_r, rel", [(0.01, 1e-12), (0.3, 1e-12), (0.0, 1e-8)])
+@pytest.mark.parametrize("kernel", [
+    KernelSpec(bandwidth=0.3), KernelSpec(bandwidth=3.0), KernelSpec(bandwidth=30.0),
+    KernelSpec("polynomial", degree=2), KernelSpec("polynomial", degree=3),
+])
+def test_weight_vector_matches_two_solve_estimate(weighted, lam_r, rel, kernel):
+    draw = weighted_draws if weighted else gaussian_draws
+    # at d = 2 the polynomial kernels have J = 5 and 9, so degree 3 at N = 7
+    # and 9 solves the N x N system and every other polynomial case J-space
+    for n, d in [(40, 1), (120, 2), (60, 2), (7, 2), (9, 2)]:
+        s = draw(n, 70 + n, d=d)
+        for f in (np.sin(s.theta[:, 0]) + 0.5 * s.theta[:, -1] ** 2, pseudo_log_like(s)):
+            got = cf_estimate(s, IntegrandValues(f), kernel, lam_r)
+            assert got == pytest.approx(two_solve_estimate(s, f, kernel, lam_r), rel=rel), (n, d)
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(bandwidth=1.0), KernelSpec("polynomial", degree=2)])
+def test_weight_vector_is_read_only_and_sums_to_one(kernel):
+    s = weighted_draws(50, 3, d=2)
+    v = cf_mod._cf_weights(s, kernel, 0.01)
+    assert v.shape == (50,) and not v.flags.writeable
+    assert v.sum() == pytest.approx(1.0, rel=1e-13)
+    f = np.cos(s.theta[:, 1])
+    assert cf_estimate(s, IntegrandValues(f), kernel, 0.01) == float(v @ f)

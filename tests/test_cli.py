@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import steincv.cf as cf_mod
 from conftest import MALFORMED_NPY, rewrite_as_csv_archive
 from steincv.cli import (
     EXIT_CONFIG,
@@ -20,7 +21,7 @@ from steincv.cli import (
     parse_methods,
 )
 from steincv.errors import InvalidInput
-from steincv.evidence import VANILLA, CfMethod, CrossvalMethod
+from steincv.evidence import VANILLA, CfMethod, CrossvalMethod, expectation_with_provenance
 from steincv.models import model_from_manifest
 from steincv.polybasis import SubsetSpec
 from steincv.smc import load_particle_system
@@ -317,6 +318,43 @@ def test_malformed_npy_snapshot_exits_config(pipeline, tmp_path, capsys, case):
                                   "--out", str(tmp_path / "pp")])
     assert _exits_config(capsys, ["evidence", "--archive", str(archive), "--methods", "vanilla",
                                   "--out", str(tmp_path / "ev")])
+
+
+def test_postprocess_rejects_snapshot_of_other_dimension(pipeline, tmp_path, capsys):
+    archive = _copy_pilot(pipeline, tmp_path, "npy")
+    path = archive / "t_001.npy"
+    a = np.load(path)                         # columns theta, grad, weight, log_like, log_prior
+    np.save(path, np.column_stack([a[:, :1], 0.5 * a[:, :1], a[:, 1:2], a[:, 1:]]))
+    argv = ["postprocess", "--archive", str(archive), "--out", str(tmp_path / "pp")]
+    assert _exits_config(capsys, [*argv, "--snapshot", "1"])
+    assert main([*argv, "--snapshot", "2"]) == EXIT_OK
+
+
+def test_postprocess_rejects_header_only_csv_snapshot(pipeline, tmp_path, capsys):
+    archive = _copy_pilot(pipeline, tmp_path, "csv")
+    snap = archive / "t_001.csv"
+    snap.write_text(snap.read_text().splitlines(keepends=True)[0])
+    assert _exits_config(capsys, ["postprocess", "--archive", str(archive), "--snapshot", "1",
+                                  "--out", str(tmp_path / "pp")])
+
+
+def test_postprocess_shares_cf_weights_across_integrands(pipeline, tmp_path, monkeypatch):
+    archive = pipeline / "run_a" / "pilot"
+    manifest = json.loads((archive / "manifest.json").read_text())
+    s = load_particle_system(archive, model_from_manifest(manifest["model"])).snapshots[-1]
+    s = s.sample_set()
+    methods = [CfMethod(bandwidth=2.0), CfMethod(kind="polynomial", degree=2)]
+    want = [expectation_with_provenance(s, f, m, seed=0).estimate
+            for m in methods for f in (s.theta[:, 0], s.theta[:, 0] ** 2)]
+    calls = []
+    real = cf_mod.cho_factor
+    monkeypatch.setattr(cf_mod, "cho_factor", lambda *a, **k: calls.append(1) or real(*a, **k))
+    out = tmp_path / "pp"
+    assert main(["postprocess", "--archive", str(archive), "--methods", "cf:bw=2,cf:poly",
+                 "--integrands", "mean,square", "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 2                    # one per kernel, not one per integrand
+    rows = json.loads((out / "estimates.json").read_text())["results"]
+    assert [r["estimate"] for r in rows] == want
 
 
 def test_csv_archive_postprocess_and_evidence_match(pipeline, tmp_path):

@@ -1,6 +1,7 @@
 """Evidence estimators: quadrature identities, telescoping factors, fallbacks."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ from steincv.evidence import (
 )
 from steincv.models import ConjugateGaussianModel, GaussianModel
 from steincv.samples import IntegrandValues, SampleSet
-from steincv.smc import SmcConfig, Snapshot, TemperatureSchedule, reweight, run_smc
+from steincv.smc import (
+    ParticleSystem, SmcConfig, Snapshot, TemperatureSchedule, posthoc_schedule, reweight,
+    run_smc,
+)
 from steincv.zvcv import ZvSpec
 
 
@@ -38,6 +42,11 @@ def conjugate_run():
     cfg = SmcConfig(n_particles=400, rho=0.7, seed=17, h_min=0.1, h_max=2.0,
                     h_grid_size=5, max_repeats=10)
     return model, run_smc(model, cfg)
+
+
+def fresh_copy(ps):
+    """The same particle system with snapshots that hold no CF weights yet."""
+    return ParticleSystem([replace(s) for s in ps.snapshots], ps.config, ps.model_manifest)
 
 
 # --- quadrature ------------------------------------------------------------------
@@ -305,7 +314,7 @@ def test_report_round_trip(tmp_path, conjugate_run):
         EvidenceReport.load(tmp_path / "bad.json")
 
 
-# --- oracle: one CF kernel system per temperature ------------------------------------
+# --- oracle: one CF weight vector per temperature, shared across reports -------------
 
 
 def scaled_cf(ss, values, kernel, lam_r):
@@ -333,9 +342,22 @@ def cti2_cf_loop_reference(sched, snaps, kernel_of, lam_r):
      KernelSpec(kind="polynomial", degree=3)),
 ])
 def test_cti2_cf_shares_one_factor_per_temperature(conjugate_run, monkeypatch, method, kernel):
-    _, ps = conjugate_run
+    ps = fresh_copy(conjugate_run[1])      # earlier tests left CF weights on the shared run
     sched = ps.schedule()
     want = cti2_cf_loop_reference(sched, ps.snapshots, lambda i: kernel, method.lam_r)
+    calls = count_cf_calls(monkeypatch)
+    report = cti_estimate(sched, ps, order=2, cv=method, seed=5)
+    assert [r.estimate for r in report.per_expectation] == want
+    n = len(sched)
+    assert calls["cho_factor"] == n
+    if kernel.kind == "gaussian":
+        assert calls["stein_kernel_matrix"] == n and calls["design_columns"] == 0
+    else:   # d = 1, so J = Q < N: J-space, no N x N kernel
+        assert calls["stein_kernel_matrix"] == 0 and calls["design_columns"] == n
+
+
+def count_cf_calls(monkeypatch) -> Counter:
+    """Count the N x N kernels, factorisations and designs built from now on."""
     calls = Counter()
     for name in ("stein_kernel_matrix", "cho_factor", "design_columns"):
         real = getattr(cf_mod, name)
@@ -345,14 +367,60 @@ def test_cti2_cf_shares_one_factor_per_temperature(conjugate_run, monkeypatch, m
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(cf_mod, name, counted)
+    return calls
+
+
+FIXED_CF_METHODS = [
+    CfMethod(bandwidth=2.0),
+    CfMethod(bandwidth=0.5, lam_r=0.01),
+    CfMethod(kind="polynomial", degree=2),
+    CfMethod(kind="polynomial", degree=3, lam_r=0.2),
+]
+
+
+@pytest.mark.parametrize("posthoc", [False, True])
+@pytest.mark.parametrize("method", FIXED_CF_METHODS)
+def test_smc_report_after_cti_builds_no_kernel(conjugate_run, monkeypatch, method, posthoc):
+    # the smc factor at t_{j-1} uses exactly cti2's sample set at t_{j-1}
+    ps = fresh_copy(conjugate_run[1])
+    sched = posthoc_schedule(ps, 0.9) if posthoc else ps.schedule()
+    cti_estimate(sched, ps, order=2, cv=method, seed=5)
+    calls = count_cf_calls(monkeypatch)
+    report = smc_evidence_estimate(sched, ps, cv=method, seed=6)
+    assert sum(calls.values()) == 0
+    monkeypatch.undo()
+    assert report == smc_evidence_estimate(sched, fresh_copy(ps), cv=method, seed=6)
+
+
+@pytest.mark.parametrize("method", FIXED_CF_METHODS)
+def test_cti_report_after_smc_builds_only_the_last_temperature(conjugate_run, monkeypatch,
+                                                               method):
+    ps = fresh_copy(conjugate_run[1])
+    sched = ps.schedule()
+    smc_evidence_estimate(sched, ps, cv=method, seed=6)
+    calls = count_cf_calls(monkeypatch)
     report = cti_estimate(sched, ps, order=2, cv=method, seed=5)
-    assert [r.estimate for r in report.per_expectation] == want
-    n = len(sched)
-    assert calls["cho_factor"] == n
-    if kernel.kind == "gaussian":
-        assert calls["stein_kernel_matrix"] == n and calls["design_columns"] == 0
-    else:   # d = 1, so J = Q < N: J-space, no N x N kernel
-        assert calls["stein_kernel_matrix"] == 0 and calls["design_columns"] == n
+    assert calls["cho_factor"] == 1           # t = 1 serves no smc factor
+    monkeypatch.undo()
+    assert report == cti_estimate(sched, fresh_copy(ps), order=2, cv=method, seed=5)
+
+
+def test_cf_weight_memo_holds_one_vector_per_sample_set(conjugate_run):
+    ps = fresh_copy(conjugate_run[1])
+    sched = posthoc_schedule(ps, 0.9)
+    for method in FIXED_CF_METHODS[:2]:
+        cti_estimate(sched, ps, order=2, cv=method)
+        smc_evidence_estimate(sched, ps, cv=method)
+    n = ps.snapshots[0].count
+    served = Counter(sched.population_index)
+    for k, snap in enumerate(ps.snapshots):
+        assert len(snap._cf_weights) == served[k]
+        for entries in snap._cf_weights.values():
+            assert set(entries) == {(KernelSpec(bandwidth=2.0), 0.0),
+                                    (KernelSpec(bandwidth=0.5), 0.01)}
+            for v in entries.values():
+                assert v.shape == (n,) and not v.flags.writeable
+                assert v.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cti2_cv_bandwidth_searches_every_expectation(monkeypatch):

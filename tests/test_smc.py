@@ -437,6 +437,13 @@ def test_snapshot_sample_set_retempering():
     assert_array_equal(s_up.log_like, snap.log_like)
 
 
+def test_snapshot_arrays_are_read_only():
+    snap = make_snapshot(0.5)
+    for name in ("theta", "weights", "log_like", "log_prior", "grad_log_like", "grad_log_prior"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(snap, name)[0] = 0.0
+
+
 def test_temperature_schedule_validation():
     TemperatureSchedule((0.0, 0.5, 1.0), (0, 0, 1))
     with pytest.raises(InvalidSchedule):
