@@ -15,6 +15,11 @@ objectives are
 with the intercept never penalised.  For uniform weights these are the usual
 1/N-normalised forms, so lambda_max = max_j |sum_i w_i x_s[i,j] f_s[i]| kills
 every lasso coefficient.
+
+Every least-squares and ridge fit comes from one thin SVD of the weighted
+design (:func:`_svd_fit`), which solves a whole vector of ridge penalties in
+one matmul, J > N included; the lasso follows its exact solution path
+(:func:`_lasso_path`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.linalg import lstsq
 from scipy import linalg
 
 from .errors import ConvergenceError, InsufficientSamples, InvalidInput
@@ -115,68 +119,73 @@ def _check_penalty(lam, what):
         raise InvalidInput(f"{what} must be finite and >= 0")
 
 
-def _finish(gamma, st, *, method, lam, rank_deficient=False, n_sweeps=0):
-    """Map an internal ``f ~ a + X gamma`` solution to the public convention."""
-    beta = -gamma
+def _finish(beta, st, *, lam, **fields):
+    """The public fit of a raw-scale ``beta``; other ``fields`` pass through."""
     sds = np.where(st.covariate_sds < SD_FLOOR, 1.0, st.covariate_sds)
     sd_f = st.response_sd
     return RegressionFit(
         intercept=float(st.response_mean + beta @ st.covariate_means),
         beta=beta,
         beta_s=beta * sds / sd_f if sd_f >= SD_FLOOR else np.zeros_like(beta),
-        method=method,
         lam=float(lam),
         dropped=st.dropped,
-        rank_deficient=rank_deficient,
-        n_sweeps=n_sweeps,
+        **fields,
     )
 
 
-def _weighted_lstsq(A, b, w):
-    """Minimum-norm solution of min sum_i w_i (b_i - A_i x)^2, and its rank."""
+def _svd_fit(A, b, w, lams):
+    """Weighted ridge fits for a whole vector of penalties from one thin SVD.
+
+    Minimises sum_i w_i (b_i - A_i g)^2 + lam ||g||_2^2 for each lam: with
+    U diag(s) V^T the thin SVD of sqrt(w) A, g(lam) = V diag(s / (s^2 + lam))
+    U^T (sqrt(w) b) (ESL 3.4.1), one column per lam, J > N included.  Singular
+    values at or below LAPACK's least-squares cutoff eps max(n, J) s_max count
+    as zero, so lam = 0 gives the minimum-norm least-squares fit and a tiny
+    lam > 0 agrees with it.  Returns the (J, L) coefficient matrix and the rank.
+    """
     sw = np.sqrt(w)
-    sol, _, rank, _ = lstsq(sw[:, None] * A, sw * b, rcond=None)
-    return sol, rank
+    try:
+        U, s, Vt = np.linalg.svd(sw[:, None] * A, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("SVD of the regression design did not converge") from exc
+    s = s[s > np.finfo(float).eps * max(A.shape) * s.max(initial=0.0)]
+    k = s.size
+    with np.errstate(over="ignore"):
+        # s / (s^2 + lam), written so that s^2 cannot underflow
+        shrink = 1.0 / (s[:, None] + np.asarray(lams, dtype=float) / s[:, None])
+    return Vt[:k].T @ (shrink * (U[:, :k].T @ (sw * b))[:, None]), k
 
 
-def _path(X_s, f_s, w, st, grid, method, relaxed=False):
+def _raw_beta(gamma_s, st):
+    """Raw-scale beta (J, L) from standardised solutions on the retained columns."""
+    f_scale = st.response_sd if st.response_sd >= SD_FLOOR else 1.0
+    beta = np.zeros((st.covariate_sds.shape[0], gamma_s.shape[1]))
+    beta[st.retained] = -gamma_s * f_scale / st.covariate_sds[st.retained, None]
+    return beta
+
+
+def _path(X_s, f_s, w, st, grid, method):
     """Fit one standardised data set at every lambda of a descending grid.
 
     ``X_s, f_s, st`` come from :func:`standardise` with normalised weights
-    ``w``.  Ridge forms the weighted Gram once and adds lambda I per value;
-    lasso follows its exact solution path once, down to the smallest positive
-    grid value (:func:`_lasso_path`), and ``n_sweeps`` counts the path steps
-    taken to reach each value.  lambda = 0 is least squares on the retained
-    columns.  Returns one RegressionFit per grid value.
+    ``w``.  Ridge solves the whole grid from one SVD (:func:`_svd_fit`); lasso
+    follows its exact solution path once, down to the smallest positive grid
+    value (:func:`_lasso_path`).  lambda = 0 is least squares on the retained
+    columns.  Returns (intercepts, beta, steps): the L intercepts, the (J, L)
+    raw-scale beta matrix, one column per grid value, and the lasso path steps
+    taken to reach each value (zero for ridge and for lambda = 0).
     """
-    keep = st.retained
-    f_scale = st.response_sd if st.response_sd >= SD_FLOOR else 1.0
-    sds = np.where(st.covariate_sds < SD_FLOOR, 1.0, st.covariate_sds)
-    if method == "ridge" and keep.size:
-        G = X_s.T @ (w[:, None] * X_s)
-        rhs = X_s.T @ (w * f_s)
-    live = keep.size and st.response_sd >= SD_FLOOR
-    if method == "lasso" and live:
-        # the grid descends, so its positive values come first
-        gammas, steps = _lasso_path(X_s, f_s, w, [lam for lam in grid if lam > 0.0])
-    fits = []
-    for gi, lam in enumerate(grid):
-        gamma_s = np.zeros(st.covariate_sds.shape[0])
-        sweeps = 0
-        if keep.size and lam == 0.0:
-            gamma_s[keep], _ = _weighted_lstsq(X_s, f_s, w)
-        elif keep.size and method == "ridge":
-            gamma_s[keep] = linalg.solve(G + lam * np.eye(keep.size), rhs, assume_a="pos")
-        elif method == "lasso" and live:
-            sol, sweeps = gammas[gi], int(steps[gi])
-            if relaxed and np.any(sol):
-                support = np.flatnonzero(sol)
-                sol = np.zeros_like(sol)
-                sol[support], _ = _weighted_lstsq(X_s[:, support], f_s, w)
-            gamma_s[keep] = sol
-        # map the standardised-scale solution back to the raw scale
-        fits.append(_finish(gamma_s * f_scale / sds, st, method=method, lam=lam, n_sweeps=sweeps))
-    return fits
+    grid = np.asarray(grid, dtype=float)
+    gamma_s = np.zeros((X_s.shape[1], grid.size))
+    steps = np.zeros(grid.size, dtype=int)
+    # the grid descends, so its positive values come first
+    n_path = int(np.count_nonzero(grid)) if method == "lasso" else 0
+    if n_path and X_s.shape[1] and st.response_sd >= SD_FLOOR:
+        gamma_s[:, :n_path], steps[:n_path] = _lasso_path(X_s, f_s, w, grid[:n_path])
+    if n_path < grid.size:
+        gamma_s[:, n_path:] = _svd_fit(X_s, f_s, w, grid[n_path:])[0]
+    beta = _raw_beta(gamma_s, st)
+    return st.response_mean + st.covariate_means @ beta, beta, steps
 
 
 def fit_ols(X, f, weights=None) -> RegressionFit:
@@ -184,13 +193,10 @@ def fit_ols(X, f, weights=None) -> RegressionFit:
     X, f, w = _prepare(X, f, weights)
     st = moments(X, f, w)
     keep = st.retained
-    gamma = np.zeros(X.shape[1])
-    rank_def = False
-    if keep.size:
-        gamma[keep], rank = _weighted_lstsq(
-            X[:, keep] - st.covariate_means[keep], f - st.response_mean, w)
-        rank_def = rank < keep.size
-    return _finish(gamma, st, method="ols", lam=0.0, rank_deficient=rank_def)
+    gamma, rank = _svd_fit(X[:, keep] - st.covariate_means[keep], f - st.response_mean, w, [0.0])
+    beta = np.zeros(X.shape[1])
+    beta[keep] = -gamma[:, 0]
+    return _finish(beta, st, method="ols", lam=0.0, rank_deficient=rank < keep.size)
 
 
 def fit_ridge(X, f, weights=None, lam: float = 0.0, *, standardised: bool = True) -> RegressionFit:
@@ -206,29 +212,20 @@ def fit_ridge(X, f, weights=None, lam: float = 0.0, *, standardised: bool = True
     _check_penalty(lam, "ridge penalty")
     if standardised:
         X_s, f_s, st = standardise(X, f, w)
-        return _path(X_s, f_s, w, st, (lam,), "ridge")[0]
+        beta = _path(X_s, f_s, w, st, (lam,), "ridge")[1]
+        return _finish(beta[:, 0], st, method="ridge", lam=lam)
 
     st = replace(moments(X, f, w), dropped=())
-    J = X.shape[1]
-    Xc = X - st.covariate_means
-    fc = f - st.response_mean
-    if lam > 0:
-        G = Xc.T @ (w[:, None] * Xc) + lam * np.eye(J)
-        gamma = linalg.solve(G, Xc.T @ (w * fc), assume_a="pos")
-        rank_def = False
-    else:
-        gamma, rank = _weighted_lstsq(Xc, fc, w)
-        rank_def = rank < J
-    return _finish(gamma, st, method="ridge", lam=lam, rank_deficient=rank_def)
+    gamma, rank = _svd_fit(X - st.covariate_means, f - st.response_mean, w, [lam])
+    return _finish(-gamma[:, 0], st, method="ridge", lam=lam,
+                   rank_deficient=lam == 0.0 and rank < X.shape[1])
 
 
 def lasso_lambda_max(X, f, weights=None) -> float:
     """Smallest penalty at which every lasso coefficient is zero."""
     X, f, w = _prepare(X, f, weights)
     X_s, f_s, st = standardise(X, f, w)
-    if X_s.shape[1] == 0:
-        return 0.0
-    return float(np.max(np.abs(X_s.T @ (w * f_s))))
+    return float(np.max(np.abs(X_s.T @ (w * f_s)), initial=0.0))
 
 
 def _lasso_path(X, f, w, lams):
@@ -243,9 +240,9 @@ def _lasso_path(X, f, w, lams):
     exactly.  Columns of G are formed only when their variable joins, and the
     Cholesky factor of G_AA grows by one row per join and is refactored after
     a drop.  A joining column in the span of A (non-positive pivot) stays at
-    zero.  Returns (gammas, steps): gammas[k] solves lams[k], reached after
-    steps[k] path events (joins, drops and rejected joins); more than
-    8 max(n, J) steps raise ConvergenceError.
+    zero.  Returns (gammas, steps): column k of the (J, L) matrix gammas
+    solves lams[k], reached after steps[k] path events (joins, drops and
+    rejected joins); more than 8 max(n, J) steps raise ConvergenceError.
     """
     n, J = X.shape
     q = X.T @ (w * f)
@@ -253,7 +250,7 @@ def _lasso_path(X, f, w, lams):
     cols = np.empty((J, m))          # G[:, A]
     L = np.zeros((m, m))             # lower Cholesky factor of G[A][:, A]
     active, signs, blocked = [], [], set()
-    gammas = np.zeros((len(lams), J))
+    gammas = np.zeros((J, len(lams)))
     steps = np.zeros(len(lams), dtype=int)
     gi, n_steps, lam_cur = 0, 0, np.inf
     while gi < len(lams):
@@ -282,7 +279,7 @@ def _lasso_path(X, f, w, lams):
         lam_drop = min(drops.max(initial=-np.inf), lam_cur)
         lam_next = max(lam_join, lam_drop)
         while gi < len(lams) and lams[gi] >= lam_next:
-            gammas[gi, active] = u - lams[gi] * d
+            gammas[active, gi] = u - lams[gi] * d
             steps[gi] = n_steps
             gi += 1
         if gi == len(lams):
@@ -329,7 +326,14 @@ def fit_lasso(X, f, weights=None, lam: float = 0.0, *, relaxed: bool = False) ->
     if lam == 0.0:
         return replace(fit_ols(X, f, w), method="lasso")
     X_s, f_s, st = standardise(X, f, w)
-    return _path(X_s, f_s, w, st, (lam,), "lasso", relaxed=relaxed)[0]
+    _, beta, steps = _path(X_s, f_s, w, st, (lam,), "lasso")
+    if relaxed and np.any(beta):
+        # least squares on the selected support, on the standardised scale
+        support = np.flatnonzero(beta[st.retained, 0])
+        gamma_s = np.zeros((X_s.shape[1], 1))
+        gamma_s[support] = _svd_fit(X_s[:, support], f_s, w, [0.0])[0]
+        beta = _raw_beta(gamma_s, st)
+    return _finish(beta[:, 0], st, method="lasso", lam=lam, n_sweeps=int(steps[0]))
 
 
 def refit_fixed_intercept(X, f, weights=None, intercept: float = 0.0, *,
@@ -350,21 +354,18 @@ def refit_fixed_intercept(X, f, weights=None, intercept: float = 0.0, *,
     # root-mean-square column scales (no centring); flat-zero columns drop out
     rms = np.sqrt(np.einsum("ij,ij->j", w[:, None] * X, X))
     keep = np.flatnonzero(rms > SD_FLOOR)
-    gamma = np.zeros(J)
+    Xk = X[:, keep] / rms[keep]
     sweeps = 0
-    if keep.size:
-        Xk = X[:, keep] / rms[keep]
-        if method == "ols" or lam == 0.0:
-            sol, _ = _weighted_lstsq(Xk, g, w)
-        elif method == "ridge":
-            G = Xk.T @ (w[:, None] * Xk) + lam * np.eye(keep.size)
-            sol = linalg.solve(G, Xk.T @ (w * g), assume_a="pos")
-        else:
-            g_sd = float(weighted_sd(g, w))
-            scale = g_sd if g_sd >= SD_FLOOR else 1.0
-            gammas, steps = _lasso_path(Xk, g / scale, w, [lam])
-            sol, sweeps = gammas[0] * scale, int(steps[0])
-        gamma[keep] = sol / rms[keep]
+    if method == "lasso" and lam > 0.0 and keep.size:
+        g_sd = float(weighted_sd(g, w))
+        scale = g_sd if g_sd >= SD_FLOOR else 1.0
+        gammas, steps = _lasso_path(Xk, g / scale, w, [lam])
+        sol, sweeps = gammas[:, 0] * scale, int(steps[0])
+    else:
+        # least squares (any method at lam = 0) or ridge
+        sol = _svd_fit(Xk, g, w, [0.0 if method == "ols" else lam])[0][:, 0]
+    gamma = np.zeros(J)
+    gamma[keep] = sol / rms[keep]
     f_sd = float(weighted_sd(f, w))
     # zero covariate means: the intercept stays where it was pinned
     st = Standardisation(
@@ -374,7 +375,7 @@ def refit_fixed_intercept(X, f, weights=None, intercept: float = 0.0, *,
         covariate_sds=np.where(rms > SD_FLOOR, rms, 0.0),
         dropped=tuple(int(j) for j in range(J) if j not in keep),
     )
-    return _finish(gamma, st, method=f"{method}-fixed-intercept", lam=lam, n_sweeps=sweeps)
+    return _finish(-gamma, st, method=f"{method}-fixed-intercept", lam=lam, n_sweeps=sweeps)
 
 
 def _default_grid(lam_max: float, size: int = 100, decades: float = 4.0):
@@ -407,24 +408,22 @@ def cv_lambda(X, f, weights=None, method: str = "ridge", cfg: CvConfig | None = 
     else:
         grid = _default_grid(lasso_lambda_max(X, f, w))
 
-    folds = _fold_slices(n, cfg.folds, cfg.seed)
     scores = np.zeros(grid.size)
     used_folds = 0
-    for hold in folds:
+    for hold in _fold_slices(n, cfg.folds, cfg.seed):
         mask = np.ones(n, dtype=bool)
         mask[hold] = False
-        w_tr = w[mask]
-        X_ho, f_ho, w_ho = X[hold], f[hold], w[hold]
+        w_tr, w_ho = w[mask], w[hold]
         if w_tr.sum() <= 0 or w_ho.sum() <= 0:
             continue
         used_folds += 1
         # one standardisation of the training fold serves the whole grid
-        X_tr, f_tr, w_tr = _prepare(X[mask], f[mask], w_tr)
-        X_s, f_s, st = standardise(X_tr, f_tr, w_tr)
-        for gi, fit in enumerate(_path(X_s, f_s, w_tr, st, grid, method)):
-            resid = f_ho - fit.predict(X_ho)
-            # weighted mean squared hold-out residual for this fold
-            scores[gi] += float(w_ho @ (resid * resid)) / float(w_ho.sum())
+        w_tr = w_tr / w_tr.sum()
+        X_s, f_s, st = standardise(X[mask], f[mask], w_tr)
+        intercepts, beta, _ = _path(X_s, f_s, w_tr, st, grid, method)
+        # weighted mean squared hold-out residual at every grid value
+        resid = f[hold][:, None] - (intercepts - X[hold] @ beta)
+        scores += (w_ho @ (resid * resid)) / w_ho.sum()
     if used_folds == 0:
         raise InsufficientSamples("every fold had zero weight")
     scores /= used_folds

@@ -357,6 +357,25 @@ def test_postprocess_shares_cf_weights_across_integrands(pipeline, tmp_path, mon
     assert [r["estimate"] for r in rows] == want
 
 
+def test_postprocess_tiny_ridge_penalty_with_more_covariates_than_draws(tmp_path):
+    # Q = 3 in d = 4 gives J = 34 covariates for 24 particles; a ridge penalty
+    # of 1e-20 is the minimum-norm least-squares fit, not a singular solve
+    model = tmp_path / "model4.json"
+    eye = np.eye(4).tolist()
+    model.write_text(json.dumps({
+        "kind": "conjugate_gaussian", "prior_mean": [0.0] * 4, "prior_cov": eye,
+        "obs_cov": eye, "data": [[1.1, 0.4, -0.3, 0.9], [0.4, -0.2, 0.8, 0.1]],
+    }))
+    assert main(["smc", "--model", str(model), "--n", "24", "--rho", "0.7",
+                 "--hmin", "0.1", "--hmax", "2.0", "--max-repeats", "5", "--seed", "3",
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    out = tmp_path / "pp"
+    assert main(["postprocess", "--archive", str(tmp_path / "run" / "pilot"),
+                 "--methods", "zv:Q=3:ridge:lam=1e-20", "--out", str(out)]) == EXIT_OK
+    rows = json.loads((out / "estimates.json").read_text())["results"]
+    assert len(rows) == 4 and all(np.isfinite(r["estimate"]) for r in rows)
+
+
 def test_csv_archive_postprocess_and_evidence_match(pipeline, tmp_path):
     csv_archive = _copy_pilot(pipeline, tmp_path, "csv")
     npy_archive = pipeline / "run_a" / "pilot"

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import kkt_violation, standardise_oracle
 import steincv.regression as regression
-from steincv.errors import ConvergenceError, InsufficientSamples, InvalidInput
+from steincv.errors import ConvergenceError, InsufficientSamples, InvalidInput, SteinCvError
 from steincv.regression import (
     CvConfig,
     cv_lambda,
@@ -145,6 +145,119 @@ def test_ridge_unstandardised_normal_equations():
     assert_allclose(fit.beta, -gamma, rtol=1e-10)
 
 
+# --- the SVD core ----------------------------------------------------------------
+
+
+def rel_err(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def weighted_problem(n, J, seed, deficient=False):
+    """Random weighted least-squares problem; ``deficient`` adds a duplicated
+    column and a column that is a combination of two others."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, J)) * rng.uniform(0.5, 2.0, size=J)
+    if deficient:
+        A[:, 1] = A[:, 0]
+        A[:, 3] = A[:, 2] - 2.0 * A[:, 0]
+    b = A[:, 0] + rng.normal(size=n)
+    w = rng.uniform(0.2, 1.0, size=n)
+    return A, b, w / w.sum()
+
+
+def normal_equations_reference(A, b, w, lam):
+    """Slow reference for lam > 0: one solve of (A^T W A + lam I) g = A^T W b."""
+    return np.linalg.solve(A.T @ (w[:, None] * A) + lam * np.eye(A.shape[1]), A.T @ (w * b))
+
+
+def min_norm_reference(A, b, w):
+    """Slow reference for lam = 0: numpy's minimum-norm least squares and its rank."""
+    sw = np.sqrt(w)
+    sol, _, rank, _ = np.linalg.lstsq(sw[:, None] * A, sw * b, rcond=None)
+    return sol, rank
+
+
+@pytest.mark.parametrize("n, J", [(60, 8), (25, 70)])
+def test_svd_core_matches_normal_equations(n, J):
+    A, b, w = weighted_problem(n, J, seed=n + J)
+    lams = np.array([10.0, 1.0, 0.1, 0.01])
+    gammas, rank = regression._svd_fit(A, b, w, lams)
+    assert gammas.shape == (J, lams.size) and rank == min(n, J)
+    for k, lam in enumerate(lams):
+        assert rel_err(gammas[:, k], normal_equations_reference(A, b, w, lam)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, J", [(60, 8), (25, 70)])
+@pytest.mark.parametrize("deficient", [False, True])
+def test_svd_core_matches_min_norm_least_squares(n, J, deficient):
+    A, b, w = weighted_problem(n, J, seed=n * J, deficient=deficient)
+    ref, ref_rank = min_norm_reference(A, b, w)
+    # lambda = 0 alone and as the last point of a grid
+    for lams in ([0.0], [1.0, 1e-3, 0.0]):
+        gammas, rank = regression._svd_fit(A, b, w, lams)
+        assert rank == ref_rank
+        assert rel_err(gammas[:, -1], ref) <= 1e-10
+    assert ref_rank == min(n, J) - 2 * (deficient and J < n)
+
+
+@pytest.mark.parametrize("n, J", [(30, 6), (20, 34)])
+def test_tiny_ridge_penalty_is_the_minimum_norm_fit(n, J):
+    # a duplicated column (and J > N in the second case): the normal equations
+    # are singular, and a penalty far below the singular values changes nothing
+    rng = np.random.default_rng(n + J)
+    X = rng.normal(size=(n, J))
+    X[:, 1] = X[:, 0]
+    f = X[:, 0] - X[:, 2] + 0.3 * rng.normal(size=n)
+    w = rng.uniform(0.2, 1.0, size=n)
+    fits = (
+        lambda lam: fit_ridge(X, f, w, lam=lam),
+        lambda lam: fit_ridge(X, f, w, lam=lam, standardised=False),
+        lambda lam: refit_fixed_intercept(X, f, w, intercept=0.3, method="ridge", lam=lam),
+    )
+    refs = [fit_at(0.0) for fit_at in fits]
+    for fit_at, ref in zip(fits, refs):
+        for lam in (1e-300, 1e-20):
+            fit = fit_at(lam)
+            assert np.isfinite(fit.intercept) and np.all(np.isfinite(fit.beta))
+            assert rel_err(fit.beta, ref.beta) <= 1e-10
+            assert fit.intercept == pytest.approx(ref.intercept, rel=1e-10)
+    cfg = CvConfig(folds=5, lambda_grid=(1e-20, 1e-300))
+    _, fit = cv_lambda(X, f, w, method="ridge", cfg=cfg)
+    assert np.isfinite(fit.cv_mse) and rel_err(fit.beta, refs[0].beta) <= 1e-10
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(n=st.integers(3, 24), extra=st.integers(-12, 20), seed=st.integers(0, 2**32 - 1),
+       lam=st.sampled_from([0.0, 1e-300, 1e-12, 1.0, 1e8]), duplicate=st.booleans(),
+       constant=st.booleans(), weighted=st.booleans())
+def test_every_fit_is_finite_or_a_typed_error(n, extra, seed, lam, duplicate, constant, weighted):
+    # J > N whenever extra > 0
+    J = max(3, n + extra)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, J)) * rng.uniform(0.1, 10.0, size=J)
+    if duplicate:
+        X[:, 1] = X[:, 0]
+    if constant:
+        X[:, 2] = 1.5
+    f = X[:, 0] + rng.normal(size=n)
+    w = rng.uniform(0.05, 1.0, size=n) if weighted else None
+    cfg = CvConfig(folds=3, seed=seed % 7, lambda_grid=(lam,))
+    calls = [
+        lambda: fit_ols(X, f, w),
+        lambda: fit_ridge(X, f, w, lam=lam),
+        lambda: fit_ridge(X, f, w, lam=lam, standardised=False),
+        *(lambda m=m: refit_fixed_intercept(X, f, w, intercept=0.5, method=m, lam=lam)
+          for m in ("ols", "ridge", "lasso")),
+        *(lambda m=m: cv_lambda(X, f, w, method=m, cfg=cfg)[1] for m in ("ridge", "lasso")),
+    ]
+    for call in calls:
+        try:
+            fit = call()
+        except SteinCvError:
+            continue
+        assert np.isfinite(fit.intercept) and np.all(np.isfinite(fit.beta))
+
+
 # --- lasso ---------------------------------------------------------------------
 
 
@@ -231,9 +344,12 @@ def test_lasso_grid_path_equals_per_lambda_fits(n, J):
     X, f, w = random_lasso_problem(n, J, seed=n * J)
     grid = regression._default_grid(lasso_lambda_max(X, f, w))
     X_s, f_s, stz = regression.standardise(X, f, w)
-    fits = regression._path(X_s, f_s, w, stz, grid, "lasso")
-    assert [fit.n_sweeps for fit in fits] == sorted(fit.n_sweeps for fit in fits)
-    for lam, fit in zip(grid, fits):
+    intercepts, beta, steps = regression._path(X_s, f_s, w, stz, grid, "lasso")
+    assert beta.shape == (J, grid.size)
+    assert list(steps) == sorted(steps)
+    for k, lam in enumerate(grid):
+        fit = regression._finish(beta[:, k], stz, lam=lam, method="lasso", n_sweeps=int(steps[k]))
+        assert fit.intercept == pytest.approx(intercepts[k], rel=1e-14, abs=1e-14)
         cold = fit_lasso(X, f, w, lam=lam)
         assert cold.n_sweeps == fit.n_sweeps
         assert_allclose(fit.beta_s, cold.beta_s, rtol=0, atol=1e-10)
@@ -402,13 +518,15 @@ def test_cv_lambda_matches_per_lambda_oracle(n, J):
     grid = tuple(np.geomspace(lam_max, 1e-4 * lam_max, 10)) + (0.0,)
     cfg = CvConfig(folds=5, seed=7, lambda_grid=grid)
 
-    lam, fit = cv_lambda(X, f, w, method="ridge", cfg=cfg)
-    assert (lam, fit.cv_mse) == cv_lambda_oracle(X, f, w, "ridge", cfg)
-
-    # a cold fit at one lambda takes the same path steps as the fold's path
-    # down the whole grid, so the lasso agrees exactly too
-    lam, fit = cv_lambda(X, f, w, method="lasso", cfg=cfg)
-    assert (lam, fit.cv_mse) == cv_lambda_oracle(X, f, w, "lasso", cfg)
+    # cv_lambda scores the whole grid with one matmul per fold, so its scores
+    # round differently from the per-lambda fits (about 1e-16); the selected
+    # lambda is the same grid value.  A cold lasso fit at one lambda takes the
+    # same path steps as the fold's path down the whole grid.
+    for method in ("ridge", "lasso"):
+        lam, fit = cv_lambda(X, f, w, method=method, cfg=cfg)
+        lam_ref, mse_ref = cv_lambda_oracle(X, f, w, method, cfg)
+        assert lam == lam_ref
+        assert fit.cv_mse == pytest.approx(mse_ref, rel=1e-12, abs=0)
 
 
 # --- fixed-intercept refit -----------------------------------------------------
