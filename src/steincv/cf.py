@@ -27,8 +27,10 @@ Two base kernels are supported:
 For a fixed kernel the estimator is a fixed weighting of the draws,
 a_hat = v^T phi with v = K^{-1} w~ / 1^T K^{-1} w~, so ``_cf_weights`` factorises
 K once, solves once against w~ and keeps only the N weights: every integrand
-on the same draws, kernel and lambda_r is then one inner product, and the
-evidence reports on one particle system share v across calls.  The gaussian
+on the same draws, kernel and lambda_r is then one inner product.  The
+evidence layer keeps v in the memo of the SampleSet it weights, which a
+snapshot's SampleSets at one temperature share, so every report on one
+particle system reuses it; ``cf_estimate`` keeps nothing.  The gaussian
 system is an N x N Cholesky factor.  The polynomial kernel has rank J, so
 while J < N its system is solved in the J x J space of X^T X and no N x N
 matrix is formed; J >= N (the paper's regime) keeps the N x N factor.

@@ -29,9 +29,10 @@ import json
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -210,8 +211,9 @@ def _resolve_manifest_paths(manifest: dict, base_dir: Path) -> dict:
 # --- smc ----------------------------------------------------------------------
 
 
-def _run_replicate(model_manifest: dict, cfg_kwargs: dict, record, out_dir: str) -> float:
-    """Worker for the replicate pool; isolated per process, returns wall time."""
+def _run_replicate(model_manifest: dict, record, cfg_kwargs: dict, out_dir: str) -> float:
+    """One replay run saved to ``out_dir``; returns the sampler's wall time.  It
+    rebuilds the model and writes only ``out_dir``, so it can run in a worker."""
     model = model_from_manifest(model_manifest)
     t0 = time.perf_counter()
     ps = run_smc(model, SmcConfig(**cfg_kwargs), replay=record)
@@ -247,30 +249,18 @@ def cmd_smc(args) -> int:
     save_particle_system(pilot, out / "pilot", model_manifest=resolved)
     side.note(f"pilot finished: {len(pilot.snapshots)} temperatures")
 
-    record = pilot.replay_record()
+    replicate = partial(_run_replicate, resolved, pilot.replay_record())
     replicate_seeds = [args.seed + 1 + r for r in range(args.replicates)]
+    cfgs = [asdict(replace(cfg, seed=seed_r)) for seed_r in replicate_seeds]
+    dirs = [str(out / "replicates" / f"rep_{r:03d}") for r in range(args.replicates)]
     jobs = max(1, min(args.jobs, max(args.replicates, 1)))
     if jobs > 1 and args.replicates > 1:
-        # replicates are fully isolated: each worker rebuilds the model from
-        # the manifest and writes only its own directory
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(
-                    _run_replicate, resolved, asdict(replace(cfg, seed=seed_r)),
-                    record, str(out / "replicates" / f"rep_{r:03d}"),
-                ): r
-                for r, seed_r in enumerate(replicate_seeds)
-            }
-            for fut in as_completed(futures):
-                r = futures[fut]
-                side.record(f"replicate_{r:03d}", fut.result())
+            times = list(pool.map(replicate, cfgs, dirs))
     else:
-        for r, seed_r in enumerate(replicate_seeds):
-            t0 = time.perf_counter()
-            ps = run_smc(model, replace(cfg, seed=seed_r), replay=record)
-            side.record(f"replicate_{r:03d}", time.perf_counter() - t0)
-            save_particle_system(ps, out / "replicates" / f"rep_{r:03d}",
-                                 model_manifest=resolved)
+        times = list(map(replicate, cfgs, dirs))
+    for r, elapsed in enumerate(times):
+        side.record(f"replicate_{r:03d}", elapsed)
     side.note(f"{args.replicates} replay runs finished")
 
     _write_json(out / "run_config.json", {
@@ -338,14 +328,12 @@ def cmd_postprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     side = _Sidecar(out)
     results = []
-    cf_memo: dict = {}   # CF weights of this snapshot, shared by every integrand
     for mi, method in enumerate(methods):
         label = method_label(method)
         for ii, (name, values) in enumerate(integrands):
             t0 = time.perf_counter()
             rec = _record(temperature, "E", *_stabilised(
                 s, values, method, ratio=False, seed=_derive_seed(args.seed, mi, ii),
-                cf_memo=cf_memo,
             ))
             side.record(f"{name}|{label}", time.perf_counter() - t0)
             results.append({

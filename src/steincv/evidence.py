@@ -199,8 +199,7 @@ class _MethodOutcome:
     fallback: str | None = None
 
 
-def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int,
-                  cf_memo: dict) -> _MethodOutcome:
+def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int) -> _MethodOutcome:
     if method is None or method == VANILLA:
         return _MethodOutcome(float(s.weights @ phi.values), VANILLA, {})
     if isinstance(method, ZvSpec):
@@ -218,10 +217,10 @@ def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int,
             kernel = KernelSpec(kind="polynomial", degree=method.degree)
             detail = {"Q": method.degree, "lam_r": method.lam_r}
         # the CF weights depend on the draws, the kernel and lam_r only
-        key = (kernel, method.lam_r)
-        if key not in cf_memo:
-            cf_memo[key] = _cf_weights(s, kernel, method.lam_r)
-        return _MethodOutcome(float(cf_memo[key] @ phi.values), kernel.label(), detail)
+        key = ("cf", kernel, method.lam_r)
+        if key not in s._memo:
+            s._memo[key] = _cf_weights(s, kernel, method.lam_r)
+        return _MethodOutcome(float(s._memo[key] @ phi.values), kernel.label(), detail)
     if isinstance(method, CrossvalMethod):
         result, est = crossval_select(
             s, phi, seed=seed,
@@ -289,12 +288,12 @@ def _report(estimator: str, log_z: float, temperatures, records, cv) -> Evidence
     )
 
 
-def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: int,
-                cf_memo: dict | None = None):
+def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: int):
     """(raw weighted mean, estimate, outcome) of E[values] under ``method``.
 
-    ``cf_memo`` maps (KernelSpec, lam_r) to the CF weights of ``s``; pass one
-    dict to every expectation of one sample set to share them.
+    A fixed-kernel CF method keeps its weights in the memo of ``s``, so every
+    expectation on one sample set (or on a snapshot's sample set at one
+    temperature) factorises once.
     """
     raw = float(s.weights @ values)
     if method is None or method == VANILLA:
@@ -302,8 +301,7 @@ def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: 
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         return raw, 0.0, _MethodOutcome(0.0, method_label(method), {"scale": 0.0})
-    out = _apply_method(s, IntegrandValues(values / scale), method, seed,
-                        {} if cf_memo is None else cf_memo)
+    out = _apply_method(s, IntegrandValues(values / scale), method, seed)
     est = out.estimate * scale
     if not ratio:
         return raw, est, out
@@ -339,11 +337,6 @@ def _as_snapshots(snapshots) -> list[Snapshot]:
     if not snaps:
         raise InvalidInput("no snapshots given")
     return snaps
-
-
-def _cf_memo(snap: Snapshot, t: float) -> dict:
-    """CF weight memo of ``snap`` retempered to ``t``, shared by every report."""
-    return snap._cf_weights.setdefault(t, {})
 
 
 def _check_schedule(schedule: TemperatureSchedule, snaps: list[Snapshot]) -> None:
@@ -405,9 +398,8 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
         if ss.log_like is None:
             raise InvalidInput("snapshots lack log-likelihood values")
         ll = ss.log_like
-        cf_memo = _cf_memo(snaps[k], t)   # E and V share this temperature's CF weights
         raw_e, est_e, out = _stabilised(ss, ll, cv, ratio=False,
-                                        seed=_derive_seed(seed, j, 0), cf_memo=cf_memo)
+                                        seed=_derive_seed(seed, j, 0))
         records.append(_record(t, "E_logl", raw_e, est_e, out))
         e_vals.append(est_e)
         if order == 2:
@@ -415,8 +407,7 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
             dev = ll - centre
             sq = dev * dev
             raw_v, est_v, out_v = _stabilised(ss, sq, cv, ratio=False,
-                                              seed=_derive_seed(seed, j, 1),
-                                              cf_memo=cf_memo)
+                                              seed=_derive_seed(seed, j, 1))
             records.append(_record(t, "V_logl", raw_v, est_v, out_v))
             v_vals.append(est_v)
 
@@ -465,7 +456,6 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
             phi_scaled = np.exp(dll - shift)   # in (0, 1], max-scaling in log space
             _, est, out = _stabilised(
                 ss, phi_scaled, cv, ratio=True, seed=_derive_seed(seed, j, 2),
-                cf_memo=_cf_memo(snaps[pops[j - 1]], t_prev),
             )
             est_log = shift + float(np.log(est))
         records.append(_record(t_prev, "ratio", raw_log, est_log, out,

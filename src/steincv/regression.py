@@ -168,9 +168,10 @@ def _path(X_s, f_s, w, st, grid, method):
     """Fit one standardised data set at every lambda of a descending grid.
 
     ``X_s, f_s, st`` come from :func:`standardise` with normalised weights
-    ``w``.  Ridge solves the whole grid from one SVD (:func:`_svd_fit`); lasso
-    follows its exact solution path once, down to the smallest positive grid
-    value (:func:`_lasso_path`).  lambda = 0 is least squares on the retained
+    ``w``, or from the uncentred scaling of :func:`refit_fixed_intercept`.
+    Ridge solves the whole grid from one SVD (:func:`_svd_fit`); lasso follows
+    its exact solution path once, down to the smallest positive grid value
+    (:func:`_lasso_path`).  lambda = 0 is least squares on the retained
     columns.  Returns (intercepts, beta, steps): the L intercepts, the (J, L)
     raw-scale beta matrix, one column per grid value, and the lasso path steps
     taken to reach each value (zero for ridge and for lambda = 0).
@@ -212,8 +213,9 @@ def fit_ridge(X, f, weights=None, lam: float = 0.0, *, standardised: bool = True
     _check_penalty(lam, "ridge penalty")
     if standardised:
         X_s, f_s, st = standardise(X, f, w)
-        beta = _path(X_s, f_s, w, st, (lam,), "ridge")[1]
-        return _finish(beta[:, 0], st, method="ridge", lam=lam)
+        gamma_s, rank = _svd_fit(X_s, f_s, w, [lam])
+        return _finish(_raw_beta(gamma_s, st)[:, 0], st, method="ridge", lam=lam,
+                       rank_deficient=lam == 0.0 and rank < X_s.shape[1])
 
     st = replace(moments(X, f, w), dropped=())
     gamma, rank = _svd_fit(X - st.covariate_means, f - st.response_mean, w, [lam])
@@ -350,32 +352,25 @@ def refit_fixed_intercept(X, f, weights=None, intercept: float = 0.0, *,
         raise InvalidInput(f"unknown refit method {method!r}")
     _check_penalty(lam, "penalty")
     g = f - float(intercept)
-    J = X.shape[1]
-    # root-mean-square column scales (no centring); flat-zero columns drop out
+    g_sd = float(weighted_sd(g, w))
+    # root-mean-square column scales (no centring); flat-zero columns drop out.
+    # Zero covariate means: the intercept stays where it was pinned.  Off the
+    # pinned intercept a constant response is still a target, scaled by 1.
     rms = np.sqrt(np.einsum("ij,ij->j", w[:, None] * X, X))
-    keep = np.flatnonzero(rms > SD_FLOOR)
-    Xk = X[:, keep] / rms[keep]
-    sweeps = 0
-    if method == "lasso" and lam > 0.0 and keep.size:
-        g_sd = float(weighted_sd(g, w))
-        scale = g_sd if g_sd >= SD_FLOOR else 1.0
-        gammas, steps = _lasso_path(Xk, g / scale, w, [lam])
-        sol, sweeps = gammas[:, 0] * scale, int(steps[0])
-    else:
-        # least squares (any method at lam = 0) or ridge
-        sol = _svd_fit(Xk, g, w, [0.0 if method == "ols" else lam])[0][:, 0]
-    gamma = np.zeros(J)
-    gamma[keep] = sol / rms[keep]
-    f_sd = float(weighted_sd(f, w))
-    # zero covariate means: the intercept stays where it was pinned
     st = Standardisation(
         response_mean=float(intercept),
-        response_sd=f_sd if f_sd >= SD_FLOOR else 0.0,
-        covariate_means=np.zeros(J),
+        response_sd=g_sd if g_sd >= SD_FLOOR else 1.0,
+        covariate_means=np.zeros(X.shape[1]),
         covariate_sds=np.where(rms > SD_FLOOR, rms, 0.0),
-        dropped=tuple(int(j) for j in range(J) if j not in keep),
+        dropped=tuple(int(j) for j in np.flatnonzero(rms <= SD_FLOOR)),
     )
-    return _finish(-gamma, st, method=f"{method}-fixed-intercept", lam=lam, n_sweeps=sweeps)
+    keep = st.retained
+    # least squares is any method at lam = 0, and "ols" at any lam
+    _, beta, steps = _path(X[:, keep] / rms[keep], g / st.response_sd, w, st,
+                           (0.0 if method == "ols" else lam,),
+                           "lasso" if method == "lasso" else "ridge")
+    return _finish(beta[:, 0], st, method=f"{method}-fixed-intercept", lam=lam,
+                   n_sweeps=int(steps[0]))
 
 
 def _default_grid(lam_max: float, size: int = 100, decades: float = 4.0):

@@ -9,7 +9,7 @@ functionals, evidence estimation) consumes SampleSets.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,16 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
+def _readonly(a) -> np.ndarray:
+    """``a`` as a read-only C-ordered array that no caller can write through.
+
+    An array already read-only and C-contiguous is shared; anything else is
+    copied once, so the caller's own array stays writeable.
+    """
+    a = np.asarray(a)
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, order="C")
+        a.setflags(write=False)
     return a
 
 
@@ -59,7 +66,10 @@ class SampleSet:
     be NaN to mark coordinates whose derivative was never computed; estimators
     that touch a masked column raise InvalidInput.  ``log_like`` and
     ``log_prior`` are optional per-draw caches used by the tempering and
-    evidence code.  Arrays are frozen after construction and safe to share.
+    evidence code.  Arrays are frozen copies (the caller's stay writeable) and
+    safe to share.  ``_memo`` holds quantities derived from those arrays, such
+    as control-functional weights; every new SampleSet, including those of
+    ``with_weights``, ``take`` and ``dataclasses.replace``, starts it empty.
     """
 
     theta: np.ndarray
@@ -67,6 +77,7 @@ class SampleSet:
     weights: np.ndarray
     log_like: np.ndarray | None = None
     log_prior: np.ndarray | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta = _as_matrix(self.theta, "theta")

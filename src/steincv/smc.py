@@ -418,11 +418,12 @@ def choose_num_repeats(sweep_fn, threshold_distance: float, threshold_fraction: 
 class Snapshot:
     """Particle population at one temperature, with split gradients.
 
-    Arrays are frozen after construction, as a SampleSet's, so the sample set
-    at any temperature is a fixed function of the snapshot.  That lets the
-    evidence reports keep the CF weights of each retempered sample set here,
-    keyed by temperature and then (KernelSpec, lam_r): N floats per entry,
-    living as long as the snapshot.
+    Arrays are frozen copies, as a SampleSet's, so the sample set at any
+    temperature is a fixed function of the snapshot.  ``_memos[t]`` is the
+    memo shared by every SampleSet :meth:`sample_set` returns at t: what one
+    report derives from those draws (CF weights, N floats per kernel and
+    lambda_r) serves every later report while the snapshot lives.  The
+    SampleSets themselves are not kept.
     """
 
     t: float
@@ -436,7 +437,7 @@ class Snapshot:
     h: float | None = None
     repeats: int = 0
     acceptance: float = float("nan")
-    _cf_weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("theta", "weights", "log_like", "log_prior",
@@ -455,20 +456,23 @@ class Snapshot:
         """Materialise a SampleSet at temperature ``t`` (default: own t).
 
         Retempering reweights by l^(t - own t) and rebuilds the tempered
-        gradient; weights pick up the usual importance correction.
+        gradient; weights pick up the usual importance correction.  Every
+        SampleSet of one t shares the memo ``_memos[t]``.
         """
         t = self.t if t is None else t
         if t == self.t:
             w = self.weights
         else:
             w, _ = reweight(self.weights, self.log_like, self.t, t)
-        return SampleSet(
+        s = SampleSet(
             theta=self.theta,
             grad_log_target=self.grad_log_target(t),
             weights=w,
             log_like=self.log_like,
             log_prior=self.log_prior,
         )
+        object.__setattr__(s, "_memo", self._memos.setdefault(t, {}))
+        return s
 
 
 @dataclass(frozen=True)
@@ -569,15 +573,16 @@ def run_smc(model: TargetModel, config: SmcConfig,
     if not np.all(np.isfinite(cloud.log_prior)):
         raise InvalidInput("prior draws with non-finite log prior")
 
+    # a Snapshot keeps read-only copies, so the cloud stays free to move
     snapshots = [
         Snapshot(
             t=0.0,
-            theta=cloud.theta.copy(),
+            theta=cloud.theta,
             weights=np.full(n, 1.0 / n),
-            log_like=cloud.log_like.copy(),
-            log_prior=cloud.log_prior.copy(),
-            grad_log_like=cloud.grad_log_like.copy(),
-            grad_log_prior=cloud.grad_log_prior.copy(),
+            log_like=cloud.log_like,
+            log_prior=cloud.log_prior,
+            grad_log_like=cloud.grad_log_like,
+            grad_log_prior=cloud.grad_log_prior,
         )
     ]
     weights = np.full(n, 1.0 / n)
@@ -642,12 +647,12 @@ def run_smc(model: TargetModel, config: SmcConfig,
         snapshots.append(
             Snapshot(
                 t=t,
-                theta=cloud.theta.copy(),
-                weights=weights.copy(),
-                log_like=cloud.log_like.copy(),
-                log_prior=cloud.log_prior.copy(),
-                grad_log_like=cloud.grad_log_like.copy(),
-                grad_log_prior=cloud.grad_log_prior.copy(),
+                theta=cloud.theta,
+                weights=weights,
+                log_like=cloud.log_like,
+                log_prior=cloud.log_prior,
+                grad_log_like=cloud.grad_log_like,
+                grad_log_prior=cloud.grad_log_prior,
                 log_increment=log_inc,
                 h=float(h),
                 repeats=repeats,
@@ -685,14 +690,10 @@ def posthoc_schedule(ps: ParticleSystem, rho_tilde: float | None = None,
         if len(temps) > max_length:
             raise InvalidSchedule("post-hoc schedule exceeded its length cap",
                                   length=len(temps))
-        k = serving(t)
-        snap = ps.snapshots[k]
-        if t == snap.t:
-            w = snap.weights
-        else:
-            w, _ = reweight(snap.weights, snap.log_like, snap.t, t)
+        snap = ps.snapshots[serving(t)]
         t_next = next_temperature(
-            snap.log_like, w, t, target, criterion="cess", tol=cfg.bisection_tol
+            snap.log_like, snap.sample_set(t).weights, t, target,
+            criterion="cess", tol=cfg.bisection_tol,
         )
         temps.append(t_next)
         pops.append(serving(t_next))

@@ -414,13 +414,36 @@ def test_cf_weight_memo_holds_one_vector_per_sample_set(conjugate_run):
     n = ps.snapshots[0].count
     served = Counter(sched.population_index)
     for k, snap in enumerate(ps.snapshots):
-        assert len(snap._cf_weights) == served[k]
-        for entries in snap._cf_weights.values():
-            assert set(entries) == {(KernelSpec(bandwidth=2.0), 0.0),
-                                    (KernelSpec(bandwidth=0.5), 0.01)}
+        assert len(snap._memos) == served[k]
+        for entries in snap._memos.values():
+            assert set(entries) == {("cf", KernelSpec(bandwidth=2.0), 0.0),
+                                    ("cf", KernelSpec(bandwidth=0.5), 0.01)}
             for v in entries.values():
                 assert v.shape == (n,) and not v.flags.writeable
                 assert v.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("method", FIXED_CF_METHODS)
+def test_expectations_at_one_temperature_factorise_once(conjugate_run, monkeypatch, method):
+    ps = fresh_copy(conjugate_run[1])
+    snap = ps.snapshots[1]
+    t = 0.5 * (snap.t + ps.snapshots[2].t)
+    ss = snap.sample_set(t)
+    if method.kind == "gaussian":
+        kernel = KernelSpec(bandwidth=method.bandwidth)
+    else:
+        kernel = KernelSpec(kind="polynomial", degree=method.degree)
+    ll, th = ss.log_like, ss.theta[:, 0]
+    want = [scaled_cf(ss, ll, kernel, method.lam_r), scaled_cf(ss, th, kernel, method.lam_r)]
+    assert ss._memo == {}                         # cf_estimate memoises nothing
+    calls = count_cf_calls(monkeypatch)
+    got = [expectation_with_provenance(ss, ll, method, seed=1).estimate,
+           expectation_with_provenance(ss, th, method, seed=2).estimate]
+    assert calls["cho_factor"] == 1
+    # a second sample set of the same snapshot and temperature shares the memo
+    again = expectation_with_provenance(snap.sample_set(t), ll, method, seed=3)
+    assert calls["cho_factor"] == 1
+    assert got == want and again.estimate == want[0]
 
 
 def test_cti2_cv_bandwidth_searches_every_expectation(monkeypatch):

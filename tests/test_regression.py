@@ -86,6 +86,21 @@ def test_ols_rank_deficient_flagged():
     assert fit.rank_deficient
 
 
+@pytest.mark.parametrize("shape", ["full_rank", "duplicated_column", "more_columns_than_rows"])
+def test_ridge_at_lam_zero_reports_the_rank_of_its_fit(shape):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(12, 20) if shape == "more_columns_than_rows" else (30, 4))
+    if shape == "duplicated_column":
+        X[:, 3] = X[:, 1]
+    f = rng.normal(size=X.shape[0])
+    w = rng.uniform(0.5, 1.5, size=X.shape[0])
+    want = fit_ols(X, f, w).rank_deficient
+    assert want == (shape != "full_rank")
+    for standardised in (True, False):
+        assert fit_ridge(X, f, w, lam=0.0, standardised=standardised).rank_deficient == want
+        assert not fit_ridge(X, f, w, lam=0.1, standardised=standardised).rank_deficient
+
+
 def test_input_validation():
     with pytest.raises(InvalidInput):
         fit_ols(np.zeros((4, 2)), np.zeros(3))
@@ -551,6 +566,20 @@ def test_refit_fixed_intercept_keeps_constant_columns():
     fit = refit_fixed_intercept(X, f, intercept=3.0)
     assert fit.dropped == ()
     assert_allclose(fit.beta, [2.0, 0.5], rtol=1e-9)
+
+
+def test_lasso_refit_fits_a_constant_response_off_the_pinned_intercept():
+    # uncentred, f - intercept = -0.5 is a target, not a degenerate response:
+    # the KKT conditions of the rms-scaled lasso hold with a nonzero solution
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(20, 3)) + 1.0
+    w = np.full(20, 0.05)
+    lam = 1e-3
+    fit = refit_fixed_intercept(X, np.full(20, 2.0), w, intercept=2.5, method="lasso", lam=lam)
+    assert fit.n_sweeps > 0 and np.all(fit.beta != 0.0)
+    rms = np.sqrt(w @ (X * X))
+    corr = (X / rms).T @ (w * (-0.5 + X @ fit.beta))
+    assert_allclose(corr, lam * np.sign(-fit.beta), rtol=1e-8)
 
 
 def test_refit_fixed_intercept_ridge_matches_normal_equations():

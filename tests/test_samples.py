@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,31 @@ def test_arrays_are_readonly():
     s = make_set()
     with pytest.raises(ValueError):
         s.theta[0, 0] = 99.0
+
+
+def test_caller_arrays_stay_writeable():
+    rng = np.random.default_rng(5)
+    theta, grad = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    w, ll, lp = rng.uniform(0.5, 1.5, 6), rng.normal(size=6), rng.normal(size=6)
+    s = SampleSet(theta=theta, grad_log_target=grad, weights=w, log_like=ll, log_prior=lp)
+    kept = {name: getattr(s, name).copy() for name in
+            ("theta", "grad_log_target", "weights", "log_like", "log_prior")}
+    for a in (theta, grad, w, ll, lp):
+        assert a.flags.writeable
+        a[0] = 99.0
+    for name, want in kept.items():
+        assert_array_equal(getattr(s, name), want)
+    # frozen C-ordered arrays are shared rather than copied again
+    s2 = SampleSet(theta=s.theta, grad_log_target=s.grad_log_target, weights=None)
+    assert s2.theta is s.theta and s2.grad_log_target is s.grad_log_target
+
+
+def test_new_sample_sets_start_with_an_empty_memo():
+    s = make_set(logs=True)
+    s._memo["key"] = "value"
+    for other in (s.with_weights(np.ones(s.count)), s.take([0, 2, 3]), replace(s)):
+        assert other._memo == {}
+    assert s._memo == {"key": "value"}
 
 
 def test_shape_mismatch_rejected():

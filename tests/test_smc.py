@@ -444,6 +444,30 @@ def test_snapshot_arrays_are_read_only():
             getattr(snap, name)[0] = 0.0
 
 
+def test_snapshot_leaves_the_callers_arrays_writeable():
+    rng = np.random.default_rng(16)
+    theta, grad = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+    snap = Snapshot(t=0.5, theta=theta, weights=np.full(5, 0.2), log_like=rng.normal(size=5),
+                    log_prior=rng.normal(size=5), grad_log_like=grad, grad_log_prior=grad)
+    want = snap.theta.copy()
+    theta[0, 0] = 99.0
+    assert_array_equal(snap.theta, want)
+    grad[...] = 0.0
+    assert np.all(snap.grad_log_like != 0.0)
+
+
+def test_sample_sets_of_one_temperature_share_one_memo():
+    snap = make_snapshot(0.5)
+    a, b = snap.sample_set(0.75), snap.sample_set(0.75)
+    assert a is not b and a._memo is b._memo
+    a._memo["key"] = "value"
+    assert b._memo == {"key": "value"}
+    assert snap.sample_set()._memo is snap.sample_set(0.5)._memo
+    assert snap.sample_set(0.8)._memo == {} and snap.sample_set(0.8)._memo is not a._memo
+    assert set(snap._memos) == {0.5, 0.75, 0.8}
+    assert replace(snap)._memos == {}
+
+
 def test_temperature_schedule_validation():
     TemperatureSchedule((0.0, 0.5, 1.0), (0, 0, 1))
     with pytest.raises(InvalidSchedule):
@@ -555,6 +579,39 @@ def test_posthoc_schedule_densifies():
     # populations serve from below
     for t, p in zip(fine.temperatures, fine.population_index):
         assert ps.temperatures[p] <= t + 1e-12
+
+
+def posthoc_schedule_reference(ps, rho_tilde):
+    """The post-hoc loop with its own reweighting of the serving population."""
+    snap_ts = np.asarray(ps.temperatures)
+    target = rho_tilde * ps.snapshots[0].count
+
+    def serving(t):
+        return max(int(np.searchsorted(snap_ts, t + 1e-12) - 1), 0)
+
+    temps, pops, t = [0.0], [0], 0.0
+    while t < 1.0:
+        snap = ps.snapshots[serving(t)]
+        if t == snap.t:
+            w = snap.weights
+        else:
+            w, _ = reweight(snap.weights, snap.log_like, snap.t, t)
+        t = next_temperature(snap.log_like, w, t, target, criterion="cess",
+                             tol=ps.config.bisection_tol)
+        temps.append(t)
+        pops.append(serving(t))
+    return tuple(temps), tuple(pops)
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_posthoc_schedule_matches_reweighting_reference(seed):
+    cfg = SmcConfig(n_particles=300, rho=0.5, seed=seed, h_min=0.1, h_max=2.0,
+                    h_grid_size=4, max_repeats=5)
+    ps = run_smc(conjugate_1d(), cfg)
+    for rho_tilde in (0.5, 0.9, 0.99):
+        sched = posthoc_schedule(ps, rho_tilde)
+        assert (sched.temperatures, sched.population_index) == \
+            posthoc_schedule_reference(ps, rho_tilde)
 
 
 def test_posthoc_schedule_flat_run():
