@@ -52,9 +52,8 @@ from .evidence import (
     CfMethod,
     CrossvalMethod,
     _derive_seed,
-    _record,
-    _stabilised,
     cti_estimate,
+    expectation_with_provenance,
     method_label,
     smc_evidence_estimate,
 )
@@ -193,9 +192,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _read_json(path: Path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:   # also UnicodeDecodeError
         raise InvalidInput(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InvalidInput(f"{path} does not hold a JSON object")
+    return payload
 
 
 def _resolve_manifest_paths(manifest: dict, base_dir: Path) -> dict:
@@ -332,9 +334,9 @@ def cmd_postprocess(args) -> int:
         label = method_label(method)
         for ii, (name, values) in enumerate(integrands):
             t0 = time.perf_counter()
-            rec = _record(temperature, "E", *_stabilised(
-                s, values, method, ratio=False, seed=_derive_seed(args.seed, mi, ii),
-            ))
+            rec = expectation_with_provenance(
+                s, values, method, seed=_derive_seed(args.seed, mi, ii), temperature=temperature,
+            )
             side.record(f"{name}|{label}", time.perf_counter() - t0)
             results.append({
                 "integrand": name,
@@ -419,20 +421,21 @@ def cmd_evidence(args) -> int:
 def _load_estimate_rows(path: Path):
     """(integrand, method, estimate) rows from one estimates/report file."""
     payload = _read_json(path)
-    if "results" in payload:
-        return [
-            (r["integrand"], r["method"], float(r["estimate"]))
-            for r in payload["results"]
-        ]
-    if "per_expectation" in payload:
-        name = f"log_evidence:{payload['estimator']}"
-        return [(name, payload["method"], float(payload["log_evidence"]))]
-    if "reports" in payload:   # evidence summary.json
-        name = f"log_evidence:{payload['estimator']}"
-        return [
-            (name, r["method"], float(r["log_evidence"]))
-            for r in payload["reports"]
-        ]
+    with _manifest_fields(f"estimates file {path}"):
+        if "results" in payload:
+            return [
+                (r["integrand"], r["method"], float(r["estimate"]))
+                for r in payload["results"]
+            ]
+        if "per_expectation" in payload:
+            name = f"log_evidence:{payload['estimator']}"
+            return [(name, payload["method"], float(payload["log_evidence"]))]
+        if "reports" in payload:   # evidence summary.json
+            name = f"log_evidence:{payload['estimator']}"
+            return [
+                (name, r["method"], float(r["log_evidence"]))
+                for r in payload["reports"]
+            ]
     raise InvalidInput(f"{path} is not an estimates or evidence file")
 
 

@@ -180,8 +180,8 @@ class EvidenceReport:
     @classmethod
     def load(cls, path) -> "EvidenceReport":
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (OSError, ValueError, KeyError) as exc:
             raise InvalidInput(f"cannot read evidence report {path}: {exc}") from exc
 
 
@@ -200,8 +200,6 @@ class _MethodOutcome:
 
 
 def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int) -> _MethodOutcome:
-    if method is None or method == VANILLA:
-        return _MethodOutcome(float(s.weights @ phi.values), VANILLA, {})
     if isinstance(method, ZvSpec):
         est, fit = zvcv_estimate(s, phi, method, seed=seed)
         detail = {"Q": method.degree, "penalty": method.penalty, "lam": fit.lam}

@@ -578,7 +578,7 @@ def load_model(path):
     """Read a manifest file; returns (model, manifest_dict)."""
     path = Path(path)
     try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise InvalidInput(f"cannot read model manifest {path}: {exc}") from exc
     return model_from_manifest(manifest, base_dir=path.parent), manifest

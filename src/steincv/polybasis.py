@@ -22,10 +22,6 @@ from .samples import SampleSet
 
 MAX_BASIS_ROWS = 1_000_000
 
-# Column blocks per slab when building large design matrices; keeps the
-# temporaries for the leave-one-out products bounded.
-_SAMPLE_BLOCK = 8192
-
 
 @dataclass(frozen=True)
 class SubsetSpec:
@@ -153,26 +149,23 @@ def design_columns(A: np.ndarray, theta: np.ndarray, grad: np.ndarray) -> np.nda
     J = A.shape[0]
     _check_active_gradients(A, grad)
     X = np.empty((n, J))
-    for start in range(0, n, _SAMPLE_BLOCK):
-        sl = slice(start, min(start + _SAMPLE_BLOCK, n))
-        th, g = theta[sl], grad[sl]
-        for j in range(J):
-            a = A[j]
-            active = np.flatnonzero(a)
-            # powers of each active coordinate at its own exponent
-            pw = {int(k): th[:, k] ** a[k] for k in active}
-            col = np.zeros(th.shape[0])
-            for k in active:
-                ak = int(a[k])
-                rest = np.ones(th.shape[0])
-                for z in active:
-                    if z != k:
-                        rest = rest * pw[int(z)]
-                term = (th[:, k] ** (ak - 1)) * g[:, k]
-                if ak >= 2:
-                    term = term + (ak - 1) * th[:, k] ** (ak - 2)
-                col += ak * term * rest
-            X[sl, j] = col
+    for j in range(J):
+        a = A[j]
+        active = np.flatnonzero(a)
+        # powers of each active coordinate at its own exponent
+        pw = {int(k): theta[:, k] ** a[k] for k in active}
+        col = np.zeros(n)
+        for k in active:
+            ak = int(a[k])
+            rest = np.ones(n)
+            for z in active:
+                if z != k:
+                    rest = rest * pw[int(z)]
+            term = (theta[:, k] ** (ak - 1)) * grad[:, k]
+            if ak >= 2:
+                term = term + (ak - 1) * theta[:, k] ** (ak - 2)
+            col += ak * term * rest
+        X[:, j] = col
     return X
 
 

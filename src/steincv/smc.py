@@ -342,8 +342,6 @@ def _mala_sweep(cloud: _Cloud, model: TargetModel, t: float, h: float,
 
 
 def step_size_grid(h_min: float, h_max: float, size: int) -> np.ndarray:
-    if size == 1:
-        return np.array([h_min])
     return np.geomspace(h_min, h_max, size)
 
 
@@ -555,14 +553,27 @@ class ParticleSystem:
         )
 
 
+def _snapshot(t: float, cloud: _Cloud, weights, **fields) -> Snapshot:
+    """The population ``cloud`` at temperature ``t``; ``fields`` are the
+    step's record (log_increment, h, repeats, acceptance).  A Snapshot keeps
+    read-only copies, so the cloud stays free to move."""
+    return Snapshot(
+        t=t, theta=cloud.theta, weights=weights,
+        log_like=cloud.log_like, log_prior=cloud.log_prior,
+        grad_log_like=cloud.grad_log_like, grad_log_prior=cloud.grad_log_prior,
+        **fields,
+    )
+
+
 def run_smc(model: TargetModel, config: SmcConfig,
             replay: ReplayRecord | None = None) -> ParticleSystem:
     """Run the annealing sampler from prior to posterior.
 
-    With ``replay`` the temperatures, step sizes and sweep counts are taken
-    from the record (no adaptation); randomness still derives from
-    config.seed, so a pilot replayed under its own schedule and seed
-    reproduces itself exactly.
+    Pilot and replay run one step loop.  A replay makes no adaptive choice:
+    it takes each temperature, step size and sweep count from the record, and
+    neither bisects, tunes nor measures the jump threshold.  Randomness still
+    derives from config.seed, so a pilot replayed under its own schedule and
+    seed reproduces itself exactly.
     """
     n = config.n_particles
     seed = config.seed
@@ -573,19 +584,8 @@ def run_smc(model: TargetModel, config: SmcConfig,
     if not np.all(np.isfinite(cloud.log_prior)):
         raise InvalidInput("prior draws with non-finite log prior")
 
-    # a Snapshot keeps read-only copies, so the cloud stays free to move
-    snapshots = [
-        Snapshot(
-            t=0.0,
-            theta=cloud.theta,
-            weights=np.full(n, 1.0 / n),
-            log_like=cloud.log_like,
-            log_prior=cloud.log_prior,
-            grad_log_like=cloud.grad_log_like,
-            grad_log_prior=cloud.grad_log_prior,
-        )
-    ]
     weights = np.full(n, 1.0 / n)
+    snapshots = [_snapshot(0.0, cloud, weights)]
     t = 0.0
     step = 0
     grid = step_size_grid(config.h_min, config.h_max, config.h_grid_size)
@@ -594,71 +594,53 @@ def run_smc(model: TargetModel, config: SmcConfig,
         step += 1
         if step > _MAX_STEPS:
             raise ConvergenceError("temperature ladder exceeded the step cap", steps=step)
-        if replay is not None:
-            if step >= len(replay.temperatures):
-                raise InvalidSchedule("replay record ran out of temperatures")
-            t_next = replay.temperatures[step]
-        else:
+        if replay is None:
             t_next = next_temperature(
                 cloud.log_like, weights, t, config.rho * n,
                 criterion="ess", tol=config.bisection_tol,
             )
+        elif step < len(replay.temperatures):
+            t_next = replay.temperatures[step]
+        else:
+            raise InvalidSchedule("replay record ran out of temperatures")
         weights, log_inc = reweight(weights, cloud.log_like, t, t_next)
 
         cov, chol = weighted_covariance(cloud.theta, weights)
-        threshold = mean_interparticle_distance(
-            cloud.theta, chol, stat=config.jump_threshold_stat, rng=_rng(seed, step, 4)
-        )
+        if replay is None:   # the jump threshold is measured before resampling
+            threshold = mean_interparticle_distance(
+                cloud.theta, chol, stat=config.jump_threshold_stat, rng=_rng(seed, step, 4)
+            )
 
         idx = resample_multinomial(weights, _rng(seed, step, 1))
         cloud = cloud.take(idx)
         weights = np.full(n, 1.0 / n)
+        acceptance = []
 
-        if replay is not None:
-            h = replay.step_sizes[step - 1]
-        else:
+        def sweep(k: int) -> np.ndarray:
+            accept_prob, _, distance = _mala_sweep(
+                cloud, model, t_next, h, cov, chol, _rng(seed, step, 3, k)
+            )
+            acceptance.append(float(np.mean(accept_prob)))
+            return distance
+
+        if replay is None:
             h = tune_step_size(
                 cloud, model, t_next, cov, chol, grid,
                 rng_for=lambda hi: _rng(seed, step, 2, hi),
             )
-
-        acc_total = 0.0
-        sweep_count = 0
-
-        def sweep(k: int) -> np.ndarray:
-            nonlocal acc_total, sweep_count
-            accept_prob, _, distance = _mala_sweep(
-                cloud, model, t_next, h, cov, chol, _rng(seed, step, 3, k)
-            )
-            acc_total += float(np.mean(accept_prob))
-            sweep_count += 1
-            return distance
-
-        if replay is not None:
-            for k in range(replay.repeats[step - 1]):
-                sweep(k)
-            repeats = replay.repeats[step - 1]
-        else:
             repeats = choose_num_repeats(
                 sweep, threshold, config.jump_fraction, cap=config.max_repeats
             )
+        else:
+            h, repeats = replay.step_sizes[step - 1], replay.repeats[step - 1]
+            for k in range(repeats):
+                sweep(k)
 
         t = t_next
-        snapshots.append(
-            Snapshot(
-                t=t,
-                theta=cloud.theta,
-                weights=weights,
-                log_like=cloud.log_like,
-                log_prior=cloud.log_prior,
-                grad_log_like=cloud.grad_log_like,
-                grad_log_prior=cloud.grad_log_prior,
-                log_increment=log_inc,
-                h=float(h),
-                repeats=repeats,
-                acceptance=acc_total / max(sweep_count, 1),
-            )
-        )
+        snapshots.append(_snapshot(
+            t, cloud, weights, log_increment=log_inc, h=h, repeats=repeats,
+            acceptance=sum(acceptance) / max(len(acceptance), 1),
+        ))
     return ParticleSystem(snapshots=snapshots, config=config)
 
 
@@ -756,8 +738,8 @@ def load_replay_record(archive_dir) -> ReplayRecord:
 def _load_manifest(archive_dir) -> dict:
     path = Path(archive_dir) / "manifest.json"
     try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise InvalidInput(f"cannot read archive manifest {path}: {exc}") from exc
 
 
@@ -829,15 +811,8 @@ def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
     snapshots = []
     for i, t in enumerate(temps):
         s = _read_snapshot(out, i, manifest)
-        gll = model.grad_log_like(s.theta)
-        glp = model.grad_log_prior(s.theta)
-        snapshots.append(
-            Snapshot(
-                t=t, theta=s.theta, weights=s.weights,
-                log_like=s.log_like, log_prior=s.log_prior,
-                grad_log_like=gll, grad_log_prior=glp,
-                log_increment=incs[i],
-                h=hs[i], repeats=reps[i], acceptance=accs[i],
-            )
-        )
+        cloud = _Cloud(s.theta, s.log_like, s.log_prior,
+                       model.grad_log_like(s.theta), model.grad_log_prior(s.theta))
+        snapshots.append(_snapshot(t, cloud, s.weights, log_increment=incs[i],
+                                   h=hs[i], repeats=reps[i], acceptance=accs[i]))
     return ParticleSystem(snapshots=snapshots, config=cfg, model_manifest=model_manifest)

@@ -1,12 +1,18 @@
 """Shared test helpers: finite-difference and lasso oracles, archive fixtures, the
-acceptance tally."""
+acceptance tally, and the fixed hypothesis profile."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from steincv.samples import write_sample_csv
+
+# Fixed hypothesis examples, so every run of the suite draws the same ones;
+# each test keeps its own max_examples.
+settings.register_profile("fixed", derandomize=True, deadline=None, database=None)
+settings.load_profile("fixed")
 
 
 def fd_gradient(fn, x, eps=1e-5):

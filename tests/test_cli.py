@@ -527,6 +527,42 @@ def test_smc_malformed_model_manifest_exits_config(tmp_path, capsys, manifest):
     assert "Traceback" not in err
 
 
+NON_UTF8 = b'{"kind": "\xff"}'
+
+
+def _argv_reading(command, payload, pipeline, tmp_path):
+    """argv for ``command`` whose JSON input (model manifest, archive manifest
+    or estimates file) holds the bytes ``payload``."""
+    out = str(tmp_path / "out")
+    if command in ("postprocess", "evidence"):
+        archive = tmp_path / "archive"
+        shutil.copytree(pipeline / "run_a" / "pilot", archive)
+        (archive / "manifest.json").write_bytes(payload)
+        return [command, "--archive", str(archive), "--out", out]
+    path = tmp_path / "input.json"
+    path.write_bytes(payload)
+    if command == "smc":
+        return ["smc", "--model", str(path), "--out", out]
+    return ["efficiency", "--inputs", str(path), "--gold", "0.0", "--out", out]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("smc", NON_UTF8),
+    ("postprocess", NON_UTF8),
+    ("evidence", NON_UTF8),
+    ("efficiency", NON_UTF8),
+    ("smc", b"7"),
+    ("efficiency", b"7"),
+    ("efficiency", json.dumps({"results": [{"integrand": "m", "method": "vanilla"}]}).encode()),
+    ("efficiency", json.dumps({"results": [
+        {"integrand": "m", "method": "vanilla", "estimate": "x"}]}).encode()),
+], ids=["smc-non-utf8", "postprocess-non-utf8", "evidence-non-utf8", "efficiency-non-utf8",
+        "smc-top-level-number", "efficiency-top-level-number", "efficiency-no-estimate",
+        "efficiency-text-estimate"])
+def test_malformed_json_exits_config(pipeline, tmp_path, capsys, command, payload):
+    assert _exits_config(capsys, _argv_reading(command, payload, pipeline, tmp_path))
+
+
 def test_smc_rejected_manifest_leaves_no_output_directory(tmp_path, capsys):
     bad = tmp_path / "m.json"
     bad.write_text(json.dumps({"kind": "gaussian", "mu": [0.0]}))    # no sigma

@@ -312,6 +312,9 @@ def test_report_round_trip(tmp_path, conjugate_run):
     (tmp_path / "bad.json").write_text("{}")
     with pytest.raises(InvalidInput):
         EvidenceReport.load(tmp_path / "bad.json")
+    (tmp_path / "latin1.json").write_bytes(b'{"estimator": "\xff"}')
+    with pytest.raises(InvalidInput):
+        EvidenceReport.load(tmp_path / "latin1.json")
 
 
 # --- oracle: one CF weight vector per temperature, shared across reports -------------

@@ -470,3 +470,6 @@ def test_load_model_file(tmp_path):
     (tmp_path / "broken.json").write_text("{nope")
     with pytest.raises(InvalidInput):
         load_model(tmp_path / "broken.json")
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "\xff"}')
+    with pytest.raises(InvalidInput):
+        load_model(tmp_path / "latin1.json")

@@ -191,6 +191,15 @@ def test_design_columns_vectorised_equals_per_draw():
     assert_allclose(X, rows, rtol=1e-14)
 
 
+def test_design_of_many_draws_stacks_the_designs_of_its_halves():
+    rng = np.random.default_rng(13)
+    theta = rng.normal(size=(9000, 2))
+    grad = rng.normal(size=(9000, 2))
+    A = enumerate_exponents(2, 3).A
+    halves = [design_columns(A, theta[sl], grad[sl]) for sl in (slice(4500), slice(4500, None))]
+    assert np.array_equal(design_columns(A, theta, grad), np.vstack(halves))
+
+
 def test_exponent_matrix_validation():
     with pytest.raises(InvalidInput):
         ExponentMatrix(A=np.array([[0, 0]]), degree=2, dim=2)   # constant row

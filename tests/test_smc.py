@@ -547,6 +547,26 @@ def test_run_smc_replay_too_short():
     assert ps2.temperatures == (0.0, 1.0)
 
 
+def test_replay_makes_no_adaptive_call(monkeypatch):
+    model = conjugate_1d()
+    cfg = SmcConfig(n_particles=64, rho=0.8, seed=7, h_min=0.05, h_max=2.0,
+                    h_grid_size=4, max_repeats=5)
+    record = run_smc(model, cfg).replay_record()
+    adaptive = ("next_temperature", "tune_step_size", "mean_interparticle_distance",
+                "choose_num_repeats")
+    calls = {}
+    for name in adaptive:
+        def counted(*args, _name=name, _orig=getattr(smc_mod, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(smc_mod, name, counted)
+    replayed = run_smc(model, replace(cfg, seed=8), replay=record)
+    assert replayed.temperatures == record.temperatures
+    assert calls == {}
+    run_smc(model, cfg)   # the pilot makes each adaptive call once per step
+    assert calls == dict.fromkeys(adaptive, len(record.temperatures) - 1)
+
+
 def test_run_smc_evidence_against_analytic():
     model = conjugate_1d()
     cfg = SmcConfig(n_particles=3000, rho=0.7, seed=5, h_min=0.1, h_max=2.0,
