@@ -440,10 +440,14 @@ def _load_estimate_rows(path: Path):
 
 
 def _sibling_timings(path: Path) -> dict:
+    """Seconds per ``integrand|method`` key from the ``timings.json`` beside
+    ``path``; a null entry counts as missing."""
     t = path.parent / "timings.json"
     if not t.exists():
         return {}
-    return _read_json(t).get("entries", {})
+    entries = _read_json(t).get("entries", {})
+    with _manifest_fields(f"timings file {t}"):
+        return {key: float(v) for key, v in entries.items() if v is not None}
 
 
 def _parse_gold(args, groups):
@@ -459,7 +463,8 @@ def _parse_gold(args, groups):
             missing = [n for n in integrands if n not in table]
             if missing:
                 raise InvalidInput(f"gold file lacks integrands: {missing}")
-            return {n: float(table[n]) for n in integrands}
+            with _manifest_fields(f"gold file {args.gold}"):
+                return {n: float(table[n]) for n in integrands}
     gold = {}
     for name in integrands:
         key = (name, args.gold_method)
@@ -491,7 +496,7 @@ def cmd_efficiency(args) -> int:
             g["estimates"].append(estimate)
             t = times.get(f"{integrand}|{method}")
             if t is not None:
-                g["times"].append(float(t))
+                g["times"].append(t)
     if not groups:
         raise InvalidInput("no estimates found in the input files")
     gold = _parse_gold(args, groups)

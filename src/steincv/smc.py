@@ -8,9 +8,11 @@ The sampler walks a particle cloud from the prior (t = 0) to the posterior
 * particles are multinomially resampled every step;
 * moves are Metropolis-adjusted Langevin steps preconditioned by the weighted
   particle covariance, with the step size picked from a log-spaced grid by
-  maximising the median expected squared jumping distance, and the number of
-  sweeps chosen so that a configured fraction of particles has travelled
-  further than the mean inter-particle Mahalanobis distance.
+  maximising the median expected squared jumping distance of one trial sweep
+  per candidate (a hill climb over the grid, warm-started at the previous
+  temperature's choice, that trials a few candidates instead of all), and
+  the number of sweeps chosen so that a configured fraction of particles has
+  travelled further than the mean inter-particle Mahalanobis distance.
 
 Each accepted temperature is stored as a :class:`Snapshot` (particles,
 log-likelihoods, split prior/likelihood gradients) so estimators can reweight
@@ -346,27 +348,58 @@ def step_size_grid(h_min: float, h_max: float, size: int) -> np.ndarray:
 
 
 def tune_step_size(cloud: _Cloud, model: TargetModel, t: float, cov, chol,
-                   grid, rng_for) -> float:
+                   grid, rng_for, start: int | None = None) -> float:
     """Pick the grid step size maximising the median expected squared jump.
 
-    Each candidate is trialled with one seeded throwaway sweep from the same
-    starting cloud; the per-particle score is acceptance probability times
-    squared Mahalanobis jump.  Ties go to the larger h; if every median is
-    zero (all proposals rejected) the smallest h is returned with a warning.
+    Candidate ``grid[hi]`` is trialled with one throwaway sweep from the same
+    starting cloud, seeded by ``rng_for(hi)``; the per-particle score is
+    acceptance probability times squared Mahalanobis jump.  The search is a
+    hill climb over grid indices from ``start`` (default: the largest h; a
+    run passes the previous temperature's choice): at index i it scores
+    i - 1, i and i + 1, moves to the best of them, ties going to the larger
+    index, and stops when i itself is best.  No candidate is trialled twice.
+
+    If the climb stops on a median <= 0, every candidate is scored and the
+    largest maximiser is taken; if every median is zero (all proposals
+    rejected) the smallest h is returned with a warning.  Since each trial's
+    seed depends only on its index, the climb returns exactly what a scan of
+    the whole grid (largest maximiser) returns whenever the medians strictly
+    rise to their maximum (one index or a run of equal ones) and strictly
+    fall after it.
     """
     grid = np.asarray(grid, dtype=float)
-    medians = np.empty(grid.size)
-    for hi, h in enumerate(grid):
-        trial = cloud.take(slice(None))
-        accept_prob, sq_jump, _ = _mala_sweep(trial, model, t, h, cov, chol, rng_for(hi))
-        medians[hi] = float(np.median(accept_prob * sq_jump))
-    best = float(np.max(medians))
-    if best <= 0.0:
+    i = grid.size - 1 if start is None else int(start)
+    if not 0 <= i < grid.size:
+        raise InvalidInput(f"start index {start} is outside the {grid.size}-point grid")
+    medians = {}
+
+    def score(hi: int) -> float:
+        if hi not in medians:
+            trial = cloud.take(slice(None))
+            accept_prob, sq_jump, _ = _mala_sweep(trial, model, t, grid[hi], cov, chol,
+                                                  rng_for(hi))
+            medians[hi] = float(np.median(accept_prob * sq_jump))
+        return medians[hi]
+
+    def rank(hi: int):   # a NaN median ranks below every number
+        m = score(hi)
+        return (m if m == m else -np.inf, hi)
+
+    while True:
+        best = max(range(max(i - 1, 0), min(i + 2, grid.size)), key=rank)
+        if best == i:
+            break
+        i = best
+    if medians[i] > 0.0:
+        return float(grid[i])
+    scan = np.array([score(hi) for hi in range(grid.size)])
+    top = float(np.max(scan))
+    if top <= 0.0:
         warnings.warn("every trial proposal was rejected; keeping the smallest step size",
                       RuntimeWarning)
         return float(grid[0])
     for hi in range(grid.size - 1, -1, -1):
-        if medians[hi] == best:
+        if scan[hi] == top:
             return float(grid[hi])
     return float(grid[0])
 
@@ -589,6 +622,7 @@ def run_smc(model: TargetModel, config: SmcConfig,
     t = 0.0
     step = 0
     grid = step_size_grid(config.h_min, config.h_max, config.h_grid_size)
+    h_index = None   # the climb starts from the previous step's choice
 
     while t < 1.0:
         step += 1
@@ -626,8 +660,9 @@ def run_smc(model: TargetModel, config: SmcConfig,
         if replay is None:
             h = tune_step_size(
                 cloud, model, t_next, cov, chol, grid,
-                rng_for=lambda hi: _rng(seed, step, 2, hi),
+                rng_for=lambda hi: _rng(seed, step, 2, hi), start=h_index,
             )
+            h_index = int(np.searchsorted(grid, h))
             repeats = choose_num_repeats(
                 sweep, threshold, config.jump_fraction, cap=config.max_repeats
             )
@@ -801,7 +836,7 @@ def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
     with _manifest_fields(f"archive manifest {out / 'manifest.json'}"):
         temps = [float(v) for v in manifest["temperatures"]]
         incs = [float(v) for v in manifest["log_increments"]]
-        hs = [None] + list(manifest["step_sizes"])
+        hs = [None] + [float(h) for h in manifest["step_sizes"]]
         reps = [0] + [int(r) for r in manifest["repeats"]]
         accs = [float("nan")] + [float(a) for a in manifest["acceptance"]]
         cfg = SmcConfig(**manifest["config"])

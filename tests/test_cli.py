@@ -531,8 +531,9 @@ NON_UTF8 = b'{"kind": "\xff"}'
 
 
 def _argv_reading(command, payload, pipeline, tmp_path):
-    """argv for ``command`` whose JSON input (model manifest, archive manifest
-    or estimates file) holds the bytes ``payload``."""
+    """argv for ``command`` whose JSON input (model manifest, archive manifest,
+    estimates file, or the gold or timings file of ``efficiency``) holds the
+    bytes ``payload``."""
     out = str(tmp_path / "out")
     if command in ("postprocess", "evidence"):
         archive = tmp_path / "archive"
@@ -540,10 +541,20 @@ def _argv_reading(command, payload, pipeline, tmp_path):
         (archive / "manifest.json").write_bytes(payload)
         return [command, "--archive", str(archive), "--out", out]
     path = tmp_path / "input.json"
-    path.write_bytes(payload)
     if command == "smc":
+        path.write_bytes(payload)
         return ["smc", "--model", str(path), "--out", out]
-    return ["efficiency", "--inputs", str(path), "--gold", "0.0", "--out", out]
+    gold = "0.0"
+    if command == "efficiency":
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps({"results": [
+            {"integrand": "m", "method": "vanilla", "estimate": 1.0}]}))
+        side = tmp_path / f"{command}.json"   # efficiency's gold or timings file
+        side.write_bytes(payload)
+        if command == "gold":
+            gold = str(side)
+    return ["efficiency", "--inputs", str(path), "--gold", gold, "--out", out]
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -556,9 +567,13 @@ def _argv_reading(command, payload, pipeline, tmp_path):
     ("efficiency", json.dumps({"results": [{"integrand": "m", "method": "vanilla"}]}).encode()),
     ("efficiency", json.dumps({"results": [
         {"integrand": "m", "method": "vanilla", "estimate": "x"}]}).encode()),
+    ("gold", json.dumps({"m": "x"}).encode()),
+    ("timings", json.dumps({"entries": 7}).encode()),
+    ("timings", json.dumps({"entries": {"m|vanilla": "x"}}).encode()),
 ], ids=["smc-non-utf8", "postprocess-non-utf8", "evidence-non-utf8", "efficiency-non-utf8",
         "smc-top-level-number", "efficiency-top-level-number", "efficiency-no-estimate",
-        "efficiency-text-estimate"])
+        "efficiency-text-estimate", "efficiency-text-gold", "efficiency-number-timings",
+        "efficiency-text-timing"])
 def test_malformed_json_exits_config(pipeline, tmp_path, capsys, command, payload):
     assert _exits_config(capsys, _argv_reading(command, payload, pipeline, tmp_path))
 

@@ -1,6 +1,7 @@
 """Annealing sampler: weights, temperature search, kernels, archives, replay."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,9 @@ from steincv.errors import (
     InvalidInput,
     InvalidSchedule,
 )
-from steincv.models import ConjugateGaussianModel, GaussianModel, TargetModel
+from steincv.models import (
+    ConjugateGaussianModel, GaussianModel, TargetModel, synthetic_logistic_model,
+)
 from steincv.samples import SampleSet
 from steincv.smc import (
     ParticleSystem,
@@ -321,6 +324,42 @@ def test_mala_rejects_zero_density_proposals():
 # --- step-size tuning ---------------------------------------------------------------
 
 
+def trial_medians(cloud, model, t, cov, chol, grid, rng_for):
+    """The median expected squared jump of every grid step size."""
+    medians = np.empty(len(grid))
+    for hi, h in enumerate(grid):
+        accept_prob, sq_jump, _ = _mala_sweep(cloud.take(slice(None)), model, t, h,
+                                              cov, chol, rng_for(hi))
+        medians[hi] = float(np.median(accept_prob * sq_jump))
+    return medians
+
+
+def tune_step_size_reference(cloud, model, t, cov, chol, grid, rng_for, start=None):
+    """The full grid scan: the largest maximiser of the median, or the
+    smallest h, with a warning, when every median is zero.  ``start`` is
+    accepted so the scan can stand in for the climb inside run_smc."""
+    grid = np.asarray(grid, dtype=float)
+    medians = trial_medians(cloud, model, t, cov, chol, grid, rng_for)
+    best = float(np.max(medians))
+    if best <= 0.0:
+        warnings.warn("every trial proposal was rejected; keeping the smallest step size",
+                      RuntimeWarning)
+        return float(grid[0])
+    return float(grid[np.flatnonzero(medians == best)[-1]])
+
+
+def counted_sweeps(monkeypatch):
+    """Record the step size of every _mala_sweep call."""
+    hs = []
+
+    def sweep(cloud, model, t, h, *args):
+        hs.append(float(h))
+        return _mala_sweep(cloud, model, t, h, *args)
+
+    monkeypatch.setattr(smc_mod, "_mala_sweep", sweep)
+    return hs
+
+
 def test_step_size_grid():
     g = step_size_grid(0.01, 1.0, 3)
     assert_allclose(g, [0.01, 0.1, 1.0], rtol=1e-12)
@@ -347,13 +386,95 @@ class WallModel(BoxModel):
         return np.full(theta.shape[0], -np.inf)
 
 
-def test_tune_step_size_all_rejected_warns():
+def test_tune_step_size_all_rejected_warns(monkeypatch):
     base = GaussianModel(mu=[0.0], sigma=[[1.0]])
     cloud = gaussian_cloud(base, 20, seed=13)       # finite stored state
-    with pytest.warns(RuntimeWarning):
-        h = tune_step_size(cloud, WallModel(), 1.0, np.eye(1), np.eye(1),
-                           np.array([0.1, 0.5]), lambda hi: np.random.default_rng(hi))
-    assert h == 0.1
+    grid = step_size_grid(0.1, 1.0, 6)
+    hs = counted_sweeps(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="every trial proposal was rejected"):
+        h = tune_step_size(cloud, WallModel(), 1.0, np.eye(1), np.eye(1), grid,
+                           lambda hi: np.random.default_rng(hi), start=3)
+    assert h == grid[0]
+    assert sorted(hs) == sorted(grid)       # the fallback scores each point once
+
+
+CLIMB_CASES = {   # (dim, h_min, h_max): the shape of the median curve
+    "rising": (1, 0.01, 0.5),
+    "peak-next-to-top": (1, 0.05, 2.0),
+    "interior-peak": (1, 0.05, 5.0),
+    "peak-next-to-top-5d": (5, 0.05, 2.0),
+    "zeros-at-top": (1, 0.2, 8.0),
+}
+
+
+@pytest.mark.parametrize("case", CLIMB_CASES)
+def test_climb_returns_the_scans_step_size_from_every_start(case):
+    dim, h_min, h_max = CLIMB_CASES[case]
+    model = GaussianModel(mu=np.zeros(dim), sigma=np.eye(dim))
+    cloud = gaussian_cloud(model, 200, seed=12)
+    grid = step_size_grid(h_min, h_max, 8)
+    rng_for = lambda hi: np.random.default_rng(100 + hi)
+    args = (cloud, model, 1.0, np.eye(dim), np.eye(dim), grid, rng_for)
+    medians = trial_medians(*args)
+    peak = int(np.argmax(medians))
+    assert np.all(np.diff(medians[:peak + 1]) > 0)            # single-peaked
+    assert np.all(np.diff(medians[peak:]) <= 0)
+    if case == "rising":
+        assert peak == grid.size - 1
+    elif case == "zeros-at-top":
+        assert medians[-1] == 0.0                             # the climb falls back
+    else:
+        assert 0 < peak < grid.size - 1
+    h = tune_step_size_reference(*args)
+    assert h == grid[peak]
+    for start in [None, *range(grid.size)]:
+        assert tune_step_size(*args, start=start) == h
+
+
+@pytest.mark.parametrize("medians, expected", [
+    ([1.0, 2.0, 3.0, 3.0, 2.0, 1.0], 3),     # a plateau at the peak: the larger h
+    ([3.0, 3.0, 3.0, 3.0, 3.0, 3.0], 5),
+    ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0),     # the fallback's smallest h
+])
+def test_climb_ties_go_to_the_larger_step(monkeypatch, medians, expected):
+    grid = step_size_grid(0.1, 1.0, 6)
+    score = dict(zip(grid, medians))
+
+    def sweep(cloud, model, t, h, *args):   # a sweep whose median score is score[h]
+        n = cloud.theta.shape[0]
+        return np.ones(n), np.full(n, score[h]), np.zeros(n)
+
+    monkeypatch.setattr(smc_mod, "_mala_sweep", sweep)
+    cloud = gaussian_cloud(GaussianModel(mu=[0.0], sigma=[[1.0]]), 10, seed=1)
+    for start in [None, *range(grid.size)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            h = tune_step_size(cloud, None, 1.0, np.eye(1), np.eye(1), grid,
+                               np.random.default_rng, start=start)
+        assert h == grid[expected]
+
+
+@pytest.mark.parametrize("start", [None, 0, 3, 5, 7])
+def test_climb_scores_each_grid_point_at_most_once(monkeypatch, start):
+    model = GaussianModel(mu=[0.0], sigma=[[1.0]])
+    cloud = gaussian_cloud(model, 200, seed=12)
+    grid = step_size_grid(0.05, 5.0, 8)               # the peak is at index 5
+    hs = counted_sweeps(monkeypatch)
+    h = tune_step_size(cloud, model, 1.0, np.eye(1), np.eye(1), grid,
+                       lambda hi: np.random.default_rng(100 + hi), start=start)
+    assert h == grid[5]
+    assert len(hs) == len(set(hs))
+    if start == 5:
+        assert len(hs) <= 3                           # a warm start at the peak
+
+
+def test_start_outside_the_grid_is_invalid():
+    model = GaussianModel(mu=[0.0], sigma=[[1.0]])
+    cloud = gaussian_cloud(model, 20, seed=12)
+    for start in (-1, 4):
+        with pytest.raises(InvalidInput):
+            tune_step_size(cloud, model, 1.0, np.eye(1), np.eye(1),
+                           step_size_grid(0.1, 1.0, 4), np.random.default_rng, start=start)
 
 
 # --- distances and sweep counts ------------------------------------------------------
@@ -565,6 +686,34 @@ def test_replay_makes_no_adaptive_call(monkeypatch):
     assert calls == {}
     run_smc(model, cfg)   # the pilot makes each adaptive call once per step
     assert calls == dict.fromkeys(adaptive, len(record.temperatures) - 1)
+
+
+RUN_CONFIGS = {
+    "conjugate-1d": (conjugate_1d, dict(n_particles=128, rho=0.8, seed=11, h_min=0.05,
+                                        h_max=2.0, h_grid_size=5, max_repeats=10)),
+    "logistic-interior-peak": (lambda: synthetic_logistic_model(n=30, dim=2),
+                               dict(n_particles=100, rho=0.5, seed=808, h_min=0.05,
+                                    h_max=2.0, h_grid_size=8, max_repeats=20)),
+    "conjugate-2d-default-grid": (
+        lambda: ConjugateGaussianModel(prior_mean=[0.0, 0.0], prior_cov=np.eye(2),
+                                       obs_cov=np.eye(2), data=[[0.3, 1.2], [0.9, 0.4]]),
+        dict(n_particles=100, rho=0.6, seed=5, max_repeats=10)),
+}
+
+
+@pytest.mark.parametrize("name", RUN_CONFIGS)
+def test_run_smc_climb_matches_the_full_scan(monkeypatch, name):
+    make_model, kwargs = RUN_CONFIGS[name]
+    cfg = SmcConfig(**kwargs)
+    climbed = run_smc(make_model(), cfg)
+    monkeypatch.setattr(smc_mod, "tune_step_size", tune_step_size_reference)
+    scanned = run_smc(make_model(), cfg)
+    assert repr(climbed) == repr(scanned)
+    for a, b in zip(climbed.snapshots, scanned.snapshots, strict=True):
+        for array in ("theta", "weights", "log_like", "grad_log_like"):
+            assert_array_equal(bits(getattr(a, array)), bits(getattr(b, array)))
+    if name == "logistic-interior-peak":
+        assert all(s.h < cfg.h_max for s in climbed.snapshots[1:])
 
 
 def test_run_smc_evidence_against_analytic():
@@ -831,6 +980,8 @@ def load_conjugate_archive(arch):
     (load_replay_record, lambda m: m.pop("step_sizes")),
     (load_replay_record, lambda m: m.update(temperatures=["zero", "one"])),
     (load_replay_record, lambda m: m.update(config=[])),
+    (load_conjugate_archive, lambda m: m.update(step_sizes=["x"] * len(m["step_sizes"]))),
+    (load_replay_record, lambda m: m.update(step_sizes=["x"] * len(m["step_sizes"]))),
 ])
 def test_malformed_manifest_is_invalid_input(tmp_path, load, edit):
     cfg = SmcConfig(n_particles=40, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
