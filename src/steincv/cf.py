@@ -20,6 +20,14 @@ Two base kernels are supported:
       K0(x, y) = exp(c x.y - e_x - e_y) (W_x . W_y + r_x + r_y),
   built in one fused pass of two matrix products.  The square kernel is
   symmetric to rounding, not bitwise, and is not symmetrised afterwards.
+  Exponents more than 70 below the block's largest (a square kernel's
+  diagonal, 0) are set to -inf before the exp, so neither the exp nor the
+  Cholesky factor meets subnormal numbers, whose arithmetic costs several
+  times more.  A factor dropped so is below exp(-70) ~ 4e-31 times its
+  polynomial factor, some 20 orders of magnitude under the 1e-10 jitter
+  that already perturbs every system, so it cannot move an estimate or a
+  chosen bandwidth beyond the jitter's own effect; on the populations
+  tested the CF weights stayed bitwise the same.
 * ``polynomial``: the Gram matrix of the degree-Q second-order Stein
   covariates, K0 = X X^T.  With regulariser lambda_r this reproduces the
   unstandardised ridge ZV-CV estimate exactly.
@@ -49,6 +57,8 @@ from .regression import _fold_slices
 from .samples import IntegrandValues, SampleSet, check_aligned
 
 _JITTER_DOUBLINGS = 8
+# gaussian factors below exp(-70) ~ 4e-31 times a block's largest are set to 0
+_EXP_FLOOR = -70.0
 
 
 @dataclass(frozen=True)
@@ -72,8 +82,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "polynomial"):
             raise InvalidInput(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.bandwidth > 0:
-            raise InvalidInput("gaussian bandwidth must be positive")
+        if self.kind == "gaussian" and not 0 < self.bandwidth < np.inf:
+            raise InvalidInput("gaussian bandwidth must be finite and positive")
         if self.kind == "polynomial" and self.degree < 1:
             raise InvalidInput("polynomial order must be >= 1")
         if self.jitter < 0:
@@ -103,6 +113,9 @@ def _gaussian_stein_cross(theta_a, grad_a, theta_b, grad_b, bandwidth):
     z_a, ne_a, W_a, r_a, one_a = terms(theta_a, grad_a)
     z_b, ne_b, W_b, r_b, one_b = terms(theta_b, grad_b)
     K = np.column_stack([ne_a, one_a, z_a]) @ np.column_stack([one_b, ne_b, z_b]).T
+    floor = K.max() + _EXP_FLOOR
+    if K.min() < floor:
+        K[K < floor] = -np.inf                      # off exp's subnormal slow path
     np.exp(K, out=K)
     K *= np.column_stack([r_a, one_a, W_a]) @ np.column_stack([one_b, r_b, W_b]).T
     return K
@@ -218,12 +231,18 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
 
     Each fold fits the interpolating surrogate on the remaining draws and
     scores mean squared prediction error on the held-out draws; ties resolve
-    to the larger bandwidth.
+    to the larger bandwidth.  One N x N kernel is built per bandwidth (its
+    sub-exp(-70) factors dropped, see the module docstring), and each fold
+    gathers its training and hold-out blocks from it once, rows then columns,
+    which copies the same values as an np.ix_ gather in less than half the
+    time.  Needs at least 2 folds and a finite, positive grid.
     """
     check_aligned(s, phi)
     grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
-        raise InvalidInput("bandwidth grid must be positive and nonempty")
+    if grid.ndim != 1 or grid.size == 0 or not np.all((grid > 0) & (grid < np.inf)):
+        raise InvalidInput("bandwidth grid must be finite, positive and nonempty")
+    if folds < 2:
+        raise InvalidInput("cross-validation needs at least 2 folds")
     n = s.count
     if n < folds:
         raise InvalidInput(f"{n} draws cannot fill {folds} folds")
@@ -236,14 +255,15 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
         err = 0.0
         for hold, train in splits:
             try:
-                factor, v = _kernel_weights(K0[np.ix_(train, train)], 0.0, 1e-10,
+                factor, v = _kernel_weights(K0[train][:, train], 0.0, 1e-10,
                                             np.ones(train.size))
             except ConditioningError:
                 err = np.inf
                 break
             a = float(v @ f[train])
-            alpha = cho_solve(factor, f[train] - a)
-            pred = a + K0[np.ix_(hold, train)] @ alpha
+            # the factor passed cho_factor's finiteness check, and f is finite
+            alpha = cho_solve(factor, f[train] - a, check_finite=False)
+            pred = a + K0[hold][:, train] @ alpha
             err += float(np.mean((f[hold] - pred) ** 2))
         scores[gi] = err
     best = float(np.min(scores))

@@ -57,10 +57,12 @@ class CfMethod:
     def __post_init__(self):
         if self.kind not in ("gaussian", "polynomial"):
             raise InvalidInput(f"unknown kernel kind {self.kind!r}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise InvalidInput("bandwidth must be positive")
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            raise InvalidInput("bandwidth must be finite and positive")
         if self.lam_r < 0:
             raise InvalidInput("kernel regulariser must be >= 0")
+        if self.folds < 2:
+            raise InvalidInput("cross-validation needs at least 2 folds")
 
     def label(self) -> str:
         if self.kind == "polynomial":

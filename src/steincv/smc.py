@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, LinAlgError
 from scipy.spatial.distance import pdist
-from scipy.special import logsumexp
 
 from .errors import (
     ConditioningError,
@@ -134,18 +133,38 @@ def _log_weights(weights) -> np.ndarray:
         return np.log(weights)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-d array by the steps of scipy.special.logsumexp.
+
+    The m entries equal to the maximum are taken out of the shifted sum s of
+    the others, and the result is log1p(s / m) + log(m) + max.  A non-finite
+    result (empty, all -inf, +inf or NaN input) is recomputed as
+    log(sum(exp(a))), as scipy does.  The same floats as scipy's, without its
+    array-API dispatch, which costs most of a call at a few hundred entries.
+    """
+    a_max = np.max(a, initial=-np.inf)
+    top = a == a_max
+    m = np.count_nonzero(top)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+        out = np.log1p(s / m) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def _log_ess(log_w_un: np.ndarray) -> float:
-    total = logsumexp(log_w_un)
+    total = _logsumexp(log_w_un)
     if not np.isfinite(total):
         return 0.0
-    return float(np.exp(2.0 * total - logsumexp(2.0 * log_w_un)))
+    return float(np.exp(2.0 * total - _logsumexp(2.0 * log_w_un)))
 
 
 def _log_cess(log_w: np.ndarray, log_r: np.ndarray) -> float:
-    num = logsumexp(log_w + log_r)
+    num = _logsumexp(log_w + log_r)
     if not np.isfinite(num):
         return 0.0
-    den = logsumexp(log_w + 2.0 * log_r)
+    den = _logsumexp(log_w + 2.0 * log_r)
     return float(log_w.size * np.exp(2.0 * num - den))
 
 
@@ -160,7 +179,7 @@ def reweight(weights, log_like, t_old: float, t_new: float):
     w = np.asarray(weights, dtype=float)
     ll = np.asarray(log_like, dtype=float)
     log_un = _log_weights(w) + (t_new - t_old) * ll
-    log_inc = float(logsumexp(log_un))
+    log_inc = _logsumexp(log_un)
     if not np.isfinite(log_inc):
         raise DegenerateWeights(
             "every particle got zero weight in the reweighting step",

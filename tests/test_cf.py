@@ -151,8 +151,9 @@ def test_jitter_escalation_exhaustion(monkeypatch):
 def test_kernel_spec_validation_and_labels():
     with pytest.raises(InvalidInput):
         KernelSpec(kind="matern")
-    with pytest.raises(InvalidInput):
-        KernelSpec(kind="gaussian", bandwidth=0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidInput):
+            KernelSpec(kind="gaussian", bandwidth=bad)
     with pytest.raises(InvalidInput):
         KernelSpec(kind="polynomial", degree=0)
     with pytest.raises(InvalidInput):
@@ -199,6 +200,14 @@ def test_bandwidth_cv_validation():
         cf_cv_bandwidth(s, phi, grid=[])
     with pytest.raises(InvalidInput):
         cf_cv_bandwidth(s, phi, grid=[-1.0, 1.0], folds=2)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InvalidInput):
+            cf_cv_bandwidth(s, phi, grid=[bad, 1.0], folds=2)
+    # 0 or -1 folds used to score nothing and return the largest bandwidth,
+    # and 1 fold to train on no draws
+    for folds in (1, 0, -1):
+        with pytest.raises(InvalidInput, match="2 folds"):
+            cf_cv_bandwidth(s, phi, folds=folds)
 
 
 # --- oracles: the two-solve estimate, the unfused kernel build, per-fold search -----
@@ -218,8 +227,8 @@ def two_solve_reference(K0, lam_r, jitter_scale, wt, f):
     return float(wt @ cho_solve(factor, f)) / denom, factor
 
 
-def stein_cross_reference(theta_a, grad_a, theta_b, grad_b, bandwidth):
-    """The gaussian Stein cross block as one expression, with full-size temporaries."""
+def stein_cross_factors(theta_a, grad_a, theta_b, grad_b, bandwidth):
+    """(-||x - y||^2 / bw, polynomial factor) of the gaussian Stein cross block."""
     c = 2.0 / bandwidth
     d = theta_a.shape[1]
     sq = (
@@ -227,7 +236,6 @@ def stein_cross_reference(theta_a, grad_a, theta_b, grad_b, bandwidth):
         - 2.0 * theta_a @ theta_b.T
         + np.sum(theta_b**2, axis=1)[None, :]
     )
-    K = np.exp(-sq / bandwidth)
     P = theta_a @ grad_b.T
     Q = grad_a @ theta_b.T
     qa = np.sum(theta_a * grad_a, axis=1)
@@ -236,7 +244,13 @@ def stein_cross_reference(theta_a, grad_a, theta_b, grad_b, bandwidth):
     core = core - c * (P - qb[None, :])
     core = core + c * (qa[:, None] - Q)
     core = core + grad_a @ grad_b.T
-    return K * core
+    return -sq / bandwidth, core
+
+
+def stein_cross_reference(theta_a, grad_a, theta_b, grad_b, bandwidth):
+    """The gaussian Stein cross block as one expression, with full-size temporaries."""
+    exponent, core = stein_cross_factors(theta_a, grad_a, theta_b, grad_b, bandwidth)
+    return np.exp(exponent) * core
 
 
 def per_fold_search_reference(s, phi, grid=None, folds=5, seed=0):
@@ -426,6 +440,140 @@ def test_search_builds_one_full_kernel_per_bandwidth(monkeypatch):
     cf_cv_bandwidth(s, IntegrandValues(s.theta[:, 0]), grid=grid)
     assert kernels == grid
     assert blocks == [(30, 30)] * len(grid)
+
+
+# --- oracles: the kernel without the exponent floor, and np.ix_ fold blocks -------
+
+
+def unfloored_stein_cross(theta_a, grad_a, theta_b, grad_b, bandwidth):
+    """The fused gaussian Stein cross block with every exp taken, subnormal or zero."""
+    c = 2.0 / bandwidth
+
+    def terms(theta, grad):
+        z = np.sqrt(c) * theta
+        e = 0.5 * np.einsum("ij,ij->i", z, z)
+        v = np.sqrt(0.5) * grad
+        r = c * (np.einsum("ij,ij->i", theta, grad) + 0.5 * theta.shape[1]) - 2.0 * c * e
+        return z, -e, np.column_stack([np.sqrt(2.0) * c * theta - v, v]), r, np.ones_like(e)
+
+    z_a, ne_a, W_a, r_a, one_a = terms(theta_a, grad_a)
+    z_b, ne_b, W_b, r_b, one_b = terms(theta_b, grad_b)
+    K = np.column_stack([ne_a, one_a, z_a]) @ np.column_stack([one_b, ne_b, z_b]).T
+    np.exp(K, out=K)
+    K *= np.column_stack([r_a, one_a, W_a]) @ np.column_stack([one_b, r_b, W_b]).T
+    return K
+
+
+def unfloored_kernel(s, bw):
+    return unfloored_stein_cross(s.theta, s.grad_log_target, s.theta, s.grad_log_target, bw)
+
+
+def unfloored_search_reference(s, phi, grid=None, folds=5, seed=0):
+    """Bandwidth CV on the unfloored kernel, each fold block gathered by np.ix_
+    and every solve checked for finiteness."""
+    grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
+    n = s.count
+    perm = np.random.default_rng(seed).permutation(n)
+    f = phi.values
+    scores = np.zeros(grid.size)
+    for gi, bw in enumerate(grid):
+        K0 = unfloored_kernel(s, bw)
+        err = 0.0
+        for hold in [perm[k::folds] for k in range(folds)]:
+            train = np.delete(np.arange(n), hold)
+            try:
+                factor, v = cf_mod._kernel_weights(K0[np.ix_(train, train)], 0.0, 1e-10,
+                                                   np.ones(train.size))
+            except ConditioningError:
+                err = np.inf
+                break
+            a = float(v @ f[train])
+            alpha = cho_solve(factor, f[train] - a)
+            err += float(np.mean((f[hold] - (a + K0[np.ix_(hold, train)] @ alpha)) ** 2))
+        scores[gi] = err
+    best = float(np.min(scores))
+    if not np.isfinite(best):
+        raise ConditioningError("every candidate bandwidth failed to factorise")
+    return float(np.max(grid[scores <= best * (1 + 1e-12) + 1e-300]))
+
+
+@pytest.mark.parametrize("bw", [1e-3, 10**-2.5, 1e-2, 0.1])
+@pytest.mark.parametrize("square", [True, False])
+def test_floor_drops_only_factors_below_exp_minus_70(bw, square):
+    # an entry whose exponent -||x - y||^2 / bw lies more than 70 below the
+    # block's largest (0, on the diagonal of a square kernel) is set to 0: it
+    # was at most exp(-70) ~ 4e-31 times its polynomial factor, relative to the
+    # largest factor.  Both exponents are rounded at the scale of
+    # reference_tolerance, so an entry within that of the floor may fall on
+    # either side.
+    rng = np.random.default_rng(17)
+
+    def draws(n, d, shift=0.0):
+        theta = rng.normal(size=(n, d)) + shift
+        return theta, -theta + 0.1 * rng.normal(size=(n, d))
+
+    for na, nb, d in [(80, 41, 1), (120, 61, 3), (60, 31, 5)]:
+        ta, ga = draws(na, d)
+        # a cross block between far-apart sets: its largest exponent is well below 0
+        tb, gb = (ta, ga) if square else draws(nb, d, shift=6.0)
+        got = _gaussian_stein_cross(ta, ga, tb, gb, bw)
+        exponent, core = stein_cross_factors(ta, ga, tb, gb, bw)
+        want = np.exp(exponent) * core
+        tol = reference_tolerance(bw, ta, tb)
+        floor = np.max(exponent) - 70.0
+        assert np.any(exponent < floor - 2 * tol)
+        assert np.all(got[exponent < floor - 2 * tol] == 0.0)
+        dropped = (got == 0.0) & (want != 0.0)
+        bound = np.exp(floor + 2 * tol) * np.abs(core[dropped])
+        assert np.all(np.abs(want[dropped]) <= bound)
+        kept = np.abs(got - want)[~dropped]
+        assert np.max(kept) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_floored_search_and_estimates_equal_unfloored(weighted):
+    # the default grid starts at bw = 1e-3, where nearly every off-diagonal
+    # exponent of these draws lies below -70
+    draw = weighted_draws if weighted else gaussian_draws
+    for trial, (n, d) in enumerate([(45, 1), (70, 2), (96, 3), (150, 5)]):
+        s = draw(n, 60 + trial, d=d)
+        f = np.sin(s.theta[:, 0]) + 0.5 * s.theta[:, -1] ** 2
+        phi = IntegrandValues(f)
+        grid = default_bandwidth_grid()
+        floored = [stein_kernel_matrix(s, KernelSpec(bandwidth=bw)) for bw in grid]
+        assert np.any(floored[0] != unfloored_kernel(s, grid[0]))
+        for seed in (1, 2):
+            bw = unfloored_search_reference(s, phi, seed=seed)
+            assert cf_cv_bandwidth(s, phi, seed=seed) == bw
+            want = cf_mod._kernel_weights(unfloored_kernel(s, bw), 0.0, 1e-10,
+                                          n * s.weights)[1] @ f
+            assert cf_estimate(s, phi, KernelSpec(bandwidth=bw)) == want
+        # the floor leaves the weights of every grid kernel bitwise the same
+        for bw, K0 in zip(grid, floored):
+            want = cf_mod._kernel_weights(unfloored_kernel(s, bw), 0.0, 1e-10, n * s.weights)[1]
+            assert np.array_equal(cf_mod._kernel_weights(K0, 0.0, 1e-10, n * s.weights)[1],
+                                  want), bw
+
+
+# --- CF's dependence on the jitter --------------------------------------------------
+
+
+def test_cf_estimate_moves_with_the_jitter_within_a_stated_bound():
+    # with lam_r = 0 the jitter, 1e-10 mean(diag K0), is the only regulariser of
+    # the interpolating system.  Jitter 1e-12 moves these estimates by 6.5e-10
+    # sd(f) (bw = 1) up to 1.34e-4 sd(f) (bw = 31.6, the log-likelihood): far
+    # beyond rounding at the larger bandwidths, far below the Monte Carlo
+    # error sd(f) / sqrt(200) = 0.07 sd(f).
+    s = gaussian_draws(200, 5, d=3)
+    integrands = (np.sin(s.theta[:, 0]) + 0.5 * s.theta[:, -1] ** 2, s.theta[:, 0],
+                  pseudo_log_like(s))
+    moves = []
+    for f in integrands:
+        for bw in (1.0, 3.0, 10**1.5):
+            a = cf_estimate(s, IntegrandValues(f), KernelSpec(bandwidth=bw))
+            b = cf_estimate(s, IntegrandValues(f), KernelSpec(bandwidth=bw, jitter=1e-12))
+            moves.append(abs(a - b) / np.std(f))
+    assert 1e-6 < max(moves) <= 5e-4
 
 
 # --- oracle: the polynomial system against an SVD of the covariates ---------------

@@ -58,8 +58,9 @@ def test_parse_method_cf():
     assert poly == CfMethod(kind="polynomial", degree=3, lam_r=0.5)
     with pytest.raises(InvalidInput):
         parse_method("cf:shape=round")
-    with pytest.raises(InvalidInput):
-        parse_method("cf:bw=tiny")
+    for bad in ("cf:bw=tiny", "cf:bw=inf", "cf:folds=1"):
+        with pytest.raises(InvalidInput):
+            parse_method(bad)
 
 
 def test_parse_method_crossval_and_unknown():
@@ -292,6 +293,14 @@ def _exits_config(capsys, argv):
     code = main(argv)
     err = capsys.readouterr().err
     return code == EXIT_CONFIG and "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["cf:folds=0", "cf:folds=1", "cf:bw=inf"])
+def test_degenerate_cf_method_exits_config(pipeline, tmp_path, capsys, method):
+    # folds=0 used to run no cross-validation and pick bw = 1e4, folds=1 to
+    # exit 3 after "Mean of empty slice", and bw=inf to be accepted
+    assert _exits_config(capsys, ["postprocess", "--archive", str(pipeline / "run_a" / "pilot"),
+                                  "--methods", method, "--out", str(tmp_path / "pp")])
 
 
 @pytest.mark.parametrize("fmt", ["npy", "csv"])

@@ -292,12 +292,10 @@ def test_method_labels():
 
 
 def test_cf_method_validation():
-    with pytest.raises(InvalidInput):
-        CfMethod(bandwidth=-1.0)
-    with pytest.raises(InvalidInput):
-        CfMethod(lam_r=-0.1)
-    with pytest.raises(InvalidInput):
-        CfMethod(kind="laplace")
+    for kwargs in ({"bandwidth": -1.0}, {"bandwidth": np.inf}, {"bandwidth": np.nan},
+                   {"lam_r": -0.1}, {"kind": "laplace"}, {"folds": 1}, {"folds": 0}):
+        with pytest.raises(InvalidInput):
+            CfMethod(**kwargs)
 
 
 def test_report_round_trip(tmp_path, conjugate_run):

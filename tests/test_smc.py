@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import logsumexp
 
 import steincv.smc as smc_mod
 from conftest import MALFORMED_NPY, rewrite_as_csv_archive
@@ -748,6 +749,58 @@ def test_posthoc_schedule_densifies():
     # populations serve from below
     for t, p in zip(fine.temperatures, fine.population_index):
         assert ps.temperatures[p] <= t + 1e-12
+
+
+# --- oracle: scipy's logsumexp --------------------------------------------------
+
+
+def logsumexp_cases(count, seed=0):
+    """Random vectors over many scales, some with ties at the maximum and some
+    with -inf entries, then the edge inputs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 60))
+        a = rng.normal(scale=10 ** rng.uniform(-2, 3), size=n)
+        if rng.uniform() < 0.3:
+            a[rng.integers(0, n, size=rng.integers(1, n + 1))] = a.max()
+        if rng.uniform() < 0.3:
+            a[rng.integers(0, n, size=rng.integers(1, n + 1))] = -np.inf
+        yield a
+    inf, nan = np.inf, np.nan
+    for edge in ([-inf] * 3, [-inf], [inf, 1.0], [inf, -inf], [inf, inf], [nan, 1.0],
+                 [inf, nan], [], [1e308, 1e308], [-1e308, 5.0], [700.0, 710.0, 710.0]):
+        yield np.array(edge, dtype=float)
+
+
+def test_private_logsumexp_equals_scipy():
+    for a in logsumexp_cases(5000):
+        got, want = smc_mod._logsumexp(a), logsumexp(a)
+        assert got == want or (np.isnan(got) and np.isnan(want)), a
+
+
+def scipy_logsumexp(a):
+    return float(logsumexp(a))
+
+
+@pytest.mark.parametrize("name", ["conjugate-1d", "logistic-interior-peak"])
+def test_runs_and_posthoc_schedules_match_scipy_logsumexp(monkeypatch, name):
+    make_model, kwargs = RUN_CONFIGS[name]
+    cfg = SmcConfig(**kwargs)
+
+    def run():
+        pilot = run_smc(make_model(), cfg)
+        replica = run_smc(make_model(), replace(cfg, seed=cfg.seed + 1),
+                          replay=pilot.replay_record())
+        return pilot, replica, posthoc_schedule(pilot, 0.95)
+
+    ours = run()
+    monkeypatch.setattr(smc_mod, "_logsumexp", scipy_logsumexp)
+    theirs = run()
+    assert repr(ours) == repr(theirs)
+    for a, b in zip(ours[:2], theirs[:2]):
+        for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
+            for array in ("theta", "weights", "log_like", "grad_log_like"):
+                assert_array_equal(bits(getattr(sa, array)), bits(getattr(sb, array)))
 
 
 def posthoc_schedule_reference(ps, rho_tilde):
