@@ -36,9 +36,9 @@ For a fixed kernel the estimator is a fixed weighting of the draws,
 a_hat = v^T phi with v = K^{-1} w~ / 1^T K^{-1} w~, so ``_cf_weights`` factorises
 K once, solves once against w~ and keeps only the N weights: every integrand
 on the same draws, kernel and lambda_r is then one inner product.  The
-evidence layer keeps v in the memo of the SampleSet it weights, which a
-snapshot's SampleSets at one temperature share, so every report on one
-particle system reuses it; ``cf_estimate`` keeps nothing.  The gaussian
+evidence layer keeps v in the memo of the SampleSet it weights, the one a
+snapshot builds and keeps per temperature, so every report on one particle
+system reuses it; ``cf_estimate`` keeps nothing.  The gaussian
 system is an N x N Cholesky factor.  The polynomial kernel has rank J, so
 while J < N its system is solved in the J x J space of X^T X and no N x N
 matrix is formed; J >= N (the paper's regime) keeps the N x N factor.
@@ -145,7 +145,9 @@ def _factor_with_jitter(A: np.ndarray, shift: float, jitter_scale: float,
     One Fortran-ordered working copy of A^T (for a C-ordered A, already in
     Fortran order) is factorised in place; each try sets its diagonal to
     (diag A + shift) + jitter.  Only one triangle is read, so a matrix
-    symmetric to rounding is factorised as that triangle.
+    symmetric to rounding is factorised as that triangle.  A non-finite A,
+    which cho_factor rejects with a ValueError before factorising, raises
+    ConditioningError as a system no jitter can rescue.
     """
     jitter = jitter_scale * base_diag if base_diag > 0 else jitter_scale
     diag = np.diag(A) + shift
@@ -160,6 +162,8 @@ def _factor_with_jitter(A: np.ndarray, shift: float, jitter_scale: float,
             last = exc
             M[...] = A.T                    # undo a partial factorisation
             jitter = max(jitter * 2.0, np.finfo(float).tiny)
+        except ValueError as exc:           # cho_factor's finiteness check
+            raise ConditioningError("kernel system has non-finite entries") from exc
     raise ConditioningError(
         "kernel system stayed non-positive-definite after jitter escalation",
         jitter=jitter,
@@ -251,11 +255,12 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     scores = np.zeros(grid.size)
     for gi, bw in enumerate(grid):
         # every fold's training and hold-out blocks come from this one kernel
-        K0 = stein_kernel_matrix(s, KernelSpec(bandwidth=float(bw)))
+        kernel = KernelSpec(bandwidth=float(bw))
+        K0 = stein_kernel_matrix(s, kernel)
         err = 0.0
         for hold, train in splits:
             try:
-                factor, v = _kernel_weights(K0[train][:, train], 0.0, 1e-10,
+                factor, v = _kernel_weights(K0[train][:, train], 0.0, kernel.jitter,
                                             np.ones(train.size))
             except ConditioningError:
                 err = np.inf

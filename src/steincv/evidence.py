@@ -33,7 +33,7 @@ from .errors import DegenerateWeights, InvalidInput, InvalidSchedule
 from .polybasis import build_design_matrix, enumerate_exponents
 from .regression import refit_fixed_intercept
 from .samples import IntegrandValues, SampleSet
-from .smc import ParticleSystem, Snapshot, TemperatureSchedule
+from .smc import ParticleSystem, TemperatureSchedule
 from .zvcv import ZvSpec, crossval_select, zvcv_estimate
 
 VANILLA = "vanilla"
@@ -292,8 +292,8 @@ def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: 
     """(raw weighted mean, estimate, outcome) of E[values] under ``method``.
 
     A fixed-kernel CF method keeps its weights in the memo of ``s``, so every
-    expectation on one sample set (or on a snapshot's sample set at one
-    temperature) factorises once.
+    expectation on one sample set factorises once; a snapshot gives out one
+    sample set per temperature, so that holds for every report on it too.
     """
     raw = float(s.weights @ values)
     if method is None or method == VANILLA:
@@ -330,16 +330,20 @@ def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: 
     return raw, c0, _MethodOutcome(c0, out.label, out.detail, fallback="vanilla")
 
 
-def _as_snapshots(snapshots) -> list[Snapshot]:
-    if isinstance(snapshots, ParticleSystem):
-        return list(snapshots.snapshots)
-    snaps = list(snapshots)
+def _serving_sample_sets(schedule: TemperatureSchedule, snapshots, cv) -> list[SampleSet]:
+    """The sample set serving each temperature of ``schedule``, in order.
+
+    Each is its snapshot's own SampleSet at that temperature, so every report
+    on one particle system reuses its weights and memo.  Raises InvalidInput
+    for an unknown ``cv`` or no snapshots, and InvalidSchedule for a
+    population index out of range or a snapshot above the temperature it
+    serves.
+    """
+    if not _is_method(cv):
+        raise InvalidInput(f"unknown control-variate method {cv!r}")
+    snaps = list(snapshots.snapshots if isinstance(snapshots, ParticleSystem) else snapshots)
     if not snaps:
         raise InvalidInput("no snapshots given")
-    return snaps
-
-
-def _check_schedule(schedule: TemperatureSchedule, snaps: list[Snapshot]) -> None:
     for t, k in zip(schedule.temperatures, schedule.population_index):
         if k >= len(snaps):
             raise InvalidSchedule(f"population index {k} out of range")
@@ -347,6 +351,8 @@ def _check_schedule(schedule: TemperatureSchedule, snaps: list[Snapshot]) -> Non
             raise InvalidSchedule(
                 f"snapshot at t={snaps[k].t} cannot serve temperature {t}"
             )
+    return [snaps[k].sample_set(t)
+            for t, k in zip(schedule.temperatures, schedule.population_index)]
 
 
 def cti_quadrature(temperatures, e_values, v_values=None) -> float:
@@ -377,26 +383,22 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
     V_t[log l]) are estimated from the serving snapshot reweighted to t, each
     expectation improved by the ``cv`` method independently.  The variance
     integrand squares deviations from the CV-improved mean
-    (``v_mean_mode="cv"``) or the raw weighted mean (``"raw"``).  A
-    fixed-kernel CF method weights E and V with one weight vector per
-    temperature, kept on the serving snapshot for later reports.
+    (``v_mean_mode="cv"``) or the raw weighted mean (``"raw"``).  Each
+    temperature reads the serving snapshot's own sample set at t, built once
+    and kept on the snapshot with its retempered weights and memo; a
+    fixed-kernel CF method weights E and V with one weight vector from that
+    memo, which later reports reuse.
     """
     if order not in (1, 2):
         raise InvalidInput("quadrature order must be 1 or 2")
     if v_mean_mode not in ("cv", "raw"):
         raise InvalidInput("v_mean_mode must be 'cv' or 'raw'")
-    if not _is_method(cv):
-        raise InvalidInput(f"unknown control-variate method {cv!r}")
-    snaps = _as_snapshots(snapshots)
-    _check_schedule(schedule, snaps)
+    sets = _serving_sample_sets(schedule, snapshots, cv)
 
     records: list[ExpectationRecord] = []
     e_vals: list[float] = []
     v_vals: list[float] = []
-    for j, (t, k) in enumerate(zip(schedule.temperatures, schedule.population_index)):
-        ss = snaps[k].sample_set(t)
-        if ss.log_like is None:
-            raise InvalidInput("snapshots lack log-likelihood values")
+    for j, (t, ss) in enumerate(zip(schedule.temperatures, sets)):
         ll = ss.log_like
         raw_e, est_e, out = _stabilised(ss, ll, cv, ratio=False,
                                         seed=_derive_seed(seed, j, 0))
@@ -425,24 +427,17 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
     serving snapshot on the max-scaled integrand and accumulated in log
     space; the scaling itself is done on log values, so likelihoods spanning
     hundreds of log units are safe.  With cv="vanilla" each factor is exactly
-    the reweighting increment an SMC run would record.  A fixed-kernel CF
-    method reuses the weight vectors :func:`cti_estimate` left on the
-    snapshots at t_{j-1}, and leaves its own for later reports.
+    the reweighting increment an SMC run would record.  Factor j reads the
+    serving snapshot's own sample set at t_{j-1}, the one :func:`cti_estimate`
+    reads there, so a fixed-kernel CF method reuses the weight vector kept in
+    its memo, or leaves one for later reports.
     """
-    if not _is_method(cv):
-        raise InvalidInput(f"unknown control-variate method {cv!r}")
-    snaps = _as_snapshots(snapshots)
-    _check_schedule(schedule, snaps)
+    sets = _serving_sample_sets(schedule, snapshots, cv)
 
     temps = schedule.temperatures
-    pops = schedule.population_index
     records: list[ExpectationRecord] = []
     log_z = 0.0
-    for j in range(1, len(temps)):
-        t_prev, t_next = temps[j - 1], temps[j]
-        ss = snaps[pops[j - 1]].sample_set(t_prev)
-        if ss.log_like is None:
-            raise InvalidInput("snapshots lack log-likelihood values")
+    for j, (t_prev, t_next, ss) in enumerate(zip(temps, temps[1:], sets), start=1):
         dll = (t_next - t_prev) * ss.log_like
         raw_log = float(logsumexp(dll, b=ss.weights))
         if not np.isfinite(raw_log):

@@ -70,6 +70,8 @@ class SampleSet:
     safe to share.  ``_memo`` holds quantities derived from those arrays, such
     as control-functional weights; every new SampleSet, including those of
     ``with_weights``, ``take`` and ``dataclasses.replace``, starts it empty.
+    A snapshot keeps the one SampleSet it gives out per temperature, so that
+    set's memo lasts as long as the snapshot.
     """
 
     theta: np.ndarray

@@ -308,20 +308,6 @@ def _evaluate(model: TargetModel, theta: np.ndarray) -> _Cloud:
     )
 
 
-def mala_log_ratio(theta_a, theta_b, logp_a, logp_b, grad_a, grad_b, h, cov, chol):
-    """log of the Metropolis-Hastings ratio for a preconditioned MALA move a -> b."""
-    half = 0.5 * h * h
-    mu_fwd = theta_a + half * (grad_a @ cov)
-    mu_rev = theta_b + half * (grad_b @ cov)
-    za = solve_triangular(chol, (theta_b - mu_fwd).T, lower=True).T / h
-    zb = solve_triangular(chol, (theta_a - mu_rev).T, lower=True).T / h
-    return (
-        logp_b - logp_a
-        - 0.5 * np.sum(zb * zb, axis=-1)
-        + 0.5 * np.sum(za * za, axis=-1)
-    )
-
-
 def _mala_sweep(cloud: _Cloud, model: TargetModel, t: float, h: float,
                 cov: np.ndarray, chol: np.ndarray, rng):
     """One preconditioned MALA sweep over all particles.
@@ -469,11 +455,11 @@ class Snapshot:
     """Particle population at one temperature, with split gradients.
 
     Arrays are frozen copies, as a SampleSet's, so the sample set at any
-    temperature is a fixed function of the snapshot.  ``_memos[t]`` is the
-    memo shared by every SampleSet :meth:`sample_set` returns at t: what one
-    report derives from those draws (CF weights, N floats per kernel and
-    lambda_r) serves every later report while the snapshot lives.  The
-    SampleSets themselves are not kept.
+    temperature is a fixed function of the snapshot.  ``_sample_sets[t]`` is
+    the one SampleSet :meth:`sample_set` builds at t and returns from then on:
+    its retempered weights, and what a report keeps in its memo (CF weights,
+    N floats per kernel and lambda_r), serve every later report while the
+    snapshot lives.  ``dataclasses.replace`` starts the cache empty.
     """
 
     t: float
@@ -487,7 +473,7 @@ class Snapshot:
     h: float | None = None
     repeats: int = 0
     acceptance: float = float("nan")
-    _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sample_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("theta", "weights", "log_like", "log_prior",
@@ -503,25 +489,25 @@ class Snapshot:
         return t * self.grad_log_like + self.grad_log_prior
 
     def sample_set(self, t: float | None = None) -> SampleSet:
-        """Materialise a SampleSet at temperature ``t`` (default: own t).
+        """The SampleSet at temperature ``t`` (default: own t), built once.
 
         Retempering reweights by l^(t - own t) and rebuilds the tempered
-        gradient; weights pick up the usual importance correction.  Every
-        SampleSet of one t shares the memo ``_memos[t]``.
+        gradient; weights pick up the usual importance correction.  The first
+        call at t builds the set, and every later call returns that object.
         """
         t = self.t if t is None else t
-        if t == self.t:
+        s = self._sample_sets.get(t)
+        if s is None:
             w = self.weights
-        else:
-            w, _ = reweight(self.weights, self.log_like, self.t, t)
-        s = SampleSet(
-            theta=self.theta,
-            grad_log_target=self.grad_log_target(t),
-            weights=w,
-            log_like=self.log_like,
-            log_prior=self.log_prior,
-        )
-        object.__setattr__(s, "_memo", self._memos.setdefault(t, {}))
+            if t != self.t:
+                w, _ = reweight(w, self.log_like, self.t, t)
+            s = self._sample_sets[t] = SampleSet(
+                theta=self.theta,
+                grad_log_target=self.grad_log_target(t),
+                weights=w,
+                log_like=self.log_like,
+                log_prior=self.log_prior,
+            )
         return s
 
 

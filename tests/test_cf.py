@@ -421,6 +421,22 @@ def test_sliced_search_scores_failing_bandwidths_like_per_fold_search(monkeypatc
         cf_cv_bandwidth(s, phi, grid=[0.01, 0.03], seed=4)
 
 
+def test_a_kernel_that_overflows_raises_conditioning_error():
+    # At theta ~ 1e8 the fused exponent cancels terms of ||theta||^2 / bw ~ 1e19,
+    # and at bw = 1e-3 the rounding error overflows exp: K0 holds inf, which
+    # cho_factor rejects with a ValueError before any jitter can help
+    rng = np.random.default_rng(1)
+    theta = 1e8 * rng.normal(size=(13, 1))
+    s = SampleSet(theta=theta, grad_log_target=-theta / 1e16, weights=None)
+    phi = IntegrandValues(theta[:, 0] / 1e8)
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(stein_kernel_matrix(s, KernelSpec(bandwidth=1e-3))))
+        with pytest.raises(ConditioningError):
+            cf_estimate(s, phi, KernelSpec(bandwidth=1e-3))
+        bw = cf_cv_bandwidth(s, phi, folds=2)   # 1e-3 scores inf and the search goes on
+        assert bw > 1e-3 and np.isfinite(cf_estimate(s, phi, KernelSpec(bandwidth=bw)))
+
+
 def test_search_builds_one_full_kernel_per_bandwidth(monkeypatch):
     kernels, blocks = [], []
     real_kernel, real_block = cf_mod.stein_kernel_matrix, cf_mod._gaussian_stein_cross

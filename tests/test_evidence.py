@@ -5,13 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import steincv.cf as cf_mod
 import steincv.evidence as evidence_mod
 from steincv.cf import KernelSpec, cf_estimate
-from steincv.errors import DegenerateWeights, InvalidInput, InvalidSchedule
+from steincv.errors import DegenerateWeights, InvalidInput, InvalidSchedule, SteinCvError
 from steincv.evidence import (
     VANILLA,
     CfMethod,
@@ -166,6 +168,47 @@ def test_expectation_record_fields():
     assert rec.estimate == pytest.approx(0.0, abs=1e-10)
     assert rec.method == "zv:Q=1:ols"
     assert rec.detail["Q"] == 1
+
+
+EVERY_METHOD = (
+    VANILLA,
+    ZvSpec(penalty="ols"),
+    ZvSpec(penalty="ridge", lam=0.1), ZvSpec(penalty="ridge"),
+    ZvSpec(penalty="lasso", lam=0.01), ZvSpec(penalty="lasso"),
+    ZvSpec(estimator="split"),
+    CfMethod(bandwidth=1.0), CfMethod(kind="polynomial"), CfMethod(folds=2),
+    CrossvalMethod(),
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(n=st.integers(1, 13), d=st.integers(1, 3),
+       log_scale=st.sampled_from([-8, -4, -1, 0, 1, 4, 8]),
+       seed=st.integers(0, 2**32 - 1), zero_weights=st.booleans(), repeat=st.booleans(),
+       integrand=st.sampled_from(["smooth", "constant", "tiny"]))
+def test_every_method_is_finite_or_a_typed_error(n, d, log_scale, seed, zero_weights,
+                                                 repeat, integrand):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    theta = scale * rng.normal(size=(n, d))
+    if repeat and n > 1:
+        theta[1] = theta[0]
+    w = rng.uniform(0.1, 1.0, size=n)
+    if zero_weights:
+        w[rng.uniform(size=n) < 0.3] = 0.0
+        w[0] = 1.0
+    s = SampleSet(theta=theta, grad_log_target=-theta / scale**2, weights=w)
+    f = {"smooth": theta[:, 0] / scale + (theta[:, -1] / scale) ** 2,
+         "constant": np.full(n, 1.5),
+         "tiny": 1e-300 * np.exp(-theta[:, 0] / scale)}[integrand]
+    for method in EVERY_METHOD:
+        for ratio in (False, True):
+            try:
+                with np.errstate(over="ignore"):
+                    rec = expectation_with_provenance(s, f, method, ratio=ratio, seed=seed)
+            except SteinCvError:
+                continue
+            assert np.isfinite(rec.estimate), (method, ratio)
 
 
 # --- estimators over schedules -------------------------------------------------------
@@ -415,11 +458,12 @@ def test_cf_weight_memo_holds_one_vector_per_sample_set(conjugate_run):
     n = ps.snapshots[0].count
     served = Counter(sched.population_index)
     for k, snap in enumerate(ps.snapshots):
-        assert len(snap._memos) == served[k]
-        for entries in snap._memos.values():
-            assert set(entries) == {("cf", KernelSpec(bandwidth=2.0), 0.0),
-                                    ("cf", KernelSpec(bandwidth=0.5), 0.01)}
-            for v in entries.values():
+        assert len(snap._sample_sets) == served[k]
+        for t, ss in snap._sample_sets.items():
+            assert snap.sample_set(t) is ss
+            assert set(ss._memo) == {("cf", KernelSpec(bandwidth=2.0), 0.0),
+                                     ("cf", KernelSpec(bandwidth=0.5), 0.01)}
+            for v in ss._memo.values():
                 assert v.shape == (n,) and not v.flags.writeable
                 assert v.sum() == pytest.approx(1.0, rel=1e-12)
 
@@ -441,7 +485,7 @@ def test_expectations_at_one_temperature_factorise_once(conjugate_run, monkeypat
     got = [expectation_with_provenance(ss, ll, method, seed=1).estimate,
            expectation_with_provenance(ss, th, method, seed=2).estimate]
     assert calls["cho_factor"] == 1
-    # a second sample set of the same snapshot and temperature shares the memo
+    # the snapshot gives out the same sample set, and with it the memo, again
     again = expectation_with_provenance(snap.sample_set(t), ll, method, seed=3)
     assert calls["cho_factor"] == 1
     assert got == want and again.estimate == want[0]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 import steincv.smc as smc_mod
@@ -39,7 +40,6 @@ from steincv.smc import (
     ess,
     load_particle_system,
     load_replay_record,
-    mala_log_ratio,
     mean_interparticle_distance,
     next_temperature,
     posthoc_schedule,
@@ -246,6 +246,21 @@ def test_weighted_covariance_single_particle_weight():
 # --- MALA ------------------------------------------------------------------------
 
 
+def mala_log_ratio(theta_a, theta_b, logp_a, logp_b, grad_a, grad_b, h, cov, chol):
+    """Reference log Metropolis-Hastings ratio of a preconditioned MALA move a -> b,
+    with both proposal densities' residuals recomputed from the end points."""
+    half = 0.5 * h * h
+    mu_fwd = theta_a + half * (grad_a @ cov)
+    mu_rev = theta_b + half * (grad_b @ cov)
+    za = solve_triangular(chol, (theta_b - mu_fwd).T, lower=True).T / h
+    zb = solve_triangular(chol, (theta_a - mu_rev).T, lower=True).T / h
+    return (
+        logp_b - logp_a
+        - 0.5 * np.sum(zb * zb, axis=-1)
+        + 0.5 * np.sum(za * za, axis=-1)
+    )
+
+
 def test_mala_log_ratio_antisymmetric():
     rng = np.random.default_rng(6)
     d = 3
@@ -264,6 +279,27 @@ def gaussian_cloud(model, n, seed):
     rng = np.random.default_rng(seed)
     theta = model.sample_prior(n, rng)
     return _evaluate(model, theta)
+
+
+@pytest.mark.parametrize("h", [0.02, 0.05, 0.1, 0.2])
+def test_mala_sweep_acceptance_matches_the_reference_ratio(h):
+    # The sweep reuses its draw z as the forward residual; the reference
+    # recomputes it from the proposal, which loses digits as h shrinks.  Over
+    # 20 prior clouds of this model and these step sizes the two acceptance
+    # probabilities differed by at most 2.6e-14, so 1e-12 leaves 40x margin.
+    model = synthetic_logistic_model(n=30, dim=3)
+    before = _evaluate(model, model.sample_prior(200, np.random.default_rng(11)))
+    cov, chol = weighted_covariance(before.theta, np.full(200, 1 / 200))
+    t = 0.6
+    accept, _, _ = _mala_sweep(before.take(slice(None)), model, t, h, cov, chol,
+                               np.random.default_rng(12))
+    z = np.random.default_rng(12).standard_normal(before.theta.shape)
+    logp, grad = before.tempered(t)
+    proposal = before.theta + 0.5 * h * h * (grad @ cov) + h * (z @ chol.T)
+    logp_new, grad_new = _evaluate(model, proposal).tempered(t)
+    ref = mala_log_ratio(before.theta, proposal, logp, logp_new, grad, grad_new, h, cov, chol)
+    assert_allclose(accept, np.exp(np.minimum(ref, 0.0)), rtol=0, atol=1e-12)
+    assert 0.0 < float(np.mean(accept)) < 1.0
 
 
 def test_mala_tiny_step_accepts_everything():
@@ -578,16 +614,20 @@ def test_snapshot_leaves_the_callers_arrays_writeable():
     assert np.all(snap.grad_log_like != 0.0)
 
 
-def test_sample_sets_of_one_temperature_share_one_memo():
+def test_a_snapshot_builds_one_sample_set_per_temperature():
     snap = make_snapshot(0.5)
-    a, b = snap.sample_set(0.75), snap.sample_set(0.75)
-    assert a is not b and a._memo is b._memo
+    a = snap.sample_set(0.75)
+    assert snap.sample_set(0.75) is a
     a._memo["key"] = "value"
-    assert b._memo == {"key": "value"}
-    assert snap.sample_set()._memo is snap.sample_set(0.5)._memo
-    assert snap.sample_set(0.8)._memo == {} and snap.sample_set(0.8)._memo is not a._memo
-    assert set(snap._memos) == {0.5, 0.75, 0.8}
-    assert replace(snap)._memos == {}
+    assert snap.sample_set(0.75)._memo == {"key": "value"}
+    assert snap.sample_set() is snap.sample_set(0.5)
+    other = snap.sample_set(0.8)
+    assert other is not a and other._memo == {}
+    assert set(snap._sample_sets) == {0.5, 0.75, 0.8}
+    fresh = replace(snap)
+    assert fresh._sample_sets == {}
+    assert fresh.sample_set(0.75) is not a and fresh.sample_set(0.75)._memo == {}
+    assert_array_equal(fresh.sample_set(0.75).weights, a.weights)
 
 
 def test_temperature_schedule_validation():
