@@ -20,6 +20,8 @@ Method strings (``--methods``, comma-separated):
     crossval[:maxQ=I]
 
 Subset indices in ``sub=`` are 1-based coordinate numbers joined by '+'.
+Outputs name each method by a label that parses back to it (every option
+off its default is printed).  A method listed twice is an error.
 """
 
 from __future__ import annotations
@@ -87,71 +89,59 @@ def _num(text: str, conv, what: str):
         raise InvalidInput(f"cannot parse {what} from {text!r}") from None
 
 
+def _subset(text: str) -> SubsetSpec:
+    cols = [_num(v, int, "subset index") for v in text.split("+")]
+    if any(c < 1 for c in cols):
+        raise InvalidInput("subset indices are 1-based")
+    return SubsetSpec(tuple(sorted(c - 1 for c in cols)))
+
+
+# Per method head: its selector and its options.  A bare word sets a field to
+# a fixed value; a "key=" option converts the text after "=" into the field.
+# The selectors' label() methods print the same options back.
+_GRAMMAR = {
+    "vanilla": (lambda: VANILLA, {}),
+    "none": (lambda: VANILLA, {}),
+    "zv": (ZvSpec, {
+        "Q=": ("degree", int), "ols": ("penalty", "ols"), "ridge": ("penalty", "ridge"),
+        "lasso": ("penalty", "lasso"), "lam=": ("lam", float), "relaxed": ("relaxed", True),
+        "sub=": ("subset", _subset), "split": ("estimator", "split"),
+    }),
+    "cf": (CfMethod, {
+        "poly": ("kind", "polynomial"), "bw=": ("bandwidth", float), "Q=": ("degree", int),
+        "lam=": ("lam_r", float), "folds=": ("folds", int),
+    }),
+    "crossval": (CrossvalMethod, {"maxQ=": ("max_degree", int)}),
+}
+
+
 def parse_method(token: str):
-    """Parse one method string into a selector object."""
-    parts = token.strip().split(":")
-    head, rest = parts[0], parts[1:]
-    if head in ("vanilla", "none"):
-        if rest:
-            raise InvalidInput(f"{head!r} takes no options")
-        return VANILLA
-    if head == "crossval":
-        max_q = None
-        for p in rest:
-            if p.startswith("maxQ="):
-                max_q = _num(p[5:], int, "maxQ")
-            else:
-                raise InvalidInput(f"unknown crossval option {p!r}")
-        return CrossvalMethod(max_degree=max_q)
-    if head == "cf":
-        kind, bw, lam, q, folds = "gaussian", None, 0.0, 2, 5
-        for p in rest:
-            if p == "poly":
-                kind = "polynomial"
-            elif p.startswith("bw="):
-                bw = _num(p[3:], float, "bandwidth")
-            elif p.startswith("lam="):
-                lam = _num(p[4:], float, "lam")
-            elif p.startswith("Q="):
-                q = _num(p[2:], int, "Q")
-            elif p.startswith("folds="):
-                folds = _num(p[6:], int, "folds")
-            else:
-                raise InvalidInput(f"unknown cf option {p!r}")
-        return CfMethod(bandwidth=bw, lam_r=lam, kind=kind, degree=q, folds=folds)
-    if head == "zv":
-        q, penalty, lam, split, relaxed, subset = 2, "ols", None, False, False, None
-        for p in rest:
-            if p.startswith("Q="):
-                q = _num(p[2:], int, "Q")
-            elif p in ("ols", "ridge", "lasso"):
-                penalty = p
-            elif p == "split":
-                split = True
-            elif p == "relaxed":
-                relaxed = True
-            elif p.startswith("lam="):
-                lam = _num(p[4:], float, "lam")
-            elif p.startswith("sub="):
-                cols = [_num(v, int, "subset index") for v in p[4:].split("+")]
-                if any(c < 1 for c in cols):
-                    raise InvalidInput("subset indices are 1-based")
-                subset = SubsetSpec(tuple(sorted(c - 1 for c in cols)))
-            else:
-                raise InvalidInput(f"unknown zv option {p!r}")
-        return ZvSpec(
-            degree=q, penalty=penalty, subset=subset,
-            estimator="split" if split else "combined",
-            lam=lam, relaxed=relaxed,
-        )
-    raise InvalidInput(f"unknown method {token!r}")
+    """Parse one method string into a selector object; a repeated option's
+    last value wins."""
+    head, *rest = token.strip().split(":")
+    if head not in _GRAMMAR:
+        raise InvalidInput(f"unknown method {token!r}")
+    selector, options = _GRAMMAR[head]
+    fields = {}
+    for p in rest:
+        key, eq, text = p.partition("=")
+        if key + eq not in options:
+            raise InvalidInput(f"unknown {head} option {p!r}")
+        name, value = options[key + eq]
+        fields[name] = _num(text, value, key) if eq else value
+    return selector(**fields)
 
 
 def parse_methods(spec: str):
     tokens = [t for t in (s.strip() for s in spec.split(",")) if t]
     if not tokens:
         raise InvalidInput("empty method list")
-    return [parse_method(t) for t in tokens]
+    methods = [parse_method(t) for t in tokens]
+    labels = [method_label(m) for m in methods]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise InvalidInput(f"method listed twice: {', '.join(repeated)}")
+    return methods
 
 
 def _slug(label: str) -> str:
@@ -179,9 +169,7 @@ class _Sidecar:
     def flush(self) -> None:
         self.timings["total_s"] = float(sum(self.timings["entries"].values()))
         (self.out / "run.log").write_text("".join(line + "\n" for line in self.lines))
-        with (self.out / "timings.json").open("w") as fh:
-            json.dump(self.timings, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.out / "timings.json", self.timings)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -203,10 +191,11 @@ def _read_json(path: Path) -> dict:
 def _resolve_manifest_paths(manifest: dict, base_dir: Path) -> dict:
     """Copy of a model manifest with data paths made absolute for embedding."""
     out = dict(manifest)
-    for key in _PATH_KEYS:
-        if key in out:
-            p = Path(out[key])
-            out[key] = str(p if p.is_absolute() else (base_dir / p).resolve())
+    with _manifest_fields("model manifest"):
+        for key in _PATH_KEYS:
+            if key in out:
+                p = Path(out[key])
+                out[key] = str(p if p.is_absolute() else (base_dir / p).resolve())
     return out
 
 
@@ -537,23 +526,15 @@ def cmd_efficiency(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     header = ["integrand", "method", "n", "mse", "efficiency",
               "mean_time_s", "overall_efficiency"]
-    csv_lines = [",".join(header)]
-    for r in rows:
-        csv_lines.append(",".join(
-            "" if r[h] is None else repr(r[h]) if isinstance(r[h], float) else str(r[h])
-            for h in header
-        ))
-    (out / "efficiency.csv").write_text("\n".join(csv_lines) + "\n")
 
-    md = ["| " + " | ".join(header) + " |",
-          "|" + "|".join(" --- " for _ in header) + "|"]
-    for r in rows:
-        md.append("| " + " | ".join(
-            "" if r[h] is None
-            else f"{r[h]:.6g}" if isinstance(r[h], float)
-            else str(r[h])
-            for h in header
-        ) + " |")
+    def cells(r, fmt):
+        return [fmt(r[h]) if isinstance(r[h], float) else "" if r[h] is None else str(r[h])
+                for h in header]
+
+    csv_lines = [",".join(header), *(",".join(cells(r, repr)) for r in rows)]
+    (out / "efficiency.csv").write_text("\n".join(csv_lines) + "\n")
+    md = ["| " + " | ".join(header) + " |", "|" + "|".join(" --- " for _ in header) + "|",
+          *("| " + " | ".join(cells(r, lambda v: f"{v:.6g}")) + " |" for r in rows)]
     (out / "efficiency.md").write_text("\n".join(md) + "\n")
     print("\n".join(md))
     return EXIT_OK

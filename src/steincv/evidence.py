@@ -21,7 +21,7 @@ weighted mean) so a factor never poisons the product.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .polybasis import build_design_matrix, enumerate_exponents
 from .regression import refit_fixed_intercept
 from .samples import IntegrandValues, SampleSet
 from .smc import ParticleSystem, TemperatureSchedule
-from .zvcv import ZvSpec, crossval_select, zvcv_estimate
+from .zvcv import ZvSpec, _number_label, crossval_select, zvcv_estimate
 
 VANILLA = "vanilla"
 
@@ -65,11 +65,18 @@ class CfMethod:
             raise InvalidInput("cross-validation needs at least 2 folds")
 
     def label(self) -> str:
-        if self.kind == "polynomial":
-            return f"cf:poly:Q={self.degree}"
-        if self.bandwidth is None:
-            return "cf"
-        return f"cf:bw={self.bandwidth:g}"
+        """The method string that parses back to this selector."""
+        poly = self.kind == "polynomial"
+        parts = ["cf:poly" if poly else "cf"]
+        if self.bandwidth is not None:
+            parts.append(f"bw={_number_label(self.bandwidth)}")
+        if poly or self.degree != 2:
+            parts.append(f"Q={self.degree}")
+        if self.lam_r != 0.0:
+            parts.append(f"lam={_number_label(self.lam_r)}")
+        if self.folds != 5:
+            parts.append(f"folds={self.folds}")
+        return ":".join(parts)
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,8 @@ class CrossvalMethod:
     min_degree: int = 1
 
     def label(self) -> str:
-        return "crossval"
+        """The method string that parses back to this selector (``min_degree`` aside)."""
+        return "crossval" + ("" if self.max_degree is None else f":maxQ={self.max_degree}")
 
 
 def method_label(method) -> str:
@@ -129,26 +137,9 @@ class EvidenceReport:
     fallbacks_triggered: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "log_evidence": self.log_evidence,
-            "temperatures": list(self.temperatures),
-            "method": self.method,
-            "fallbacks_triggered": self.fallbacks_triggered,
-            "per_expectation": [
-                {
-                    "temperature": r.temperature,
-                    "kind": r.kind,
-                    "raw": r.raw,
-                    "estimate": r.estimate,
-                    "method": r.method,
-                    "detail": r.detail,
-                    "fallback": r.fallback,
-                    "log_scale": r.log_scale,
-                }
-                for r in self.per_expectation
-            ],
-        }
+        d = asdict(self)
+        return {**d, "temperatures": list(d["temperatures"]),
+                "per_expectation": list(d["per_expectation"])}
 
     def save(self, path) -> None:
         with Path(path).open("w") as fh:
@@ -183,7 +174,7 @@ class EvidenceReport:
     def load(cls, path) -> "EvidenceReport":
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise InvalidInput(f"cannot read evidence report {path}: {exc}") from exc
 
 

@@ -64,6 +64,12 @@ class TargetModel(abc.ABC):
         return t * self.grad_log_like(theta) + self.grad_log_prior(theta)
 
 
+def _finite(a, name) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput(f"{name} must be finite")
+    return a
+
+
 def _spd_factor(mat, name):
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.shape[0] != mat.shape[1] or not np.allclose(mat, mat.T):
@@ -83,7 +89,7 @@ class GaussianModel(TargetModel):
     """
 
     def __init__(self, mu, sigma):
-        self.mu = np.asarray(mu, dtype=float).reshape(-1)
+        self.mu = _finite(np.asarray(mu, dtype=float).reshape(-1), "mu")
         self.dim = self.mu.shape[0]
         self.sigma, self._chol = _spd_factor(sigma, "sigma")
         if self.sigma.shape[0] != self.dim:
@@ -123,11 +129,11 @@ class ConjugateGaussianModel(TargetModel):
     """
 
     def __init__(self, prior_mean, prior_cov, obs_cov, data):
-        self.mu0 = np.asarray(prior_mean, dtype=float).reshape(-1)
+        self.mu0 = _finite(np.asarray(prior_mean, dtype=float).reshape(-1), "prior_mean")
         self.dim = self.mu0.shape[0]
         self.sigma0, self._chol0 = _spd_factor(prior_cov, "prior_cov")
         self.sigma_l, self._chol_l = _spd_factor(obs_cov, "obs_cov")
-        self.data = _as_matrix(np.asarray(data, dtype=float), "data")
+        self.data = _finite(_as_matrix(data, "data"), "data")
         if self.sigma0.shape[0] != self.dim or self.sigma_l.shape[0] != self.dim:
             raise InvalidInput("covariance dimension mismatch")
         if self.data.shape[1] != self.dim:
@@ -221,7 +227,7 @@ class LogisticModel(TargetModel):
     """
 
     def __init__(self, design, response, prior_sds):
-        self.design = _as_matrix(np.asarray(design, dtype=float), "design")
+        self.design = _finite(_as_matrix(design, "design"), "design")
         y = np.asarray(response, dtype=float).reshape(-1)
         if y.shape[0] != self.design.shape[0]:
             raise InvalidInput("design and response disagree on rows")
@@ -506,7 +512,7 @@ def _manifest_fields(what: str):
     """Re-raise a missing key or a bad value read from a manifest as InvalidInput."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -59,12 +59,23 @@ class ZvSpec:
             raise InvalidInput(f"unknown estimator {self.estimator!r}")
 
     def label(self) -> str:
+        """The method string that parses back to this spec (``cv`` aside)."""
         parts = [f"zv:Q={self.degree}", self.penalty]
+        if self.lam is not None:
+            parts.append(f"lam={_number_label(self.lam)}")
+        if self.relaxed:
+            parts.append("relaxed")
         if self.subset is not None:
             parts.append("sub=" + "+".join(str(i + 1) for i in self.subset.indices))
         if self.estimator != "combined":
             parts.append(self.estimator)
         return ":".join(parts)
+
+
+def _number_label(x: float) -> str:
+    """``x`` in %g form, or its repr where %g would not parse back to it."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,9 @@ def _halves(n: int, seed: int, what: str):
 
 def _half_fits(X, f, w, spec: ZvSpec, halves, seed: int):
     """Fit on each half in turn; yield (fit, X, f, normalised weights) of the other."""
+    for k, half in enumerate(halves, start=1):
+        if w[half].sum() <= 0.0:
+            raise InsufficientSamples(f"half {k} of the split has zero total weight")
     for train, hold in (halves, halves[::-1]):
         w_tr = w[train] / w[train].sum()
         fit = _fit_dispatch(X[train], f[train], w_tr, spec, seed)

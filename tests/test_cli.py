@@ -1,13 +1,18 @@
 """Command-line surface: method grammar, exit codes, pipeline reproducibility."""
 
+import contextlib
 import csv
+import io
 import json
 import shutil
+import tempfile
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steincv.cf as cf_mod
 from conftest import MALFORMED_NPY, rewrite_as_csv_archive
@@ -21,7 +26,13 @@ from steincv.cli import (
     parse_methods,
 )
 from steincv.errors import InvalidInput
-from steincv.evidence import VANILLA, CfMethod, CrossvalMethod, expectation_with_provenance
+from steincv.evidence import (
+    VANILLA,
+    CfMethod,
+    CrossvalMethod,
+    expectation_with_provenance,
+    method_label,
+)
 from steincv.models import model_from_manifest
 from steincv.polybasis import SubsetSpec
 from steincv.smc import load_particle_system
@@ -77,6 +88,165 @@ def test_parse_methods_list():
     assert got == [VANILLA, ZvSpec(degree=1), CfMethod()]
     with pytest.raises(InvalidInput):
         parse_methods(" , ")
+
+
+@pytest.mark.parametrize("spec", ["zv,zv:Q=2", "vanilla,none", "cf:bw=3,cf:bw=3.0",
+                                  "zv:ridge:lam=1,zv:lam=1:ridge"])
+def test_parse_methods_rejects_a_method_listed_twice(spec):
+    with pytest.raises(InvalidInput, match="listed twice"):
+        parse_methods(spec)
+
+
+def _int_ref(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInput(f"cannot parse {what} from {text!r}") from None
+
+
+def _float_ref(text, what):
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidInput(f"cannot parse {what} from {text!r}") from None
+
+
+def parse_method_reference(token):
+    """The method grammar written out head by head: the oracle of parse_method."""
+    parts = token.strip().split(":")
+    head, rest = parts[0], parts[1:]
+    if head in ("vanilla", "none"):
+        if rest:
+            raise InvalidInput(f"{head!r} takes no options")
+        return VANILLA
+    if head == "crossval":
+        max_q = None
+        for p in rest:
+            if p.startswith("maxQ="):
+                max_q = _int_ref(p[5:], "maxQ")
+            else:
+                raise InvalidInput(f"unknown crossval option {p!r}")
+        return CrossvalMethod(max_degree=max_q)
+    if head == "cf":
+        kind, bw, lam, q, folds = "gaussian", None, 0.0, 2, 5
+        for p in rest:
+            if p == "poly":
+                kind = "polynomial"
+            elif p.startswith("bw="):
+                bw = _float_ref(p[3:], "bandwidth")
+            elif p.startswith("lam="):
+                lam = _float_ref(p[4:], "lam")
+            elif p.startswith("Q="):
+                q = _int_ref(p[2:], "Q")
+            elif p.startswith("folds="):
+                folds = _int_ref(p[6:], "folds")
+            else:
+                raise InvalidInput(f"unknown cf option {p!r}")
+        return CfMethod(bandwidth=bw, lam_r=lam, kind=kind, degree=q, folds=folds)
+    if head == "zv":
+        q, penalty, lam, split, relaxed, subset = 2, "ols", None, False, False, None
+        for p in rest:
+            if p.startswith("Q="):
+                q = _int_ref(p[2:], "Q")
+            elif p in ("ols", "ridge", "lasso"):
+                penalty = p
+            elif p == "split":
+                split = True
+            elif p == "relaxed":
+                relaxed = True
+            elif p.startswith("lam="):
+                lam = _float_ref(p[4:], "lam")
+            elif p.startswith("sub="):
+                cols = [_int_ref(v, "subset index") for v in p[4:].split("+")]
+                if any(c < 1 for c in cols):
+                    raise InvalidInput("subset indices are 1-based")
+                subset = SubsetSpec(tuple(sorted(c - 1 for c in cols)))
+            else:
+                raise InvalidInput(f"unknown zv option {p!r}")
+        return ZvSpec(
+            degree=q, penalty=penalty, subset=subset,
+            estimator="split" if split else "combined",
+            lam=lam, relaxed=relaxed,
+        )
+    raise InvalidInput(f"unknown method {token!r}")
+
+
+# Per head the options it takes, each bare word or "key=" with a value.  Draws
+# take mostly the head's own options and good values, and mix in other heads'
+# options, unknown words and bad numbers.
+_OPTIONS = {
+    "zv": ["Q=", "ols", "ridge", "lasso", "lam=", "relaxed", "sub=", "split"],
+    "cf": ["poly", "bw=", "Q=", "lam=", "folds="],
+    "crossval": ["maxQ="],
+}
+_STRAY = ["", "frobnicate", "minQ=", "poly=", "ols=", "Q", "combined", "gaussian",
+          *_OPTIONS["zv"], *_OPTIONS["cf"], *_OPTIONS["crossval"]]
+_VALUES = {  # option key -> (good values, bad values)
+    "sub=": (["1", "2", "1+3", "3+1", "2+3+4"], ["1+1", "0", "-2", "1+x", "", "+"]),
+    "": (["1", "2", "3", "10", "0.1", "2.5", "1e-3", "+4", " 2", "1_0"],
+         ["0", "-1", "1e400", "-0.0", "inf", "nan", "x", "", "1.5.2", "3=4", "0x10"]),
+}
+
+
+@st.composite
+def method_tokens(draw):
+    """Method strings over every head and option: repeated options, bad
+    numbers, unknown words and stray whitespace included."""
+    head = draw(st.sampled_from(["zv", "cf", "crossval", "vanilla", "none", " zv", "cf ",
+                                 "magic", "", "ZV"]))
+    own = _OPTIONS.get(head.strip(), [])
+    parts = [head]
+    for _ in range(draw(st.integers(0, 4))):
+        stray = not own or draw(st.sampled_from([False] * 4 + [True]))     # one in five
+        option = draw(st.sampled_from(_STRAY if stray else own))
+        if option.endswith("="):
+            good, bad = _VALUES.get(option, _VALUES[""])
+            option += draw(st.sampled_from(bad if draw(st.sampled_from([False] * 3 + [True]))
+                                           else good))
+        parts.append(option)
+    return ":".join(parts)
+
+
+def _outcome(parse, token):
+    try:
+        return repr(parse(token))        # repr: equal objects, NaN fields included
+    except Exception as exc:             # the type is what is compared
+        return type(exc)
+
+
+@settings(max_examples=600)
+@given(method_tokens())
+def test_parse_method_matches_the_written_out_grammar(token):
+    assert _outcome(parse_method, token) == _outcome(parse_method_reference, token)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+_METHODS = st.one_of(
+    st.just(VANILLA),
+    st.builds(
+        ZvSpec, degree=st.integers(1, 9), penalty=st.sampled_from(["ols", "ridge", "lasso"]),
+        subset=st.none() | st.sets(st.integers(0, 12), min_size=1).map(
+            lambda ix: SubsetSpec(tuple(sorted(ix)))),
+        estimator=st.sampled_from(["combined", "split"]), lam=st.none() | _FINITE,
+        relaxed=st.booleans(),
+    ),
+    st.builds(
+        CfMethod, bandwidth=st.none() | _POSITIVE,
+        lam_r=st.just(0.0) | st.floats(min_value=0.0, allow_infinity=False),
+        kind=st.sampled_from(["gaussian", "polynomial"]), degree=st.integers(-2, 9),
+        folds=st.integers(2, 20),
+    ),
+    st.builds(CrossvalMethod, max_degree=st.none() | st.integers(-2, 9)),
+)
+
+
+@settings(max_examples=300)
+@given(_METHODS)
+def test_method_label_parses_back(method):
+    label = method_label(method)
+    assert parse_method(label) == method
+    assert parse_method_reference(label) == method
 
 
 # --- pipeline fixtures ----------------------------------------------------------------
@@ -241,6 +411,19 @@ def test_evidence_posthoc_and_smc_estimator(pipeline):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["posthoc_rho"] == 0.95
     assert summary["n_temperatures"] >= 2
+
+
+def test_evidence_writes_one_report_per_method(pipeline, tmp_path, capsys):
+    archive = str(pipeline / "run_a" / "pilot")
+    out = tmp_path / "ev"
+    assert main(["evidence", "--archive", archive, "--out", str(out),
+                 "--methods", "zv:Q=2:ridge:lam=0.1,zv:Q=2:ridge:lam=10"]) == EXIT_OK
+    rows = json.loads((out / "summary.json").read_text())["reports"]
+    assert len({r["file"] for r in rows}) == 2
+    methods = [json.loads((out / r["file"]).read_text())["method"] for r in rows]
+    assert methods == ["zv:Q=2:ridge:lam=0.1", "zv:Q=2:ridge:lam=10"]
+    assert _exits_config(capsys, ["evidence", "--archive", archive, "--methods", "zv,zv:Q=2",
+                                  "--out", str(tmp_path / "ev2")])
 
 
 def _archive_with_manifest(pipeline, tmp_path, name, edit):
@@ -526,6 +709,11 @@ def test_exit_config_on_bad_model(tmp_path):
      "obs_cov": [[1.0]]},                                         # no data
     {"kind": "gaussian", "mu": [0.0]},                            # no sigma
     {"kind": "gaussian", "mu": [0.0], "sigma": "abc"},            # not a number
+    {"kind": "conjugate_gaussian", "prior_mean": [0.0], "prior_cov": [[1.0]],
+     "obs_cov": [[1.0]], "data_csv": 3},                          # a number as a path
+    {"kind": "conjugate_gaussian", "prior_mean": [0.0], "prior_cov": [[1.0]],
+     "obs_cov": [[1.0]], "data_csv": None},                       # null as a path
+    {"kind": "logistic", "design_csv": ["x.csv"], "response_csv": "y.csv"},  # a list
 ])
 def test_smc_malformed_model_manifest_exits_config(tmp_path, capsys, manifest):
     bad = tmp_path / "m.json"
@@ -620,3 +808,117 @@ def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as ei:
         main(["transmogrify"])
     assert ei.value.code == 2
+
+
+# --- malformed inputs: typed errors, never a crash ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A model manifest reading its data from a CSV beside it, and its archive."""
+    base = tmp_path_factory.mktemp("fuzz_base")
+    (base / "data.csv").write_text("1.1\n0.4\n0.9\n")
+    model = {"kind": "conjugate_gaussian", "prior_mean": [0.0], "prior_cov": [[1.0]],
+             "obs_cov": [[1.0]], "data_csv": "data.csv"}
+    (base / "model.json").write_text(json.dumps(model))
+    assert main(_fuzz_smc_argv(base / "model.json", base / "run", replicates=0)) == EXIT_OK
+    return base
+
+
+def _fuzz_smc_argv(model, out, replicates=1):
+    return ["smc", "--model", str(model), "--n", "32", "--rho", "0.7", "--hmin", "0.1",
+            "--hmax", "2.0", "--max-repeats", "3", "--replicates", str(replicates),
+            "--seed", "5", "--out", str(out)]
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON object, nested ones included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+_SWAPS = [None, "x", True, [], {}, float("nan"), float("inf"), -float("inf"), 0, -1,
+          -1e300, 1e300]
+_EDITS = ["delete", "lengthen", *range(len(_SWAPS))]
+
+
+def _mutate(doc, path, edit):
+    """Apply one edit at ``path``: delete the key (a list element, so the list
+    gets shorter), lengthen a list or wrap a value in one, or swap in a value."""
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    if edit == "delete":
+        del node[key]
+    elif edit == "lengthen":
+        value = node[key]
+        node[key] = value + value[-1:] if isinstance(value, list) and value else [value]
+    else:
+        node[key] = _SWAPS[edit]
+
+
+def _snapshot_edit(arch, edit):
+    """Truncate, empty, remove, widen or garble the archive's snapshot t_001."""
+    snap = arch / "t_001.npy"
+    raw = snap.read_bytes()
+    if edit == "missing":
+        snap.unlink()
+    elif edit == "non_utf8":
+        snap.write_bytes(b"\xff\xfe" + raw[2:])
+    elif edit == "extra_column":
+        a = np.load(snap)
+        np.save(snap, np.column_stack([a, a[:, :1]]))
+    else:
+        snap.write_bytes(raw[: {"truncated": len(raw) // 2, "empty": 0}[edit]])
+
+
+def _exits_cleanly(argv):
+    """Run the CLI in-process: a typed exit code, ``error:`` on any failure."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)          # an escaping exception fails the test here
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO), (argv, code, err.getvalue())
+    assert code == EXIT_OK or "error:" in err.getvalue(), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code == EXIT_OK
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_malformed_inputs_exit_with_a_typed_error(fuzz_base, data):
+    target = data.draw(st.sampled_from(["model", "archive", "snapshot", "bytes", "method"]))
+    with tempfile.TemporaryDirectory(dir=fuzz_base) as tmp:
+        tmp = Path(tmp)
+        for name in ("data.csv", "model.json"):
+            shutil.copy(fuzz_base / name, tmp / name)
+        arch = tmp / "archive"
+        shutil.copytree(fuzz_base / "run" / "pilot", arch)
+        methods = "vanilla,zv:Q=1"
+        if target in ("model", "archive"):
+            path = tmp / "model.json" if target == "model" else arch / "manifest.json"
+            doc = json.loads(path.read_text())
+            _mutate(doc, data.draw(st.sampled_from(list(_json_paths(doc)))),
+                    data.draw(st.sampled_from(_EDITS)))
+            path.write_text(json.dumps(doc))
+        elif target == "snapshot":
+            _snapshot_edit(arch, data.draw(st.sampled_from(
+                ["truncated", "empty", "missing", "non_utf8", "extra_column"])))
+        elif target == "bytes":
+            victim = data.draw(st.sampled_from(["model.json", "data.csv", "archive/manifest.json"]))
+            (tmp / victim).write_bytes(b'{"kind": "\xff", "x": [1.\xfe]}\n')
+        else:
+            methods = data.draw(method_tokens())
+
+        if target in ("model", "bytes"):
+            _exits_cleanly(_fuzz_smc_argv(tmp / "model.json", tmp / "smc"))
+        pp = tmp / "pp"
+        if _exits_cleanly(["postprocess", "--archive", str(arch), "--snapshot", "1",
+                           "--methods", methods, "--out", str(pp)]):
+            _exits_cleanly(["efficiency", "--inputs", str(pp / "estimates.json"),
+                            "--gold-method", "vanilla", "--out", str(tmp / "eff")])
+        _exits_cleanly(["evidence", "--archive", str(arch), "--methods", methods,
+                        "--out", str(tmp / "ev")])

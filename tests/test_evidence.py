@@ -1,5 +1,6 @@
 """Evidence estimators: quadrature identities, telescoping factors, fallbacks."""
 
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -317,7 +318,7 @@ def test_cf_and_crossval_methods_run(conjugate_run):
     assert r_cf.method == "cf:bw=2"
     r_xv = cti_estimate(ps.schedule(), ps, order=1, cv=CrossvalMethod(max_degree=2))
     assert np.isfinite(r_xv.log_evidence)
-    assert r_xv.method == "crossval"
+    assert r_xv.method == "crossval:maxQ=2"
     assert all("selected" in rec.detail for rec in r_xv.per_expectation)
 
 
@@ -341,6 +342,37 @@ def test_cf_method_validation():
             CfMethod(**kwargs)
 
 
+def report_dict_reference(report):
+    """An evidence report's dict written out field by field."""
+    return {
+        "estimator": report.estimator,
+        "log_evidence": report.log_evidence,
+        "temperatures": list(report.temperatures),
+        "method": report.method,
+        "fallbacks_triggered": report.fallbacks_triggered,
+        "per_expectation": [
+            {"temperature": r.temperature, "kind": r.kind, "raw": r.raw,
+             "estimate": r.estimate, "method": r.method, "detail": r.detail,
+             "fallback": r.fallback, "log_scale": r.log_scale}
+            for r in report.per_expectation
+        ],
+    }
+
+
+@pytest.mark.parametrize("estimate", [cti_estimate, smc_evidence_estimate])
+@pytest.mark.parametrize("cv", [VANILLA, ZvSpec(degree=2), CfMethod(bandwidth=3.0),
+                                CrossvalMethod(max_degree=2)])
+def test_report_dict_matches_the_field_by_field_reference(tmp_path, conjugate_run, estimate, cv):
+    _, ps = conjugate_run
+    report = estimate(ps.schedule(), ps, cv=cv)
+    want = report_dict_reference(report)
+    assert report.to_dict() == want
+    assert [type(v) for v in report.to_dict().values()] == [type(want[k]) for k in report.to_dict()]
+    report.save(tmp_path / "r.json")
+    expected = json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "r.json").read_text() == expected
+
+
 def test_report_round_trip(tmp_path, conjugate_run):
     _, ps = conjugate_run
     report = cti_estimate(ps.schedule(), ps, order=2, cv=ZvSpec(degree=1))
@@ -356,6 +388,13 @@ def test_report_round_trip(tmp_path, conjugate_run):
     (tmp_path / "latin1.json").write_bytes(b'{"estimator": "\xff"}')
     with pytest.raises(InvalidInput):
         EvidenceReport.load(tmp_path / "latin1.json")
+    # a JSON value of the wrong type anywhere is malformed input too
+    good = json.loads(path.read_text())
+    for i, payload in enumerate([[1], "str", {**good, "per_expectation": 3},
+                                 {**good, "per_expectation": ["E_logl", "V_logl"]}]):
+        (tmp_path / f"typed{i}.json").write_text(json.dumps(payload))
+        with pytest.raises(InvalidInput):
+            EvidenceReport.load(tmp_path / f"typed{i}.json")
 
 
 # --- oracle: one CF weight vector per temperature, shared across reports -------------

@@ -97,6 +97,18 @@ def test_gaussian_validation():
         GaussianModel([0.0], [[-1.0]])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GaussianModel([np.nan], [[1.0]]),
+    lambda: ConjugateGaussianModel([np.inf], [[1.0]], [[1.0]], [[0.5]]),
+    lambda: ConjugateGaussianModel([0.0], [[1.0]], [[1.0]], [[0.5], [np.nan]]),
+    lambda: LogisticModel([[1.0, -np.inf], [1.0, 0.3]], [0, 1], 1.0),
+], ids=["gaussian-mean", "conjugate-mean", "conjugate-data", "logistic-design"])
+def test_non_finite_model_inputs_are_invalid(build):
+    # they used to pass, and the sampler then failed on NaN particles
+    with pytest.raises(InvalidInput, match="must be finite"):
+        build()
+
+
 # --- conjugate gaussian -----------------------------------------------------------
 
 

@@ -181,6 +181,21 @@ def test_split_needs_four_draws():
         zvcv_estimate(s, IntegrandValues(np.zeros(3)), ZvSpec(estimator="split"))
 
 
+def test_split_rejects_a_zero_weight_half():
+    # one nonzero weight in six draws leaves one half with no weight at all;
+    # normalising it used to divide 0 by 0 and fail on NaN weights
+    w = np.zeros(6)
+    w[0] = 1.0
+    s = gaussian_draws(6, mu=0.0, sd=1.0, seed=8, weights=w)
+    phi = IntegrandValues(s.theta[:, 0])
+    for seed in range(4):
+        with pytest.raises(InsufficientSamples, match="zero total weight"):
+            zvcv_estimate(s, phi, ZvSpec(degree=1, estimator="split"), seed=seed)
+    # crossval excludes every candidate on the same halves
+    with pytest.raises(InvalidInput, match="no viable candidate"):
+        crossval_select(s, phi, seed=0)
+
+
 # --- coordinate subsets ----------------------------------------------------------
 
 
