@@ -219,8 +219,8 @@ def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,
     drop out up to jitter).
     """
     check_aligned(s, phi)
-    if lam_r < 0:
-        raise InvalidInput("kernel regulariser must be >= 0")
+    if not 0 <= lam_r < np.inf:
+        raise InvalidInput("kernel regulariser must be finite and >= 0")
     return float(_cf_weights(s, kernel, lam_r) @ phi.values)
 
 

@@ -53,16 +53,18 @@ from .evidence import (
     VANILLA,
     CfMethod,
     CrossvalMethod,
+    EvidenceReport,
     _derive_seed,
     cti_estimate,
     expectation_with_provenance,
     method_label,
     smc_evidence_estimate,
 )
-from .models import _manifest_fields, model_from_manifest
+from .models import _manifest_fields, _resolve_data_paths, model_from_manifest
 from .polybasis import SubsetSpec
 from .smc import (
     SmcConfig,
+    _read_manifest,
     _read_snapshot,
     load_particle_system,
     posthoc_schedule,
@@ -75,8 +77,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_PATH_KEYS = ("data_csv", "design_csv", "response_csv")
 
 
 # --- method grammar -----------------------------------------------------------
@@ -188,17 +188,6 @@ def _read_json(path: Path) -> dict:
     return payload
 
 
-def _resolve_manifest_paths(manifest: dict, base_dir: Path) -> dict:
-    """Copy of a model manifest with data paths made absolute for embedding."""
-    out = dict(manifest)
-    with _manifest_fields("model manifest"):
-        for key in _PATH_KEYS:
-            if key in out:
-                p = Path(out[key])
-                out[key] = str(p if p.is_absolute() else (base_dir / p).resolve())
-    return out
-
-
 # --- smc ----------------------------------------------------------------------
 
 
@@ -215,7 +204,7 @@ def _run_replicate(model_manifest: dict, record, cfg_kwargs: dict, out_dir: str)
 
 def cmd_smc(args) -> int:
     manifest = _read_json(Path(args.model))
-    resolved = _resolve_manifest_paths(manifest, Path(args.model).parent)
+    resolved = _resolve_data_paths(manifest, Path(args.model).parent)
     model = model_from_manifest(resolved)
     cfg = SmcConfig(
         n_particles=args.n,
@@ -297,20 +286,17 @@ def _build_integrands(tokens: str, theta: np.ndarray):
 
 def cmd_postprocess(args) -> int:
     archive = Path(args.archive)
-    manifest = _read_json(archive / "manifest.json")
-    with _manifest_fields(f"archive manifest {archive / 'manifest.json'}"):
-        temps = [float(t) for t in manifest["temperatures"]]
-        model = model_from_manifest(manifest["model"]) if manifest.get("model") else None
-    n_temps = len(temps)
-    idx = args.snapshot if args.snapshot is not None else n_temps - 1
-    if idx < 0:
-        idx += n_temps
-    if not 0 <= idx < n_temps:
+    manifest = _read_manifest(archive)
+    model = model_from_manifest(manifest.model) if manifest.model else None
+    n_temps = len(manifest.record.temperatures)
+    idx = -1 if args.snapshot is None else args.snapshot
+    if not -n_temps <= idx < n_temps:
         raise InvalidInput(f"snapshot index {args.snapshot} out of range")
-    s = _read_snapshot(archive, idx, manifest)
+    idx %= n_temps
+    s = _read_snapshot(archive, idx, manifest.format, manifest.n_particles)
     if model is not None and s.dim != model.dim:
         raise InvalidInput(f"snapshot {idx} has dim {s.dim}, the archive's model has {model.dim}")
-    temperature = temps[idx]
+    temperature = manifest.record.temperatures[idx]
 
     methods = parse_methods(args.methods)
     integrands = _build_integrands(args.integrands, s.theta)
@@ -353,13 +339,10 @@ def cmd_postprocess(args) -> int:
 
 
 def cmd_evidence(args) -> int:
-    archive = Path(args.archive)
-    manifest = _read_json(archive / "manifest.json")
-    with _manifest_fields(f"archive manifest {archive / 'manifest.json'}"):
-        if not manifest.get("model"):
-            raise InvalidInput("archive manifest has no embedded model")
-        model = model_from_manifest(manifest["model"])
-    ps = load_particle_system(archive, model)
+    model = _read_manifest(args.archive).model
+    if not model:
+        raise InvalidInput("archive manifest has no embedded model")
+    ps = load_particle_system(args.archive, model_from_manifest(model))
     schedule = ps.schedule()
     if args.posthoc_rho is not None:
         schedule = posthoc_schedule(ps, args.posthoc_rho)
@@ -412,19 +395,14 @@ def _load_estimate_rows(path: Path):
     payload = _read_json(path)
     with _manifest_fields(f"estimates file {path}"):
         if "results" in payload:
-            return [
-                (r["integrand"], r["method"], float(r["estimate"]))
-                for r in payload["results"]
-            ]
+            return [(r["integrand"], r["method"], float(r["estimate"]))
+                    for r in payload["results"]]
         if "per_expectation" in payload:
-            name = f"log_evidence:{payload['estimator']}"
-            return [(name, payload["method"], float(payload["log_evidence"]))]
+            report = EvidenceReport.from_dict(payload)
+            return [(f"log_evidence:{report.estimator}", report.method, report.log_evidence)]
         if "reports" in payload:   # evidence summary.json
             name = f"log_evidence:{payload['estimator']}"
-            return [
-                (name, r["method"], float(r["log_evidence"]))
-                for r in payload["reports"]
-            ]
+            return [(name, r["method"], float(r["log_evidence"])) for r in payload["reports"]]
     raise InvalidInput(f"{path} is not an estimates or evidence file")
 
 

@@ -59,8 +59,8 @@ class CfMethod:
             raise InvalidInput(f"unknown kernel kind {self.kind!r}")
         if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
             raise InvalidInput("bandwidth must be finite and positive")
-        if self.lam_r < 0:
-            raise InvalidInput("kernel regulariser must be >= 0")
+        if not 0 <= self.lam_r < np.inf:
+            raise InvalidInput("kernel regulariser must be finite and >= 0")
         if self.folds < 2:
             raise InvalidInput("cross-validation needs at least 2 folds")
 

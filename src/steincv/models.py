@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy import linalg
 
-from .errors import InvalidInput
+from .errors import InvalidInput, InvalidSchedule
 from .samples import ParameterTransform, _as_matrix
 
 
@@ -502,18 +502,31 @@ class TransformedModel(TargetModel):
 # --- manifests ---------------------------------------------------------------
 
 
-def _read_csv_matrix(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    return data
-
-
 @contextmanager
 def _manifest_fields(what: str):
-    """Re-raise a missing key or a bad value read from a manifest as InvalidInput."""
+    """Re-raise a missing key or a bad value read from a manifest, a broken
+    temperature ladder included, as InvalidInput."""
     try:
         yield
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+            InvalidSchedule) as exc:
         raise InvalidInput(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
+_DATA_PATH_KEYS = ("data_csv", "design_csv", "response_csv")
+
+
+def _resolve_data_paths(manifest: dict, base_dir=None) -> dict:
+    """Copy of a model manifest whose CSV data paths are absolute: a relative
+    one resolves against ``base_dir`` (default: the working directory)."""
+    out = dict(manifest)
+    base = Path(base_dir) if base_dir is not None else Path.cwd()
+    with _manifest_fields("model manifest"):
+        for key in _DATA_PATH_KEYS:
+            if key in out:
+                p = Path(out[key])
+                out[key] = str(p if p.is_absolute() else (base / p).resolve())
+    return out
 
 
 def model_from_manifest(manifest: dict, base_dir=None) -> TargetModel:
@@ -528,38 +541,24 @@ def model_from_manifest(manifest: dict, base_dir=None) -> TargetModel:
     if "kind" not in manifest:
         raise InvalidInput("model manifest needs a 'kind'")
     with _manifest_fields("model manifest"):
-        return _model_of_kind(manifest["kind"], manifest, base_dir)
+        return _model_of_kind(manifest["kind"], _resolve_data_paths(manifest, base_dir))
 
 
-def _model_of_kind(kind, manifest: dict, base_dir) -> TargetModel:
-    base = Path(base_dir) if base_dir is not None else Path.cwd()
-
-    def path_of(key):
-        p = Path(manifest[key])
-        return p if p.is_absolute() else base / p
+def _model_of_kind(kind, manifest: dict) -> TargetModel:
+    def matrix(name):   # inline, or from the CSV file that "<name>_csv" names
+        key = f"{name}_csv"
+        if key in manifest:
+            return np.loadtxt(manifest[key], delimiter=",", ndmin=2)
+        return np.asarray(manifest[name], dtype=float)
 
     if kind == "gaussian":
         model = GaussianModel(manifest["mu"], manifest["sigma"])
     elif kind == "conjugate_gaussian":
-        data = (
-            _read_csv_matrix(path_of("data_csv"))
-            if "data_csv" in manifest
-            else np.asarray(manifest["data"], dtype=float)
-        )
         model = ConjugateGaussianModel(
-            manifest["prior_mean"], manifest["prior_cov"], manifest["obs_cov"], data
+            manifest["prior_mean"], manifest["prior_cov"], manifest["obs_cov"], matrix("data")
         )
     elif kind == "logistic":
-        X = (
-            _read_csv_matrix(path_of("design_csv"))
-            if "design_csv" in manifest
-            else np.asarray(manifest["design"], dtype=float)
-        )
-        y = (
-            _read_csv_matrix(path_of("response_csv")).reshape(-1)
-            if "response_csv" in manifest
-            else np.asarray(manifest["response"], dtype=float)
-        )
+        X, y = matrix("design"), matrix("response")
         if manifest.get("standardise", False):
             X = standardise_predictors(X, manifest.get("standardise_sd", 0.5))
         sds = manifest.get("prior_sds")

@@ -511,6 +511,19 @@ class Snapshot:
         return s
 
 
+def _ladder(temperatures, what: str) -> tuple[float, ...]:
+    """``temperatures`` as floats, checked to climb from 0 to 1: at least two
+    entries, every one finite, the first 0 and the last 1 within 1e-12, and
+    each strictly above the one before; else InvalidSchedule."""
+    ts = tuple(float(t) for t in temperatures)
+    if (len(ts) < 2 or not all(np.isfinite(ts))
+            or abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12):
+        raise InvalidSchedule(f"{what} temperatures must be finite and run from 0 to 1")
+    if not all(b > a for a, b in zip(ts, ts[1:])):
+        raise InvalidSchedule(f"{what} temperatures must be strictly increasing")
+    return ts
+
+
 @dataclass(frozen=True)
 class TemperatureSchedule:
     """Temperatures 0 = t_0 < ... < t_T = 1 with a population index per entry."""
@@ -519,16 +532,10 @@ class TemperatureSchedule:
     population_index: tuple[int, ...]
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.temperatures)
+        ts = _ladder(self.temperatures, "schedule")
         pops = tuple(int(p) for p in self.population_index)
-        if len(ts) < 2:
-            raise InvalidSchedule("schedule needs at least two temperatures")
         if len(ts) != len(pops):
             raise InvalidSchedule("one population index per temperature required")
-        if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
-            raise InvalidSchedule("schedule must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise InvalidSchedule("temperatures must be strictly increasing")
         if any(p < 0 for p in pops):
             raise InvalidSchedule("population indices must be nonnegative")
         object.__setattr__(self, "temperatures", ts)
@@ -548,11 +555,7 @@ class ReplayRecord:
     resampling: str = "multinomial"
 
     def __post_init__(self):
-        ts = tuple(float(t) for t in self.temperatures)
-        if len(ts) < 2 or abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
-            raise InvalidSchedule("replay temperatures must run from 0 to 1")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise InvalidSchedule("replay temperatures must be strictly increasing")
+        ts = _ladder(self.temperatures, "replay record")
         if len(self.step_sizes) != len(ts) - 1 or len(self.repeats) != len(ts) - 1:
             raise InvalidSchedule("need one step size and sweep count per move step")
         object.__setattr__(self, "temperatures", ts)
@@ -764,23 +767,60 @@ def save_particle_system(ps: ParticleSystem, out_dir, model_manifest: dict | Non
     os.replace(tmp, out / "manifest.json")
 
 
-def load_replay_record(archive_dir) -> ReplayRecord:
-    manifest = _load_manifest(archive_dir)
-    with _manifest_fields(f"archive manifest {Path(archive_dir) / 'manifest.json'}"):
-        return ReplayRecord(
-            temperatures=tuple(manifest["temperatures"]),
-            step_sizes=tuple(manifest["step_sizes"]),
-            repeats=tuple(manifest["repeats"]),
-            resampling=manifest.get("config", {}).get("resampling", "multinomial"),
-        )
+@dataclass(frozen=True)
+class _Manifest:
+    """An archive's ``manifest.json`` as :func:`_read_manifest` checked it."""
+
+    format: str
+    n_particles: int
+    record: ReplayRecord               # temperatures, step sizes, sweep counts
+    log_increments: tuple[float, ...]  # one per temperature
+    acceptance: tuple[float, ...]      # one per move
+    config: SmcConfig
+    model: dict | None
 
 
-def _load_manifest(archive_dir) -> dict:
+def _read_manifest(archive_dir) -> _Manifest:
+    """The manifest of the archive in ``archive_dir``, checked as a whole.
+
+    Every loader and command reads an archive's manifest here.  It must be a
+    JSON object with a known snapshot ``format`` (none: a CSV archive from
+    before the binary snapshots), a positive integer ``n_particles``, a
+    ``config`` that builds an :class:`SmcConfig`, a ``model`` that is an
+    object or null, and lists that build a :class:`ReplayRecord` plus one log
+    increment per temperature and one acceptance rate per move.  Anything
+    else, a missing or unreadable file included, raises InvalidInput.
+    """
     path = Path(archive_dir) / "manifest.json"
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        m = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise InvalidInput(f"cannot read archive manifest {path}: {exc}") from exc
+    with _manifest_fields(f"archive manifest {path}"):
+        if not isinstance(m, dict):
+            raise TypeError("not a JSON object")
+        fmt, n, model = m.get("format", "csv"), m["n_particles"], m.get("model")
+        ts, hs, reps, incs, accs = (m[key] for key in (
+            "temperatures", "step_sizes", "repeats", "log_increments", "acceptance"))
+        if fmt not in _SNAPSHOT_FORMATS:
+            raise ValueError(f"unknown snapshot format {fmt!r}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n_particles {n!r} is not a positive integer")
+        if model is not None and not isinstance(model, dict):
+            raise TypeError("model is neither an object nor null")
+        if not all(isinstance(v, list) for v in (ts, hs, reps, incs, accs)):
+            raise TypeError("a per-temperature entry is not a list")
+        if len(incs) != len(ts) or len(accs) != len(ts) - 1:
+            raise ValueError("need one log increment per temperature and "
+                             "one acceptance rate per move")
+        config = SmcConfig(**m["config"])
+        record = ReplayRecord(ts, hs, reps, config.resampling)
+        return _Manifest(fmt, n, record, tuple(map(float, incs)), tuple(map(float, accs)),
+                         config, model)
+
+
+def load_replay_record(archive_dir) -> ReplayRecord:
+    return _read_manifest(archive_dir).record
 
 
 def _write_snapshot(s: SampleSet, path: Path) -> None:
@@ -788,19 +828,10 @@ def _write_snapshot(s: SampleSet, path: Path) -> None:
         np.save(fh, _sample_columns(s), allow_pickle=False)
 
 
-def _read_snapshot(out: Path, i: int, manifest: dict) -> SampleSet:
-    """Snapshot ``i`` of the archive in ``out``, checked against its manifest.
-
-    A manifest without ``"format"`` predates the binary snapshots and
-    describes a CSV archive.  Any file that is unreadable, corrupt, of the
-    wrong shape or dtype, or whose row count differs from ``n_particles``
-    raises InvalidInput.
-    """
-    with _manifest_fields(f"archive manifest {out / 'manifest.json'}"):
-        fmt = manifest.get("format", "csv")
-        n_particles = int(manifest["n_particles"])
-    if fmt not in _SNAPSHOT_FORMATS:
-        raise InvalidInput(f"archive {out} has unknown snapshot format {fmt!r}")
+def _read_snapshot(out: Path, i: int, fmt: str, n_particles: int) -> SampleSet:
+    """Snapshot ``i`` of the archive in ``out``, in the format and with the
+    row count its manifest names.  A file that is unreadable, corrupt, of the
+    wrong shape or dtype, or of another row count raises InvalidInput."""
     path = out / f"t_{i:03d}.{fmt}"
     try:
         if fmt == "csv":
@@ -826,33 +857,20 @@ def _read_snapshot(out: Path, i: int, manifest: dict) -> SampleSet:
 def load_particle_system(archive_dir, model: TargetModel) -> ParticleSystem:
     """Rebuild a ParticleSystem from an archive directory.
 
-    Reads the ``t_NNN.npy`` snapshots that :func:`save_particle_system`
-    writes, and the ``t_NNN.csv`` ones of archives whose manifest has no
-    ``"format"`` entry (written before the binary format).  Snapshots store
-    the tempered gradient only, so the likelihood/prior split is recomputed
-    from the model's analytic gradients at the stored particles.  A snapshot
-    that is truncated, corrupt, of the wrong dtype or shape, or whose row
-    count differs from the manifest's ``n_particles`` is rejected, and so is a
-    manifest with a missing entry, a bad value, an unknown format or
-    per-temperature lists of unequal length.
+    Snapshots store the tempered gradient only, so the likelihood/prior split
+    is recomputed from the model's analytic gradients at the stored
+    particles.  A manifest or snapshot that fails its check
+    (:func:`_read_manifest`, :func:`_read_snapshot`) raises InvalidInput.
     """
     out = Path(archive_dir)
-    manifest = _load_manifest(out)
-    with _manifest_fields(f"archive manifest {out / 'manifest.json'}"):
-        temps = [float(v) for v in manifest["temperatures"]]
-        incs = [float(v) for v in manifest["log_increments"]]
-        hs = [None] + [float(h) for h in manifest["step_sizes"]]
-        reps = [0] + [int(r) for r in manifest["repeats"]]
-        accs = [float("nan")] + [float(a) for a in manifest["acceptance"]]
-        cfg = SmcConfig(**manifest["config"])
-        model_manifest = manifest.get("model")
-    if not len(temps) == len(incs) == len(hs) == len(reps) == len(accs):
-        raise InvalidInput(f"manifest in {out} has per-temperature lists of unequal length")
+    m = _read_manifest(out)
+    rec = m.record
+    hs, reps, accs = (None, *rec.step_sizes), (0, *rec.repeats), (float("nan"), *m.acceptance)
     snapshots = []
-    for i, t in enumerate(temps):
-        s = _read_snapshot(out, i, manifest)
+    for i, t in enumerate(rec.temperatures):
+        s = _read_snapshot(out, i, m.format, m.n_particles)
         cloud = _Cloud(s.theta, s.log_like, s.log_prior,
                        model.grad_log_like(s.theta), model.grad_log_prior(s.theta))
-        snapshots.append(_snapshot(t, cloud, s.weights, log_increment=incs[i],
+        snapshots.append(_snapshot(t, cloud, s.weights, log_increment=m.log_increments[i],
                                    h=hs[i], repeats=reps[i], acceptance=accs[i]))
-    return ParticleSystem(snapshots=snapshots, config=cfg, model_manifest=model_manifest)
+    return ParticleSystem(snapshots=snapshots, config=m.config, model_manifest=m.model)

@@ -106,6 +106,26 @@ MALFORMED_NPY = {
 }
 
 
+def _set_temperature(i, t):
+    def edit(manifest):
+        manifest["temperatures"][i] = t
+    return edit
+
+
+# One edit of an archive manifest per entry; every loader and command rejects each.
+MALFORMED_MANIFEST = {
+    "unknown_config_key": lambda m: m["config"].update(colour="blue"),
+    "short_log_increments": lambda m: m["log_increments"].pop(),
+    "text_acceptance": lambda m: m.update(acceptance="high"),
+    "no_step_sizes": lambda m: m.pop("step_sizes"),
+    "no_n_particles": lambda m: m.pop("n_particles"),
+    "unknown_format": lambda m: m.update(format="parquet"),
+    "reversed_temperatures": lambda m: m["temperatures"].reverse(),
+    "last_temperature_0.9": _set_temperature(-1, 0.9),
+    "nan_interior_temperature": _set_temperature(1, float("nan")),
+}
+
+
 # --- acceptance tally -----------------------------------------------------
 #
 # test_acceptance.py registers one verdict per criterion; the summary hook

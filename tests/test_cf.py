@@ -133,8 +133,9 @@ def test_polynomial_kernel_equals_unstandardised_ridge():
 
 def test_negative_regulariser_rejected():
     s = gaussian_draws(6, seed=6)
-    with pytest.raises(InvalidInput):
-        cf_estimate(s, IntegrandValues(np.zeros(6)), KernelSpec(), lam_r=-1e-3)
+    for lam_r in (-1e-3, np.inf, np.nan):
+        with pytest.raises(InvalidInput):
+            cf_estimate(s, IntegrandValues(np.zeros(6)), KernelSpec(), lam_r=lam_r)
 
 
 def test_jitter_escalation_exhaustion(monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steincv.cf as cf_mod
-from conftest import MALFORMED_NPY, rewrite_as_csv_archive
+from conftest import MALFORMED_MANIFEST, MALFORMED_NPY, rewrite_as_csv_archive
 from steincv.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -436,28 +436,23 @@ def _archive_with_manifest(pipeline, tmp_path, name, edit):
 
 
 def test_malformed_manifest_exits_config(pipeline, tmp_path, capsys):
-    no_incs = _archive_with_manifest(
-        pipeline, tmp_path, "no_incs", lambda m: m.pop("log_increments"))
-    odd_cfg = _archive_with_manifest(
-        pipeline, tmp_path, "odd_cfg", lambda m: m["config"].update(colour="blue"))
-    no_temps = _archive_with_manifest(
-        pipeline, tmp_path, "no_temps", lambda m: m.pop("temperatures"))
-    no_data = _archive_with_manifest(
-        pipeline, tmp_path, "no_data", lambda m: m["model"].pop("data"))
+    edits = {
+        "no_incs": lambda m: m.pop("log_increments"),
+        "no_temps": lambda m: m.pop("temperatures"),
+        "no_data": lambda m: m["model"].pop("data"),
+        **MALFORMED_MANIFEST,
+    }
+    archives = [_archive_with_manifest(pipeline, tmp_path, name, edit)
+                for name, edit in edits.items()]
     listed = tmp_path / "listed"
-    shutil.copytree(no_incs, listed)
+    shutil.copytree(archives[0], listed)
     (listed / "manifest.json").write_text("[1, 2]")
-    for archive in (no_incs, odd_cfg, no_data, listed):
-        capsys.readouterr()
-        assert main([
-            "evidence", "--archive", str(archive), "--methods", "vanilla",
-            "--out", str(tmp_path / f"ev_{archive.name}"),
-        ]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
-    assert main([
-        "postprocess", "--archive", str(no_temps), "--out", str(tmp_path / "pp"),
-    ]) == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    for archive in (*archives, listed):
+        for command in ("postprocess", "evidence"):
+            assert _exits_config(capsys, [
+                command, "--archive", str(archive),
+                "--out", str(tmp_path / f"{command}_{archive.name}"),
+            ]), (command, archive.name)
 
 
 def _copy_pilot(pipeline, tmp_path, fmt):
@@ -478,10 +473,12 @@ def _exits_config(capsys, argv):
     return code == EXIT_CONFIG and "error:" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("method", ["cf:folds=0", "cf:folds=1", "cf:bw=inf"])
+@pytest.mark.parametrize("method", ["cf:folds=0", "cf:folds=1", "cf:bw=inf", "cf:lam=inf",
+                                    "cf:lam=nan", "cf:poly:lam=inf"])
 def test_degenerate_cf_method_exits_config(pipeline, tmp_path, capsys, method):
     # folds=0 used to run no cross-validation and pick bw = 1e4, folds=1 to
-    # exit 3 after "Mean of empty slice", and bw=inf to be accepted
+    # exit 3 after "Mean of empty slice", bw=inf to be accepted, and a
+    # non-finite lam to exit 3 on a non-finite kernel system
     assert _exits_config(capsys, ["postprocess", "--archive", str(pipeline / "run_a" / "pilot"),
                                   "--methods", method, "--out", str(tmp_path / "pp")])
 

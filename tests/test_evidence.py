@@ -337,7 +337,9 @@ def test_method_labels():
 
 def test_cf_method_validation():
     for kwargs in ({"bandwidth": -1.0}, {"bandwidth": np.inf}, {"bandwidth": np.nan},
-                   {"lam_r": -0.1}, {"kind": "laplace"}, {"folds": 1}, {"folds": 0}):
+                   {"lam_r": -0.1}, {"lam_r": np.inf}, {"lam_r": np.nan},
+                   {"kind": "polynomial", "lam_r": np.inf}, {"kind": "laplace"},
+                   {"folds": 1}, {"folds": 0}):
         with pytest.raises(InvalidInput):
             CfMethod(**kwargs)
 

@@ -13,7 +13,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 import steincv.smc as smc_mod
-from conftest import MALFORMED_NPY, rewrite_as_csv_archive
+from conftest import MALFORMED_MANIFEST, MALFORMED_NPY, rewrite_as_csv_archive
 from steincv.errors import (
     ConvergenceError,
     DegenerateWeights,
@@ -630,6 +630,12 @@ def test_a_snapshot_builds_one_sample_set_per_temperature():
     assert_array_equal(fresh.sample_set(0.75).weights, a.weights)
 
 
+# NaN compares False both ways, so a check written as "reject if b <= a"
+# lets it through
+NON_FINITE_LADDERS = [(np.nan, 1.0), (0.0, np.nan), (0.0, np.nan, 1.0), (0.0, np.inf),
+                      (-np.inf, 1.0), (0.0, np.inf, 1.0), (0.0, -np.inf, 1.0)]
+
+
 def test_temperature_schedule_validation():
     TemperatureSchedule((0.0, 0.5, 1.0), (0, 0, 1))
     with pytest.raises(InvalidSchedule):
@@ -644,6 +650,9 @@ def test_temperature_schedule_validation():
         TemperatureSchedule((0.0, 0.5, 0.5, 1.0), (0, 0, 0, 0))
     with pytest.raises(InvalidSchedule):
         TemperatureSchedule((0.0, 1.0), (0, -1))
+    for ts in NON_FINITE_LADDERS:
+        with pytest.raises(InvalidSchedule):
+            TemperatureSchedule(ts, tuple(range(len(ts))))
 
 
 def test_replay_record_validation():
@@ -654,6 +663,9 @@ def test_replay_record_validation():
         ReplayRecord((0.0, 0.4, 1.0), (0.1,), (2, 3))
     with pytest.raises(InvalidSchedule):
         ReplayRecord((0.0, 1.0, 0.4), (0.1, 0.2), (2, 3))
+    for ts in NON_FINITE_LADDERS:
+        with pytest.raises(InvalidSchedule):
+            ReplayRecord(ts, (0.1,) * (len(ts) - 1), (2,) * (len(ts) - 1))
 
 
 def test_smc_config_validation():
@@ -921,7 +933,7 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
     s = SampleSet(theta=theta, grad_log_target=grad, weights=np.full(4, 0.25),
                   log_like=[-0.0, -1e308, tiny, 1e308], log_prior=[1e-310, -0.0, -5.0, 0.0])
     _write_snapshot(s, tmp_path / "t_000.npy")
-    back = _read_snapshot(tmp_path, 0, {"format": "npy", "n_particles": 4})
+    back = _read_snapshot(tmp_path, 0, "npy", 4)
     for name in ("theta", "grad_log_target", "weights", "log_like", "log_prior"):
         assert np.array_equal(getattr(back, name), getattr(s, name), equal_nan=True)
         assert_array_equal(bits(getattr(back, name)), bits(getattr(s, name)))
@@ -1075,6 +1087,9 @@ def load_conjugate_archive(arch):
     (load_replay_record, lambda m: m.update(config=[])),
     (load_conjugate_archive, lambda m: m.update(step_sizes=["x"] * len(m["step_sizes"]))),
     (load_replay_record, lambda m: m.update(step_sizes=["x"] * len(m["step_sizes"]))),
+    *(pytest.param(load, edit, id=f"{load.__name__}-{name}")
+      for name, edit in MALFORMED_MANIFEST.items()
+      for load in (load_conjugate_archive, load_replay_record)),
 ])
 def test_malformed_manifest_is_invalid_input(tmp_path, load, edit):
     cfg = SmcConfig(n_particles=40, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
