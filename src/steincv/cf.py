@@ -35,13 +35,23 @@ Two base kernels are supported:
 For a fixed kernel the estimator is a fixed weighting of the draws,
 a_hat = v^T phi with v = K^{-1} w~ / 1^T K^{-1} w~, so ``_cf_weights`` factorises
 K once, solves once against w~ and keeps only the N weights: every integrand
-on the same draws, kernel and lambda_r is then one inner product.  The
-evidence layer keeps v in the memo of the SampleSet it weights, the one a
+on the same draws, kernel and lambda_r is then one inner product.  Every
+factorisation runs in place in a throw-away C-ordered block (a fresh kernel,
+a fold's gathered training block, a J x J Gram), through its Fortran-ordered
+transpose, and a failed try rebuilds the block instead of restoring a copy.
+The evidence layer keeps v in the memo of the SampleSet it weights, the one a
 snapshot builds and keeps per temperature, so every report on one particle
-system reuses it; ``cf_estimate`` keeps nothing.  The gaussian
-system is an N x N Cholesky factor.  The polynomial kernel has rank J, so
-while J < N its system is solved in the J x J space of X^T X and no N x N
-matrix is formed; J >= N (the paper's regime) keeps the N x N factor.
+system reuses it; ``cf_estimate`` keeps nothing.  The gaussian system is an
+N x N Cholesky factor.  A snapshot's sets at several temperatures share the
+draws, and with them the gaussian factor exp(c x.y - e_x - e_y) and its
+floor; only the polynomial factor moves with t.  ``_shared_draw_cf_weights``
+builds that factor once per snapshot and multiplies each temperature's
+polynomial factor into a second buffer, which it factorises in place: two
+N x N arrays serve all of a report's temperatures, as many as one
+``_cf_weights`` call holds, and the weights are bitwise the same.  The
+polynomial kernel has rank J, so while J < N its system is solved in the
+J x J space of X^T X and no N x N matrix is formed; J >= N (the paper's
+regime) keeps the N x N factor.
 """
 
 from __future__ import annotations
@@ -95,6 +105,35 @@ class KernelSpec:
         return f"cf:poly:Q={self.degree}"
 
 
+def _exponent_rows(theta, c):
+    """Augmented rows [-e, 1, z] and [1, -e, z] with z = sqrt(c) x, and e.
+
+    e = ||x||^2 / bw; a row of the first times a row of the second is
+    c x.y - e_x - e_y.
+    """
+    z = np.sqrt(c) * theta                          # z_i . z_l = c x_i . y_l
+    e = 0.5 * np.einsum("ij,ij->i", z, z)           # ||x||^2 / bw
+    one = np.ones_like(e)
+    return np.column_stack([-e, one, z]), np.column_stack([one, -e, z]), e
+
+
+def _polynomial_rows(theta, grad, c, e):
+    """Augmented rows [r, 1, W] and [1, r, W]; their product is W_x . W_y + r_x + r_y."""
+    v = np.sqrt(0.5) * grad
+    r = c * (np.einsum("ij,ij->i", theta, grad) + 0.5 * theta.shape[1]) - 2.0 * c * e
+    W = np.column_stack([np.sqrt(2.0) * c * theta - v, v])
+    one = np.ones_like(e)
+    return np.column_stack([r, one, W]), np.column_stack([one, r, W])
+
+
+def _floored_exp(K):
+    """exp of an exponent block in place, entries below its largest - 70 set to 0."""
+    floor = K.max() + _EXP_FLOOR
+    if K.min() < floor:
+        K[K < floor] = -np.inf                      # off exp's subnormal slow path
+    np.exp(K, out=K)
+
+
 def _gaussian_stein_cross(theta_a, grad_a, theta_b, grad_b, bandwidth):
     """First-order Stein kernel for k = exp(-||x-y||^2 / bw), cross block.
 
@@ -102,22 +141,13 @@ def _gaussian_stein_cross(theta_a, grad_a, theta_b, grad_b, bandwidth):
     [t_a, 1, m_a] . [1, t_b, m_b] = t_a + t_b + m_a . m_b; exp taken in place.
     """
     c = 2.0 / bandwidth
-
-    def terms(theta, grad):
-        z = np.sqrt(c) * theta                      # z_i . z_l = c x_i . y_l
-        e = 0.5 * np.einsum("ij,ij->i", z, z)       # ||x||^2 / bw
-        v = np.sqrt(0.5) * grad
-        r = c * (np.einsum("ij,ij->i", theta, grad) + 0.5 * theta.shape[1]) - 2.0 * c * e
-        return z, -e, np.column_stack([np.sqrt(2.0) * c * theta - v, v]), r, np.ones_like(e)
-
-    z_a, ne_a, W_a, r_a, one_a = terms(theta_a, grad_a)
-    z_b, ne_b, W_b, r_b, one_b = terms(theta_b, grad_b)
-    K = np.column_stack([ne_a, one_a, z_a]) @ np.column_stack([one_b, ne_b, z_b]).T
-    floor = K.max() + _EXP_FLOOR
-    if K.min() < floor:
-        K[K < floor] = -np.inf                      # off exp's subnormal slow path
-    np.exp(K, out=K)
-    K *= np.column_stack([r_a, one_a, W_a]) @ np.column_stack([one_b, r_b, W_b]).T
+    x_a, _, e_a = _exponent_rows(theta_a, c)
+    _, x_b, e_b = _exponent_rows(theta_b, c)
+    K = x_a @ x_b.T
+    _floored_exp(K)
+    p_a, _ = _polynomial_rows(theta_a, grad_a, c, e_a)
+    _, p_b = _polynomial_rows(theta_b, grad_b, c, e_b)
+    K *= p_a @ p_b.T
     return K
 
 
@@ -138,20 +168,27 @@ def stein_kernel_matrix(s: SampleSet, kernel: KernelSpec) -> np.ndarray:
     return X @ X.T
 
 
-def _factor_with_jitter(A: np.ndarray, shift: float, jitter_scale: float,
-                        base_diag: float):
-    """Cholesky factor of symmetric A + (shift + jitter) I, doubling jitter on failure.
+def _factor_in_place(A: np.ndarray, refill, shift: float, jitter_scale: float,
+                     size: int | None = None):
+    """Cholesky factor of symmetric A + (shift + jitter) I, in A's own memory.
 
-    One Fortran-ordered working copy of A^T (for a C-ordered A, already in
-    Fortran order) is factorised in place; each try sets its diagonal to
-    (diag A + shift) + jitter.  Only one triangle is read, so a matrix
-    symmetric to rounding is factorised as that triangle.  A non-finite A,
-    which cho_factor rejects with a ValueError before factorising, raises
-    ConditioningError as a system no jitter can rescue.
+    A is a C-ordered block the caller gives up: A^T, a Fortran-ordered view of
+    the same bytes, is factorised in place, and each try sets its diagonal to
+    (diag A + shift) + jitter.  jitter is jitter_scale times trace(A) / size
+    (size defaults to the order of A, giving mean(diag A)) and doubles on each
+    failure, after which ``refill(A)`` writes A's values back.  Only one
+    triangle is read, so a matrix symmetric to rounding is factorised as that
+    triangle.  A non-finite A raises ConditioningError as a system no jitter
+    can rescue: its diagonal is checked before the trace is taken, every other
+    entry by cho_factor's finiteness check.
     """
+    d = np.diag(A)
+    if not np.all(np.isfinite(d)):
+        raise ConditioningError("kernel system has non-finite entries")
+    base_diag = float(np.sum(d)) / (A.shape[0] if size is None else size)
     jitter = jitter_scale * base_diag if base_diag > 0 else jitter_scale
-    diag = np.diag(A) + shift
-    M = np.array(A.T, order="F")
+    diag = d + shift
+    M = A.T
     on_diag = np.diag_indices_from(M)
     last = None
     for _ in range(_JITTER_DOUBLINGS + 1):
@@ -160,7 +197,7 @@ def _factor_with_jitter(A: np.ndarray, shift: float, jitter_scale: float,
             return cho_factor(M, lower=True, overwrite_a=True)
         except LinAlgError as exc:
             last = exc
-            M[...] = A.T                    # undo a partial factorisation
+            refill(A)                       # undo a partial factorisation
             jitter = max(jitter * 2.0, np.finfo(float).tiny)
         except ValueError as exc:           # cho_factor's finiteness check
             raise ConditioningError("kernel system has non-finite entries") from exc
@@ -180,9 +217,13 @@ def _normalised_weights(u: np.ndarray) -> np.ndarray:
     return v
 
 
-def _kernel_weights(K0: np.ndarray, shift: float, jitter_scale: float, wt: np.ndarray):
-    """(Cholesky factor of K = K0 + shift I (+ jitter), CF weights of K and w~)."""
-    factor = _factor_with_jitter(K0, shift, jitter_scale, float(np.mean(np.diag(K0))))
+def _kernel_weights(K0: np.ndarray, refill, shift: float, jitter_scale: float,
+                    wt: np.ndarray):
+    """(Cholesky factor of K = K0 + shift I (+ jitter), CF weights of K and w~).
+
+    K0 is factorised in place (see ``_factor_in_place``).
+    """
+    factor = _factor_in_place(K0, refill, shift, jitter_scale)
     # the factor passed cho_factor's finiteness check, and w~ is finite
     return factor, _normalised_weights(cho_solve(factor, wt, check_finite=False))
 
@@ -191,9 +232,9 @@ def _cf_weights(s: SampleSet, kernel: KernelSpec, lam_r: float) -> np.ndarray:
     """CF weights v = K^{-1} w~ / 1^T K^{-1} w~ of K = K0 + N lam_r I (+ jitter).
 
     The estimate of E[f] is v @ f for every integrand f.  One jittered
-    factorisation and one solve; the factor is dropped on return.  For the
-    polynomial kernel with J < N columns, K0 = X X^T and
-    delta = N lam_r + jitter,
+    factorisation, in the kernel's own memory, and one solve; the factor is
+    dropped on return.  For the polynomial kernel with J < N columns,
+    K0 = X X^T and delta = N lam_r + jitter,
 
         delta K^{-1} w~ = w~ - X (delta I + X^T X)^{-1} X^T w~,
 
@@ -203,11 +244,60 @@ def _cf_weights(s: SampleSet, kernel: KernelSpec, lam_r: float) -> np.ndarray:
     wt = n * s.weights
     if kernel.kind == "polynomial" and basis_size(s.dim, kernel.degree) < n:
         X = _design(s, kernel.degree)
-        G = X.T @ X
         # jitter scales mean(diag X X^T) = trace(X^T X) / N, as in N-space
-        factor = _factor_with_jitter(G, n * lam_r, kernel.jitter, float(np.trace(G)) / n)
+        factor = _factor_in_place(X.T @ X, lambda G: np.copyto(G, X.T @ X),
+                                  n * lam_r, kernel.jitter, size=n)
         return _normalised_weights(wt - X @ cho_solve(factor, X.T @ wt, check_finite=False))
-    return _kernel_weights(stein_kernel_matrix(s, kernel), n * lam_r, kernel.jitter, wt)[1]
+    return _kernel_weights(stein_kernel_matrix(s, kernel),
+                           lambda K0: np.copyto(K0, stein_kernel_matrix(s, kernel)),
+                           n * lam_r, kernel.jitter, wt)[1]
+
+
+def _shared_draw_cf_weights(groups, kernel: KernelSpec, lam_r: float) -> list[list]:
+    """``_cf_weights`` of a gaussian kernel for sample sets grouped by their draws.
+
+    The sets of one group share theta (one snapshot at several temperatures),
+    and the gaussian factor E = exp(c x.y - e_x - e_y) of K0 = E * P
+    (elementwise) depends on theta only: it is built and floored once per
+    group, and each set's polynomial factor P, formed from its gradients, is
+    multiplied into a second buffer that is then factorised in place.  The
+    two N x N buffers serve every group and are dropped on return.  The
+    weights are bitwise those of ``_cf_weights``.  Returns the weights per
+    group and set, or None for a set whose gradients hold NaN or whose system
+    raises ConditioningError: ``_cf_weights`` raises that error where the set
+    is used.
+    """
+    c = 2.0 / kernel.bandwidth
+    E = K = None
+    out = []
+    for group in groups:
+        n = group[0].count
+        if E is None or E.shape[0] != n:
+            E = K = None                    # at most two N x N buffers live
+            E, K = np.empty((n, n)), np.empty((n, n))
+        x_a, x_b, e = _exponent_rows(group[0].theta, c)
+        np.matmul(x_a, x_b.T, out=E)
+        _floored_exp(E)
+        weights = []
+        for s in group:
+            g = s.grad_log_target
+            if np.any(np.isnan(g)):
+                weights.append(None)
+                continue
+            p_a, p_b = _polynomial_rows(s.theta, g, c, e)
+
+            def fill(A):
+                np.matmul(p_a, p_b.T, out=A)
+                A *= E
+
+            fill(K)
+            try:
+                weights.append(_kernel_weights(K, fill, n * lam_r, kernel.jitter,
+                                               n * s.weights)[1])
+            except ConditioningError:
+                weights.append(None)
+        out.append(weights)
+    return out
 
 
 def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,
@@ -239,7 +329,9 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     sub-exp(-70) factors dropped, see the module docstring), and each fold
     gathers its training and hold-out blocks from it once, rows then columns,
     which copies the same values as an np.ix_ gather in less than half the
-    time.  Needs at least 2 folds and a finite, positive grid.
+    time.  The training block, gathered C-ordered, is factorised in place and
+    re-gathered after a failed try.  Needs at least 2 folds and a finite,
+    positive grid.
     """
     check_aligned(s, phi)
     grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -260,8 +352,10 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
         err = 0.0
         for hold, train in splits:
             try:
-                factor, v = _kernel_weights(K0[train][:, train], 0.0, kernel.jitter,
-                                            np.ones(train.size))
+                factor, v = _kernel_weights(
+                    np.take(K0[train], train, axis=1),
+                    lambda A: np.copyto(A, np.take(K0[train], train, axis=1)),
+                    0.0, kernel.jitter, np.ones(train.size))
             except ConditioningError:
                 err = np.inf
                 break

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
-from .cf import KernelSpec, _cf_weights, cf_cv_bandwidth
+from .cf import KernelSpec, _cf_weights, _shared_draw_cf_weights, cf_cv_bandwidth
 from .cf import cf_estimate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .errors import DegenerateWeights, InvalidInput, InvalidSchedule
 from .polybasis import build_design_matrix, enumerate_exponents
@@ -192,6 +192,11 @@ class _MethodOutcome:
     fallback: str | None = None
 
 
+def _cf_memo_key(kernel: KernelSpec, lam_r: float) -> tuple:
+    """The SampleSet memo key of CF weights: they depend on the draws, kernel and lam_r only."""
+    return ("cf", kernel, lam_r)
+
+
 def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int) -> _MethodOutcome:
     if isinstance(method, ZvSpec):
         est, fit = zvcv_estimate(s, phi, method, seed=seed)
@@ -207,8 +212,7 @@ def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int) -> _Met
         else:
             kernel = KernelSpec(kind="polynomial", degree=method.degree)
             detail = {"Q": method.degree, "lam_r": method.lam_r}
-        # the CF weights depend on the draws, the kernel and lam_r only
-        key = ("cf", kernel, method.lam_r)
+        key = _cf_memo_key(kernel, method.lam_r)
         if key not in s._memo:
             s._memo[key] = _cf_weights(s, kernel, method.lam_r)
         return _MethodOutcome(float(s._memo[key] @ phi.values), kernel.label(), detail)
@@ -321,29 +325,56 @@ def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: 
     return raw, c0, _MethodOutcome(c0, out.label, out.detail, fallback="vanilla")
 
 
-def _serving_sample_sets(schedule: TemperatureSchedule, snapshots, cv) -> list[SampleSet]:
-    """The sample set serving each temperature of ``schedule``, in order.
+def _serving_sample_sets(schedule: TemperatureSchedule, snapshots, cv,
+                         reads: int | None = None) -> list[SampleSet]:
+    """The sample set serving each of the first ``reads`` temperatures (default
+    all) of ``schedule``, in order.
 
     Each is its snapshot's own SampleSet at that temperature, so every report
-    on one particle system reuses its weights and memo.  Raises InvalidInput
-    for an unknown ``cv`` or no snapshots, and InvalidSchedule for a
-    population index out of range or a snapshot above the temperature it
-    serves.
+    on one particle system reuses its weights and memo.  For a fixed-bandwidth
+    gaussian CF method the CF weights of the returned sets that lack them are
+    put in their memos here, one snapshot at a time: the sets of one snapshot
+    share its draws, so its gaussian factor is built once for all of them
+    (``cf._shared_draw_cf_weights``, two N x N buffers for the whole call).  A
+    set whose system fails is left without weights, and the per-set path
+    raises the error where the set is used.  Raises InvalidInput for an
+    unknown ``cv`` or no snapshots, and InvalidSchedule for a population index
+    out of range or a snapshot above the temperature it serves.
     """
     if not _is_method(cv):
         raise InvalidInput(f"unknown control-variate method {cv!r}")
     snaps = list(snapshots.snapshots if isinstance(snapshots, ParticleSystem) else snapshots)
     if not snaps:
         raise InvalidInput("no snapshots given")
-    for t, k in zip(schedule.temperatures, schedule.population_index):
+    served = list(zip(schedule.temperatures, schedule.population_index))
+    for t, k in served:
         if k >= len(snaps):
             raise InvalidSchedule(f"population index {k} out of range")
         if snaps[k].t > t + 1e-9:
             raise InvalidSchedule(
                 f"snapshot at t={snaps[k].t} cannot serve temperature {t}"
             )
-    return [snaps[k].sample_set(t)
-            for t, k in zip(schedule.temperatures, schedule.population_index)]
+    served = served[:reads]
+    sets = [snaps[k].sample_set(t) for t, k in served]
+    if isinstance(cv, CfMethod) and cv.kind == "gaussian" and cv.bandwidth is not None:
+        _fill_gaussian_cf_memos(sets, [k for _, k in served], cv)
+    return sets
+
+
+def _fill_gaussian_cf_memos(sets, snapshot_index, cv: CfMethod) -> None:
+    """Put the CF weights of ``cv`` in the memo of every set lacking them,
+    building one gaussian factor per snapshot."""
+    kernel = KernelSpec(kind="gaussian", bandwidth=cv.bandwidth)
+    key = _cf_memo_key(kernel, cv.lam_r)
+    by_snapshot: dict[int, list[SampleSet]] = {}
+    for s, k in zip(sets, snapshot_index):
+        if key not in s._memo:
+            by_snapshot.setdefault(k, []).append(s)
+    groups = list(by_snapshot.values())
+    for group, weights in zip(groups, _shared_draw_cf_weights(groups, kernel, cv.lam_r)):
+        for s, v in zip(group, weights):
+            if v is not None:
+                s._memo[key] = v
 
 
 def cti_quadrature(temperatures, e_values, v_values=None) -> float:
@@ -378,7 +409,10 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
     temperature reads the serving snapshot's own sample set at t, built once
     and kept on the snapshot with its retempered weights and memo; a
     fixed-kernel CF method weights E and V with one weight vector from that
-    memo, which later reports reuse.
+    memo, which later reports reuse.  With a fixed gaussian bandwidth the
+    vectors a report lacks are computed before the loop, one snapshot at a
+    time, with one gaussian factor per snapshot (see
+    :func:`_serving_sample_sets`); at most two N x N arrays are live.
     """
     if order not in (1, 2):
         raise InvalidInput("quadrature order must be 1 or 2")
@@ -421,9 +455,10 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
     the reweighting increment an SMC run would record.  Factor j reads the
     serving snapshot's own sample set at t_{j-1}, the one :func:`cti_estimate`
     reads there, so a fixed-kernel CF method reuses the weight vector kept in
-    its memo, or leaves one for later reports.
+    its memo, or leaves one for later reports.  Only t_0 .. t_{n-1} are read,
+    so no weights are computed at the last temperature.
     """
-    sets = _serving_sample_sets(schedule, snapshots, cv)
+    sets = _serving_sample_sets(schedule, snapshots, cv, reads=len(schedule.temperatures) - 1)
 
     temps = schedule.temperatures
     records: list[ExpectationRecord] = []

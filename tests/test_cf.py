@@ -10,7 +10,6 @@ from scipy.stats import norm
 import steincv.cf as cf_mod
 from steincv.cf import (
     KernelSpec,
-    _factor_with_jitter,
     _gaussian_stein_cross,
     cf_cv_bandwidth,
     cf_estimate,
@@ -20,7 +19,11 @@ from steincv.cf import (
 from steincv.errors import ConditioningError, InvalidInput
 from steincv.regression import fit_ridge
 from steincv.polybasis import basis_size, enumerate_exponents, design_columns
+from steincv.models import ConjugateGaussianModel
 from steincv.samples import IntegrandValues, SampleSet
+from steincv.smc import SmcConfig, posthoc_schedule, run_smc
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def gaussian_draws(n, seed, d=1, mu=0.0, sd=1.0):
@@ -214,14 +217,49 @@ def test_bandwidth_cv_validation():
 # --- oracles: the two-solve estimate, the unfused kernel build, per-fold search -----
 
 
+def copy_and_factor(A, shift, jitter_scale, base_diag):
+    """Cholesky factor of A + (shift + jitter) I in a Fortran-ordered copy of A^T.
+
+    The library's jitter escalation, with A left untouched: each failed try
+    restores the copy from A.  Factorises through ``cf.cho_factor``, so a test
+    that patches it reaches this reference too.
+    """
+    if not np.all(np.isfinite(np.diag(A))):
+        raise ConditioningError("kernel system has non-finite entries")
+    jitter = jitter_scale * base_diag if base_diag > 0 else jitter_scale
+    diag = np.diag(A) + shift
+    M = np.array(A.T, order="F")
+    on_diag = np.diag_indices_from(M)
+    for _ in range(cf_mod._JITTER_DOUBLINGS + 1):
+        M[on_diag] = diag + jitter
+        try:
+            return cf_mod.cho_factor(M, lower=True, overwrite_a=True)
+        except LinAlgError:
+            M[...] = A.T
+            jitter = max(jitter * 2.0, np.finfo(float).tiny)
+        except ValueError as exc:
+            raise ConditioningError("kernel system has non-finite entries") from exc
+    raise ConditioningError("kernel system stayed non-positive-definite", jitter=jitter)
+
+
+def copy_and_factor_weights(K0, shift, jitter_scale, wt):
+    """(factor, CF weights v = K^-1 w~ / 1^T K^-1 w~) with K0 left untouched."""
+    factor = copy_and_factor(K0, shift, jitter_scale, float(np.mean(np.diag(K0))))
+    u = cho_solve(factor, wt)
+    denom = float(np.sum(u))
+    if denom == 0.0 or not np.isfinite(denom):
+        raise ConditioningError("degenerate kernel system")
+    return factor, u / denom
+
+
 def two_solve_reference(K0, lam_r, jitter_scale, wt, f):
     """(a, factor) for a = w~^T K^-1 f / w~^T K^-1 1, one solve per right-hand side.
 
     K = K0 + N lam_r I (+ jitter) is factorised as the library does; the
     estimate is the ratio of two solves instead of the weight vector v.
     """
-    factor = _factor_with_jitter(K0, K0.shape[0] * lam_r, jitter_scale,
-                                 float(np.mean(np.diag(K0))))
+    factor = copy_and_factor(K0, K0.shape[0] * lam_r, jitter_scale,
+                             float(np.mean(np.diag(K0))))
     denom = float(wt @ cho_solve(factor, np.ones(wt.size)))
     if denom == 0.0 or not np.isfinite(denom):
         raise ConditioningError("degenerate kernel system")
@@ -499,8 +537,8 @@ def unfloored_search_reference(s, phi, grid=None, folds=5, seed=0):
         for hold in [perm[k::folds] for k in range(folds)]:
             train = np.delete(np.arange(n), hold)
             try:
-                factor, v = cf_mod._kernel_weights(K0[np.ix_(train, train)], 0.0, 1e-10,
-                                                   np.ones(train.size))
+                factor, v = copy_and_factor_weights(K0[np.ix_(train, train)], 0.0, 1e-10,
+                                                    np.ones(train.size))
             except ConditioningError:
                 err = np.inf
                 break
@@ -562,13 +600,15 @@ def test_floored_search_and_estimates_equal_unfloored(weighted):
         for seed in (1, 2):
             bw = unfloored_search_reference(s, phi, seed=seed)
             assert cf_cv_bandwidth(s, phi, seed=seed) == bw
-            want = cf_mod._kernel_weights(unfloored_kernel(s, bw), 0.0, 1e-10,
-                                          n * s.weights)[1] @ f
+            want = copy_and_factor_weights(unfloored_kernel(s, bw), 0.0, 1e-10,
+                                           n * s.weights)[1] @ f
             assert cf_estimate(s, phi, KernelSpec(bandwidth=bw)) == want
         # the floor leaves the weights of every grid kernel bitwise the same
         for bw, K0 in zip(grid, floored):
-            want = cf_mod._kernel_weights(unfloored_kernel(s, bw), 0.0, 1e-10, n * s.weights)[1]
-            assert np.array_equal(cf_mod._kernel_weights(K0, 0.0, 1e-10, n * s.weights)[1],
+            want = copy_and_factor_weights(unfloored_kernel(s, bw), 0.0, 1e-10, n * s.weights)[1]
+            assert np.array_equal(copy_and_factor_weights(K0, 0.0, 1e-10, n * s.weights)[1],
+                                  want), bw
+            assert np.array_equal(cf_mod._cf_weights(s, KernelSpec(bandwidth=bw), 0.0),
                                   want), bw
 
 
@@ -701,7 +741,7 @@ def two_solve_estimate(s, f, kernel, lam_r):
         X = design_columns(enumerate_exponents(s.dim, kernel.degree).A, s.theta,
                            s.grad_log_target)
         G = X.T @ X
-        factor = _factor_with_jitter(G, n * lam_r, kernel.jitter, float(np.trace(G)) / n)
+        factor = copy_and_factor(G, n * lam_r, kernel.jitter, float(np.trace(G)) / n)
 
         def solve(v):
             return v - X @ cho_solve(factor, X.T @ v)
@@ -739,3 +779,177 @@ def test_weight_vector_is_read_only_and_sums_to_one(kernel):
     assert v.sum() == pytest.approx(1.0, rel=1e-13)
     f = np.cos(s.theta[:, 1])
     assert cf_estimate(s, IntegrandValues(f), kernel, 0.01) == float(v @ f)
+
+
+# --- oracle: one gaussian factor per set of draws, against the per-set path ------
+
+
+def per_set_reference(s, kernel, lam_r):
+    """Weights of one sample set from stein_kernel_matrix and the copy-and-factor,
+    or None where that system raises ConditioningError."""
+    n = s.count
+    try:
+        return copy_and_factor_weights(stein_kernel_matrix(s, kernel), n * lam_r,
+                                       kernel.jitter, n * s.weights)[1]
+    except ConditioningError:
+        return None
+
+
+def assert_same_weights(got, groups, kernel, lam_r):
+    assert [len(g) for g in got] == [len(g) for g in groups]
+    for weights, group in zip(got, groups):
+        for v, s in zip(weights, group):
+            want = per_set_reference(s, kernel, lam_r)
+            assert (v is None) == (want is None)
+            if v is not None:
+                assert np.array_equal(v, want)
+                assert np.array_equal(v, cf_mod._cf_weights(s, kernel, lam_r))
+
+
+@pytest.fixture(scope="module")
+def conjugate_groups():
+    """A reduced evidence-conjugate population: the sets serving a post-hoc
+    schedule, grouped by snapshot, several temperatures per snapshot."""
+    data = np.random.default_rng(2024).normal(0.5, 1.0, size=(100, 3))
+    model = ConjugateGaussianModel(np.zeros(3), 4.0 * np.eye(3), np.eye(3), data)
+    ps = run_smc(model, SmcConfig(n_particles=150, seed=11))
+    sched = posthoc_schedule(ps, 0.95)
+    groups = {}
+    for t, k in zip(sched.temperatures, sched.population_index):
+        groups.setdefault(k, []).append(ps.snapshots[k].sample_set(t))
+    groups = list(groups.values())
+    assert max(len(g) for g in groups) > 1
+    return groups
+
+
+@pytest.mark.parametrize("bw, lam_r", [(3.0, 0.0), (3.0, 0.01), (0.5, 0.0)])
+def test_shared_draw_weights_equal_per_set_weights(conjugate_groups, bw, lam_r):
+    kernel = KernelSpec(bandwidth=bw)
+    got = cf_mod._shared_draw_cf_weights(conjugate_groups, kernel, lam_r)
+    assert_same_weights(got, conjugate_groups, kernel, lam_r)
+
+
+def tempered_groups(sizes, spread, seed):
+    """Groups of sample sets sharing draws, at four temperatures each."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for n in sizes:
+        theta = spread * rng.normal(size=(n, 2))
+        gll, glp = -(theta - 1.0), -theta / 4.0
+        groups.append([SampleSet(theta=theta, grad_log_target=t * gll + glp,
+                                 weights=rng.uniform(0.2, 2.0, n))
+                       for t in (0.0, 0.3, 0.7, 1.0)])
+    return groups
+
+
+@pytest.mark.parametrize("bw", [1e-2, 0.05])
+def test_shared_draw_weights_equal_per_set_weights_where_the_floor_drops(bw):
+    # two sizes of draws, so the buffers are reallocated between groups
+    groups = tempered_groups([60, 45], spread=1.5, seed=21)
+    for group in groups:
+        K0 = stein_kernel_matrix(group[1], KernelSpec(bandwidth=bw))
+        assert np.any(K0 == 0.0) and not np.array_equal(K0, unfloored_kernel(group[1], bw))
+    kernel = KernelSpec(bandwidth=bw)
+    got = cf_mod._shared_draw_cf_weights(groups, kernel, 0.0)
+    assert_same_weights(got, groups, kernel, 0.0)
+
+
+def fail_every_first_try(monkeypatch):
+    """Patch cf.cho_factor to fail every other call after scribbling over its
+    input, as a partial factorisation does; returns the list of calls."""
+    real = cf_mod.cho_factor
+    calls = []
+
+    def scribbling(M, *args, **kwargs):
+        calls.append(M.shape)
+        if len(calls) % 2:
+            real(M, *args, **kwargs)
+            raise LinAlgError("forced failure")
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(cf_mod, "cho_factor", scribbling)
+    return calls
+
+
+def test_a_failed_first_try_refills_the_buffer(conjugate_groups, monkeypatch):
+    kernel = KernelSpec(bandwidth=3.0)
+    groups = [g[:2] for g in conjugate_groups[:3]]
+    calls = fail_every_first_try(monkeypatch)
+    got = cf_mod._shared_draw_cf_weights(groups, kernel, 0.0)
+    assert len(calls) == 2 * sum(len(g) for g in groups)
+    for weights, group in zip(got, groups):
+        for v, s in zip(weights, group):
+            calls.clear()
+            assert np.array_equal(v, per_set_reference(s, kernel, 0.0))
+            calls.clear()
+            assert np.array_equal(cf_mod._cf_weights(s, kernel, 0.0), v)
+
+
+@pytest.mark.parametrize("n, degree", [(12, 2), (7, 8)])    # J-space, then N-space
+def test_a_failed_first_try_refills_the_polynomial_system(monkeypatch, n, degree):
+    kernel = KernelSpec("polynomial", degree=degree)
+    s = weighted_draws(n, 5, d=1)
+    f = np.sin(s.theta[:, 0])
+    calls = fail_every_first_try(monkeypatch)
+    # the reference, patched alike, fails its first try too
+    want = two_solve_estimate(s, f, kernel, 0.01)
+    calls.clear()
+    got = cf_estimate(s, IntegrandValues(f), kernel, 0.01)
+    assert len(calls) == 2
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_a_failed_first_try_regathers_the_fold_block(monkeypatch):
+    s = weighted_draws(40, 9, d=2)
+    phi = IntegrandValues(np.cos(s.theta[:, 1]))
+    grid = [0.3, 3.0]
+    calls = fail_every_first_try(monkeypatch)
+    want = unfloored_search_reference(s, phi, grid=grid, seed=2)
+    calls.clear()
+    assert cf_cv_bandwidth(s, phi, grid=grid, seed=2) == want
+    assert len(calls) == 2 * 5 * len(grid)
+
+
+def test_every_factorisation_runs_in_place(conjugate_groups, monkeypatch):
+    real = cf_mod.cho_factor
+    seen = []
+
+    def check(M, *args, **kwargs):
+        seen.append(M.flags.f_contiguous and kwargs.get("overwrite_a", False))
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(cf_mod, "cho_factor", check)
+    s = weighted_draws(30, 4, d=2)
+    phi = IntegrandValues(s.theta[:, 0])
+    cf_cv_bandwidth(s, phi, grid=[0.5, 2.0])
+    for kernel in (KernelSpec(bandwidth=1.0), KernelSpec("polynomial", degree=2),
+                   KernelSpec("polynomial", degree=8)):
+        cf_estimate(s, phi, kernel)
+    cf_mod._shared_draw_cf_weights(conjugate_groups[:2], KernelSpec(bandwidth=3.0), 0.0)
+    assert len(seen) == 10 + 3 + sum(len(g) for g in conjugate_groups[:2])
+    assert all(seen)
+
+
+def test_non_finite_systems_give_no_weights_and_no_warning():
+    # a non-finite diagonal is rejected before its mean is taken, so no
+    # "invalid value" warning (errors in this module) precedes the typed error
+    A = np.eye(4)
+    A[1, 1], A[2, 2] = np.inf, -np.inf
+    with pytest.raises(ConditioningError):
+        cf_mod._factor_in_place(A, lambda B: None, 0.0, 1e-10)
+    # theta ~ 1e8 at bw = 1e-3 overflows the gaussian factor (see
+    # test_a_kernel_that_overflows_raises_conditioning_error); NaN gradient
+    # columns leave the set to the per-set path's InvalidInput
+    rng = np.random.default_rng(1)
+    theta = 1e8 * rng.normal(size=(13, 1))
+    big = SampleSet(theta=theta, grad_log_target=-theta / 1e16, weights=None)
+    masked = SampleSet(theta=np.ones((5, 1)), grad_log_target=np.full((5, 1), np.nan),
+                       weights=None)
+    with np.errstate(over="ignore"):
+        got = cf_mod._shared_draw_cf_weights([[big, big], [masked]], KernelSpec(bandwidth=1e-3),
+                                             0.0)
+        assert got == [[None, None], [None]]
+        with pytest.raises(ConditioningError):
+            cf_mod._cf_weights(big, KernelSpec(bandwidth=1e-3), 0.0)
+    with pytest.raises(InvalidInput):
+        cf_mod._cf_weights(masked, KernelSpec(bandwidth=1e-3), 0.0)

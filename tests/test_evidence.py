@@ -14,7 +14,9 @@ from scipy.integrate import quad
 import steincv.cf as cf_mod
 import steincv.evidence as evidence_mod
 from steincv.cf import KernelSpec, cf_estimate
-from steincv.errors import DegenerateWeights, InvalidInput, InvalidSchedule, SteinCvError
+from steincv.errors import (
+    ConditioningError, DegenerateWeights, InvalidInput, InvalidSchedule, SteinCvError,
+)
 from steincv.evidence import (
     VANILLA,
     CfMethod,
@@ -182,6 +184,7 @@ EVERY_METHOD = (
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(n=st.integers(1, 13), d=st.integers(1, 3),
        log_scale=st.sampled_from([-8, -4, -1, 0, 1, 4, 8]),
@@ -436,7 +439,8 @@ def test_cti2_cf_shares_one_factor_per_temperature(conjugate_run, monkeypatch, m
     n = len(sched)
     assert calls["cho_factor"] == n
     if kernel.kind == "gaussian":
-        assert calls["stein_kernel_matrix"] == n and calls["design_columns"] == 0
+        # a fixed gaussian kernel is assembled per snapshot, not by stein_kernel_matrix
+        assert calls["stein_kernel_matrix"] == 0 and calls["design_columns"] == 0
     else:   # d = 1, so J = Q < N: J-space, no N x N kernel
         assert calls["stein_kernel_matrix"] == 0 and calls["design_columns"] == n
 
@@ -530,6 +534,75 @@ def test_expectations_at_one_temperature_factorise_once(conjugate_run, monkeypat
     again = expectation_with_provenance(snap.sample_set(t), ll, method, seed=3)
     assert calls["cho_factor"] == 1
     assert got == want and again.estimate == want[0]
+
+
+GAUSSIAN_CF_METHODS = [CfMethod(bandwidth=2.0), CfMethod(bandwidth=0.5, lam_r=0.01)]
+
+
+def count_gaussian_factors(monkeypatch) -> list:
+    """Record every floored-exp pass, i.e. every gaussian factor E built."""
+    built = []
+    real = cf_mod._floored_exp
+
+    def counted(K):
+        built.append(K.shape)
+        return real(K)
+
+    monkeypatch.setattr(cf_mod, "_floored_exp", counted)
+    return built
+
+
+@pytest.mark.parametrize("method", GAUSSIAN_CF_METHODS)
+def test_cti2_builds_one_gaussian_factor_per_snapshot(conjugate_run, monkeypatch, method):
+    # a post-hoc schedule serves several temperatures from one snapshot; the
+    # per-(snapshot, t) path, one cf_estimate per integrand, is the reference
+    ps = fresh_copy(conjugate_run[1])
+    sched = posthoc_schedule(ps, 0.9)
+    served = set(sched.population_index)
+    assert len(served) < len(sched)
+    kernel = KernelSpec(bandwidth=method.bandwidth)
+    want = cti2_cf_loop_reference(sched, ps.snapshots, lambda i: kernel, method.lam_r)
+    built = count_gaussian_factors(monkeypatch)
+    calls = count_cf_calls(monkeypatch)
+    report = cti_estimate(sched, ps, order=2, cv=method, seed=5)
+    assert [r.estimate for r in report.per_expectation] == want
+    assert len(built) == len(served) and calls["cho_factor"] == len(sched)
+    assert calls["stein_kernel_matrix"] == 0
+
+
+@pytest.mark.parametrize("posthoc", [False, True])
+@pytest.mark.parametrize("method", GAUSSIAN_CF_METHODS)
+def test_smc_then_cti_equals_cti_then_smc(conjugate_run, monkeypatch, method, posthoc):
+    ps = conjugate_run[1]
+    sched = posthoc_schedule(ps, 0.9) if posthoc else ps.schedule()
+    first = fresh_copy(ps)
+    built = count_gaussian_factors(monkeypatch)
+    smc_a = smc_evidence_estimate(sched, first, cv=method, seed=6)
+    # smc reads t_0 .. t_{n-1}: the snapshots serving them, then t_n's alone
+    assert len(built) == len(set(sched.population_index[:-1]))
+    cti_a = cti_estimate(sched, first, order=2, cv=method, seed=5)
+    assert len(built) == len(set(sched.population_index[:-1])) + 1
+    second = fresh_copy(ps)
+    cti_b = cti_estimate(sched, second, order=2, cv=method, seed=5)
+    smc_b = smc_evidence_estimate(sched, second, cv=method, seed=6)
+    assert cti_a.to_dict() == cti_b.to_dict()
+    assert smc_a.to_dict() == smc_b.to_dict()
+
+
+def test_a_failing_gaussian_system_raises_where_it_is_used():
+    # theta ~ 1e8 at bw = 1e-3 overflows the gaussian factor: the shared build
+    # leaves no weights, and the per-set path raises the typed error at the
+    # first expectation, never a NaN estimate
+    rng = np.random.default_rng(1)
+    theta = 1e8 * rng.normal(size=(13, 1))
+    ll = -0.5 * (theta[:, 0] / 1e8) ** 2
+    snap = Snapshot(t=0.0, theta=theta, weights=np.full(13, 1 / 13), log_like=ll,
+                    log_prior=ll, grad_log_like=-theta / 1e16, grad_log_prior=-theta / 1e16)
+    sched = TemperatureSchedule((0.0, 0.5, 1.0), (0, 0, 0))
+    with np.errstate(over="ignore"):
+        for report in (cti_estimate, smc_evidence_estimate):
+            with pytest.raises(ConditioningError):
+                report(sched, [replace(snap)], cv=CfMethod(bandwidth=1e-3))
 
 
 def test_cti2_cv_bandwidth_searches_every_expectation(monkeypatch):
