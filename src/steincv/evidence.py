@@ -16,6 +16,15 @@ cross-validated selection.  Estimation always runs on the integrand divided
 by its maximum absolute value; ratio factors additionally get a positivity
 fallback chain (fixed-intercept refit for polynomial methods, then the plain
 weighted mean) so a factor never poisons the product.
+
+A method that is linear in the integrand -- polynomial ZV by least squares
+or ridge at a fixed penalty (combined estimator), and kernel CF with a fixed
+kernel -- is a quadrature rule: its estimate is v @ f with one weight vector
+v per sample set (South, Karvonen, Nemeth, Girolami & Oates 2022, "Semi-exact
+control functionals from Sard's method").  That vector is kept in the
+sample set's memo, so every expectation and every report on one particle
+system fits it once.  The lasso, a cross-validated penalty or bandwidth, the
+split estimator and ``crossval`` fit each integrand.
 """
 
 from __future__ import annotations
@@ -34,7 +43,9 @@ from .polybasis import build_design_matrix, enumerate_exponents
 from .regression import refit_fixed_intercept
 from .samples import IntegrandValues, SampleSet
 from .smc import ParticleSystem, TemperatureSchedule
-from .zvcv import ZvSpec, _number_label, crossval_select, zvcv_estimate
+from .zvcv import (
+    ZvSpec, _linear_lam, _number_label, _zv_weights, crossval_select, zvcv_estimate,
+)
 
 VANILLA = "vanilla"
 
@@ -199,9 +210,17 @@ def _cf_memo_key(kernel: KernelSpec, lam_r: float) -> tuple:
 
 def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int) -> _MethodOutcome:
     if isinstance(method, ZvSpec):
-        est, fit = zvcv_estimate(s, phi, method, seed=seed)
-        detail = {"Q": method.degree, "penalty": method.penalty, "lam": fit.lam}
-        return _MethodOutcome(est, method.label(), detail, zv_spec=method, lam=fit.lam)
+        lam = _linear_lam(method)
+        if lam is None:
+            est, fit = zvcv_estimate(s, phi, method, seed=seed)
+            lam = fit.lam
+        else:
+            key = ("zv", method.degree, method.subset, method.penalty, lam)
+            if key not in s._memo:
+                s._memo[key] = _zv_weights(s, method)
+            est = float(s._memo[key] @ phi.values)
+        detail = {"Q": method.degree, "penalty": method.penalty, "lam": lam}
+        return _MethodOutcome(est, method.label(), detail, zv_spec=method, lam=lam)
     if isinstance(method, CfMethod):
         if method.kind == "gaussian":
             bw = method.bandwidth
@@ -260,6 +279,8 @@ def _values(s: SampleSet, phi) -> np.ndarray:
         np.asarray(phi, dtype=float).reshape(-1)
     if values.shape[0] != s.count:
         raise InvalidInput("integrand length does not match the sample set")
+    if not np.all(np.isfinite(values)):
+        raise InvalidInput("integrand values must be finite")
     return values
 
 
@@ -286,9 +307,11 @@ def _report(estimator: str, log_z: float, temperatures, records, cv) -> Evidence
 def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: int):
     """(raw weighted mean, estimate, outcome) of E[values] under ``method``.
 
-    A fixed-kernel CF method keeps its weights in the memo of ``s``, so every
-    expectation on one sample set factorises once; a snapshot gives out one
-    sample set per temperature, so that holds for every report on it too.
+    A linear method -- a fixed-kernel CF method, or ZV by least squares or
+    ridge at a fixed penalty -- keeps its weight vector in the memo of ``s``,
+    so every expectation on one sample set builds one design or factorises
+    once; a snapshot gives out one sample set per temperature, so that holds
+    for every report on it too.
     """
     raw = float(s.weights @ values)
     if method is None or method == VANILLA:
@@ -407,9 +430,10 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
     integrand squares deviations from the CV-improved mean
     (``v_mean_mode="cv"``) or the raw weighted mean (``"raw"``).  Each
     temperature reads the serving snapshot's own sample set at t, built once
-    and kept on the snapshot with its retempered weights and memo; a
-    fixed-kernel CF method weights E and V with one weight vector from that
-    memo, which later reports reuse.  With a fixed gaussian bandwidth the
+    and kept on the snapshot with its retempered weights and memo; a linear
+    method (fixed-kernel CF, or ZV by least squares or fixed-penalty ridge)
+    weights E and V with one weight vector from that memo, which later
+    reports reuse.  With a fixed gaussian bandwidth the
     vectors a report lacks are computed before the loop, one snapshot at a
     time, with one gaussian factor per snapshot (see
     :func:`_serving_sample_sets`); at most two N x N arrays are live.
@@ -454,8 +478,9 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
     hundreds of log units are safe.  With cv="vanilla" each factor is exactly
     the reweighting increment an SMC run would record.  Factor j reads the
     serving snapshot's own sample set at t_{j-1}, the one :func:`cti_estimate`
-    reads there, so a fixed-kernel CF method reuses the weight vector kept in
-    its memo, or leaves one for later reports.  Only t_0 .. t_{n-1} are read,
+    reads there, so a linear method (fixed-kernel CF, or ZV by least squares
+    or fixed-penalty ridge) reuses the weight vector kept in its memo, or
+    leaves one for later reports.  Only t_0 .. t_{n-1} are read,
     so no weights are computed at the last temperature.
     """
     sets = _serving_sample_sets(schedule, snapshots, cv, reads=len(schedule.temperatures) - 1)

@@ -133,27 +133,70 @@ def _finish(beta, st, *, lam, **fields):
     )
 
 
-def _svd_fit(A, b, w, lams):
-    """Weighted ridge fits for a whole vector of penalties from one thin SVD.
+def _weighted_svd(A, w):
+    """Thin SVD of sqrt(w) A without its numerically zero directions.
 
-    Minimises sum_i w_i (b_i - A_i g)^2 + lam ||g||_2^2 for each lam: with
-    U diag(s) V^T the thin SVD of sqrt(w) A, g(lam) = V diag(s / (s^2 + lam))
-    U^T (sqrt(w) b) (ESL 3.4.1), one column per lam, J > N included.  Singular
-    values at or below LAPACK's least-squares cutoff eps max(n, J) s_max count
-    as zero, so lam = 0 gives the minimum-norm least-squares fit and a tiny
-    lam > 0 agrees with it.  Returns the (J, L) coefficient matrix and the rank.
+    Singular values at or below LAPACK's least-squares cutoff eps max(n, J)
+    s_max count as zero.  Returns (sqrt(w), U, s, V^T) cut to the k that
+    remain.
     """
     sw = np.sqrt(w)
     try:
         U, s, Vt = np.linalg.svd(sw[:, None] * A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("SVD of the regression design did not converge") from exc
-    s = s[s > np.finfo(float).eps * max(A.shape) * s.max(initial=0.0)]
-    k = s.size
+    k = int(np.count_nonzero(s > np.finfo(float).eps * max(A.shape) * s.max(initial=0.0)))
+    return sw, U[:, :k], s[:k], Vt[:k]
+
+
+def _shrink(s, lams):
+    """The (k, L) ridge factors s / (s^2 + lam), written so s^2 cannot underflow."""
     with np.errstate(over="ignore"):
-        # s / (s^2 + lam), written so that s^2 cannot underflow
-        shrink = 1.0 / (s[:, None] + np.asarray(lams, dtype=float) / s[:, None])
-    return Vt[:k].T @ (shrink * (U[:, :k].T @ (sw * b))[:, None]), k
+        return 1.0 / (s[:, None] + np.asarray(lams, dtype=float) / s[:, None])
+
+
+def _svd_fit(A, b, w, lams):
+    """Weighted ridge fits for a whole vector of penalties from one thin SVD.
+
+    Minimises sum_i w_i (b_i - A_i g)^2 + lam ||g||_2^2 for each lam: with
+    U diag(s) V^T the thin SVD of sqrt(w) A, g(lam) = V diag(s / (s^2 + lam))
+    U^T (sqrt(w) b) (ESL 3.4.1), one column per lam, J > N included.  Singular
+    values at or below the cutoff of :func:`_weighted_svd` count as zero, so
+    lam = 0 gives the minimum-norm least-squares fit and a tiny lam > 0 agrees
+    with it.  Returns the (J, L) coefficient matrix and the rank.
+    """
+    sw, U, s, Vt = _weighted_svd(A, w)
+    return Vt.T @ (_shrink(s, lams) * (U.T @ (sw * b))[:, None]), s.size
+
+
+def _fit_weights(X, weights, lam: float, *, standardised: bool) -> np.ndarray:
+    """Weights v with v @ f the corrected mean w @ (f + X beta) of every f.
+
+    beta is the fit of :func:`fit_ols` (lam = 0, ``standardised`` False) or of
+    :func:`fit_ridge` at a fixed lam (``standardised`` True).  Both are linear
+    in f: with mu = w^T X over the retained columns, X_c = X - 1 mu^T (and
+    both divided by the column sds when standardised) and sqrt(w) X_c =
+    U S V^T, the corrected mean is v^T f with b = sqrt(w) (U S(lam) V^T mu),
+    S(lam) = diag(s / (s^2 + lam)), and v = (1 + 1^T b) w - b, so sum v = 1.
+    The 1^T b term comes from the fit centring f; it is zero up to rounding,
+    as sqrt(w) is orthogonal to the columns of sqrt(w) X_c, and keeps sum v
+    at 1 to rounding.  Runs the checks of those fits that do not read f;
+    returns v read-only.
+    """
+    X, f0, w = _prepare(X, np.zeros(np.shape(X)[0]), weights)
+    _check_penalty(lam, "ridge penalty")
+    st = moments(X, f0, w)
+    keep = st.retained
+    mu = st.covariate_means[keep]
+    Xc = X[:, keep] - mu
+    if standardised:
+        Xc /= st.covariate_sds[keep]
+        mu = mu / st.covariate_sds[keep]
+    sw, U, s, Vt = _weighted_svd(Xc, w)
+    b = sw * (U @ (_shrink(s, [lam])[:, 0] * (Vt @ mu)))
+    v = (1.0 + b.sum()) * w - b
+    v.setflags(write=False)
+    return v
 
 
 def _raw_beta(gamma_s, st):

@@ -68,7 +68,7 @@ class SampleSet:
     ``log_prior`` are optional per-draw caches used by the tempering and
     evidence code.  Arrays are frozen copies (the caller's stay writeable) and
     safe to share.  ``_memo`` holds quantities derived from those arrays, such
-    as control-functional weights; every new SampleSet, including those of
+    as control-variate weight vectors; every new SampleSet, including those of
     ``with_weights``, ``take`` and ``dataclasses.replace``, starts it empty.
     A snapshot keeps the one SampleSet it gives out per temperature, so that
     set's memo lasts as long as the snapshot.

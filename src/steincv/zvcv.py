@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import BasisTooLarge, InsufficientSamples, InvalidInput, SteinCvError
 from .polybasis import SubsetSpec, build_design_matrix, enumerate_exponents
-from .regression import CvConfig, RegressionFit, cv_lambda, fit_lasso, fit_ols, fit_ridge
+from .regression import (
+    CvConfig, RegressionFit, _fit_weights, cv_lambda, fit_lasso, fit_ols, fit_ridge,
+)
 from .samples import IntegrandValues, SampleSet, check_aligned
 
 logger = logging.getLogger(__name__)
@@ -148,6 +150,30 @@ def zvcv_estimate(s: SampleSet, phi: IntegrandValues, spec: ZvSpec, seed: int = 
         fits.append(fit)
         estimates.append(_cv_corrected_mean(f_ho, X_ho, w_ho, fit))
     return float(np.mean(estimates)), fits[0]
+
+
+def _linear_lam(spec: ZvSpec) -> float | None:
+    """The penalty of a spec whose estimate is linear in the integrand, else None.
+
+    The combined estimator with OLS (0) or ridge at a fixed lam is one weight
+    vector per sample set (:func:`_zv_weights`); the lasso, a CV-chosen lam
+    and the split estimator fit each integrand.
+    """
+    if spec.estimator != "combined":
+        return None
+    if spec.penalty == "ols":
+        return 0.0
+    if spec.penalty == "ridge" and spec.lam is not None:
+        return float(spec.lam)
+    return None
+
+
+def _zv_weights(s: SampleSet, spec: ZvSpec) -> np.ndarray:
+    """Weights v with v @ phi.values equal to ``zvcv_estimate(s, phi, spec)`` for
+    every integrand phi; ``spec`` must have a :func:`_linear_lam`."""
+    A = enumerate_exponents(s.dim, spec.degree, spec.subset)
+    X = build_design_matrix(s, A)
+    return _fit_weights(X, s.weights, _linear_lam(spec), standardised=spec.penalty == "ridge")
 
 
 def apriori_estimate(s: SampleSet, phi: IntegrandValues, subset: SubsetSpec,

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 import steincv.cf as cf_mod
 import steincv.evidence as evidence_mod
+import steincv.zvcv as zvcv_mod
 from steincv.cf import KernelSpec, cf_estimate
 from steincv.errors import (
     ConditioningError, DegenerateWeights, InvalidInput, InvalidSchedule, SteinCvError,
@@ -35,7 +36,10 @@ from steincv.smc import (
     ParticleSystem, SmcConfig, Snapshot, TemperatureSchedule, posthoc_schedule, reweight,
     run_smc,
 )
-from steincv.zvcv import ZvSpec
+from steincv.polybasis import SubsetSpec, build_design_matrix, enumerate_exponents
+from steincv.zvcv import ZvSpec, zvcv_estimate
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +117,6 @@ def test_stabilised_matches_plain_estimator_up_to_scale():
     s = unit_gaussian_set(30, seed=0)
     phi = 50.0 * np.tanh(s.theta[:, 0]) + 10.0
     spec = ZvSpec(degree=2)
-    from steincv.zvcv import zvcv_estimate
-
     scale = float(np.max(np.abs(phi)))
     direct, _ = zvcv_estimate(s, IntegrandValues(phi / scale), spec)
     assert stabilised_cv_expectation(s, phi, spec) == pytest.approx(scale * direct,
@@ -213,6 +215,19 @@ def test_every_method_is_finite_or_a_typed_error(n, d, log_scale, seed, zero_wei
             except SteinCvError:
                 continue
             assert np.isfinite(rec.estimate), (method, ratio)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_method_rejects_a_non_finite_integrand(bad):
+    s = unit_gaussian_set(50, seed=5)
+    f = s.theta[:, 0] ** 2
+    f[7] = bad
+    for method in EVERY_METHOD:
+        for ratio in (False, True):
+            with pytest.raises(InvalidInput, match="finite"):
+                expectation_with_provenance(s, f, method, ratio=ratio)
+            with pytest.raises(InvalidInput, match="finite"):
+                stabilised_cv_expectation(s, f, method, ratio=ratio)
 
 
 # --- estimators over schedules -------------------------------------------------------
@@ -627,3 +642,148 @@ def test_cti2_cv_bandwidth_searches_every_expectation(monkeypatch):
     want = cti2_cf_loop_reference(sched, ps.snapshots,
                                   lambda i: KernelSpec(bandwidth=chosen[i]), 0.0)
     assert [r.estimate for r in recs] == want
+
+
+# --- oracle: one ZV weight vector per sample set, shared across integrands and reports
+
+
+LINEAR_ZV = [ZvSpec(degree=2), ZvSpec(degree=2, penalty="ridge", lam=0.1)]
+
+
+def zv_case(case):
+    """(SampleSet, subset) for one regime of the ZV weight oracle."""
+    rng = np.random.default_rng(31)
+    n = 8 if case == "wide" else 60      # wide: J = 9 or 19 at Q = 2 or 3
+    theta = rng.normal(size=(n, 3))
+    grad = -theta.copy()
+    w = rng.uniform(0.05, 1.0, size=n) if case != "uniform" else None
+    subset = None
+    if case == "constant_column":
+        # a coordinate pinned at 0 with zero gradient: its covariates are constant
+        theta[:, 1] = 0.0
+        grad[:, 1] = 0.0
+    if case == "masked_subset":
+        grad[:, 2] = np.nan
+        subset = SubsetSpec((0, 1))
+    return SampleSet(theta=theta, grad_log_target=grad, weights=w), subset
+
+
+@pytest.mark.parametrize("case", ["uniform", "weighted", "wide", "constant_column",
+                                  "masked_subset"])
+@pytest.mark.parametrize("base", LINEAR_ZV + [ZvSpec(degree=3)])
+def test_linear_zv_weights_match_the_per_integrand_fit(case, base):
+    s, subset = zv_case(case)
+    spec = replace(base, subset=subset)
+    th = s.theta
+    integrands = [np.exp(0.5 * th[:, 0]) + 1.0, th[:, 0] ** 2 + th[:, 2] + 2.0,
+                  np.sin(th[:, 0]) + np.cos(th[:, 1]) + 3.0]
+    for i, f in enumerate(integrands):
+        phi = IntegrandValues(f)
+        got = evidence_mod._apply_method(s, phi, spec, seed=i)
+        want, fit = zvcv_estimate(s, phi, spec, seed=i)
+        assert got.estimate == pytest.approx(want, rel=1e-12)
+        assert got.detail == {"Q": spec.degree, "penalty": spec.penalty, "lam": fit.lam}
+        assert got.lam == fit.lam and got.zv_spec == spec
+    J = build_design_matrix(s, enumerate_exponents(s.dim, spec.degree, subset)).shape[1]
+    if case == "wide":
+        assert J >= s.count
+    if case == "constant_column":
+        assert fit.dropped
+    (key, v), = s._memo.items()
+    assert key == ("zv", spec.degree, subset, spec.penalty, fit.lam)
+    assert v.shape == (s.count,) and not v.flags.writeable
+    assert abs(v.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [ZvSpec(penalty="lasso", lam=0.01), ZvSpec(penalty="ridge"),
+                                  ZvSpec(estimator="split"),
+                                  ZvSpec(penalty="ridge", lam=0.1, estimator="split")])
+def test_non_linear_zv_specs_keep_the_per_integrand_fit(spec):
+    s, _ = zv_case("weighted")
+    phi = IntegrandValues(np.exp(0.5 * s.theta[:, 0]))
+    got = evidence_mod._apply_method(s, phi, spec, seed=4)
+    assert got.estimate == zvcv_estimate(s, phi, spec, seed=4)[0]
+    assert s._memo == {}
+
+
+@pytest.mark.parametrize("spec", LINEAR_ZV)
+@pytest.mark.parametrize("case", ["one_draw", "one_weight", "masked", "negative_lam"])
+def test_linear_zv_weights_raise_what_the_fit_raises(spec, case):
+    rng = np.random.default_rng(8)
+    n = 1 if case == "one_draw" else 20
+    theta = rng.normal(size=(n, 2))
+    grad = -theta.copy()
+    w = np.ones(n)
+    if case == "one_weight":
+        w[1:] = 0.0
+    if case == "masked":
+        grad[:, 1] = np.nan
+    if case == "negative_lam":
+        spec = replace(spec, penalty="ridge", lam=-1.0)
+    s = SampleSet(theta=theta, grad_log_target=grad, weights=w)
+    phi = IntegrandValues(theta[:, 0] + 2.0)
+    with pytest.raises(SteinCvError) as want:
+        zvcv_estimate(s, phi, spec)
+    with pytest.raises(type(want.value)):
+        evidence_mod._apply_method(s, phi, spec, seed=0)
+    assert s._memo == {}
+
+
+def count_zv_designs(monkeypatch) -> list:
+    """Record the sample set of every design ``zvcv`` builds from now on."""
+    built = []
+    real = zvcv_mod.build_design_matrix
+
+    def counted(s, A):
+        built.append(s)
+        return real(s, A)
+
+    monkeypatch.setattr(zvcv_mod, "build_design_matrix", counted)
+    return built
+
+
+@pytest.mark.parametrize("posthoc", [False, True])
+@pytest.mark.parametrize("method", LINEAR_ZV)
+def test_cti2_and_smc_build_one_zv_design_per_serving_set(conjugate_run, monkeypatch, method,
+                                                          posthoc):
+    ps = conjugate_run[1]
+    sched = posthoc_schedule(ps, 0.9) if posthoc else ps.schedule()
+    first = fresh_copy(ps)
+    built = count_zv_designs(monkeypatch)
+    smc_a = smc_evidence_estimate(sched, first, cv=method, seed=6)
+    cti_a = cti_estimate(sched, first, order=2, cv=method, seed=5)
+    assert len(built) == len(sched) == len({id(s) for s in built})
+    second = fresh_copy(ps)
+    cti_b = cti_estimate(sched, second, order=2, cv=method, seed=5)
+    smc_b = smc_evidence_estimate(sched, second, cv=method, seed=6)
+    assert len(built) == 2 * len(sched)
+    assert cti_a.to_dict() == cti_b.to_dict()
+    assert smc_a.to_dict() == smc_b.to_dict()
+    assert cti_a.fallbacks_triggered == smc_a.fallbacks_triggered == 0
+
+
+@pytest.mark.parametrize("method", LINEAR_ZV)
+def test_zv_reports_match_the_per_integrand_fit(conjugate_run, method):
+    # the reports before linear ZV shared weights: one zvcv_estimate per integrand
+    ps = fresh_copy(conjugate_run[1])
+    sched = ps.schedule()
+    cti = cti_estimate(sched, ps, order=2, cv=method, seed=5)
+    smc = smc_evidence_estimate(sched, ps, cv=method, seed=6)
+    want_cti, want_smc = [], []
+    for j, (t, k) in enumerate(zip(sched.temperatures, sched.population_index)):
+        ss = replace(ps.snapshots[k].sample_set(t))       # an empty memo
+        ll = ss.log_like
+        est_e = scaled_zv(ss, ll, method)
+        dev = ll - est_e
+        want_cti += [est_e, scaled_zv(ss, dev * dev, method)]
+        if j + 1 < len(sched):
+            dll = (sched.temperatures[j + 1] - t) * ll
+            shift = float(np.max(dll))
+            want_smc.append(shift + np.log(scaled_zv(ss, np.exp(dll - shift), method)))
+    assert_allclose([r.estimate for r in cti.per_expectation], want_cti, rtol=1e-12)
+    assert_allclose([r.estimate for r in smc.per_expectation], want_smc, rtol=1e-12)
+
+
+def scaled_zv(ss, values, spec):
+    scale = float(np.max(np.abs(values)))
+    return zvcv_estimate(ss, IntegrandValues(values / scale), spec)[0] * scale

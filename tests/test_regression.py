@@ -18,6 +18,8 @@ from steincv.regression import (
 )
 from steincv.samples import weighted_sd
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def soft(x, lam):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
@@ -213,6 +215,25 @@ def test_svd_core_matches_min_norm_least_squares(n, J, deficient):
         assert rank == ref_rank
         assert rel_err(gammas[:, -1], ref) <= 1e-10
     assert ref_rank == min(n, J) - 2 * (deficient and J < n)
+
+
+@pytest.mark.parametrize("n, J", [(60, 8), (25, 70)])
+@pytest.mark.parametrize("deficient", [False, True])
+def test_fit_weights_give_the_corrected_mean_of_every_response(n, J, deficient):
+    # v @ f against the fit's own corrected mean w @ (f + X beta), response by response
+    A, b, w = weighted_problem(n, J, seed=n + J + 1, deficient=deficient)
+    A[:, 4] = 2.5                              # a zero-variance column, dropped by both
+    responses = [b, np.exp(A[:, 0] / 4.0), A[:, 2] ** 2 + 1.0]
+    for lam, standardised, fit_of in (
+        (0.0, False, lambda f: fit_ols(A, f, w)),
+        (0.3, True, lambda f: fit_ridge(A, f, w, lam=0.3)),
+    ):
+        v = regression._fit_weights(A, w, lam, standardised=standardised)
+        assert abs(v.sum() - 1.0) <= 1e-12 and not v.flags.writeable
+        for f in responses:
+            fit = fit_of(f)
+            assert 4 in fit.dropped
+            assert v @ f == pytest.approx(w @ (f + A @ fit.beta), rel=1e-12)
 
 
 @pytest.mark.parametrize("n, J", [(30, 6), (20, 34)])
