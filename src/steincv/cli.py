@@ -300,17 +300,20 @@ def cmd_postprocess(args) -> int:
 
     methods = parse_methods(args.methods)
     integrands = _build_integrands(args.integrands, s.theta)
+    # derived before --out exists, so a rejected seed leaves nothing behind
+    seeds = [[_derive_seed(args.seed, mi, ii) for ii in range(len(integrands))]
+             for mi in range(len(methods))]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     side = _Sidecar(out)
     results = []
-    for mi, method in enumerate(methods):
+    for method, method_seeds in zip(methods, seeds):
         label = method_label(method)
-        for ii, (name, values) in enumerate(integrands):
+        for (name, values), seed in zip(integrands, method_seeds):
             t0 = time.perf_counter()
             rec = expectation_with_provenance(
-                s, values, method, seed=_derive_seed(args.seed, mi, ii), temperature=temperature,
+                s, values, method, seed=seed, temperature=temperature,
             )
             side.record(f"{name}|{label}", time.perf_counter() - t0)
             results.append({
@@ -348,13 +351,13 @@ def cmd_evidence(args) -> int:
         schedule = posthoc_schedule(ps, args.posthoc_rho)
 
     methods = parse_methods(args.methods)
+    seeds = [_derive_seed(args.seed, mi) for mi in range(len(methods))]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     side = _Sidecar(out)
     summary = []
-    for mi, method in enumerate(methods):
+    for method, seed in zip(methods, seeds):
         label = method_label(method)
-        seed = _derive_seed(args.seed, mi)
         t0 = time.perf_counter()
         if args.estimator == "smc":
             report = smc_evidence_estimate(schedule, ps, cv=method, seed=seed)

@@ -25,6 +25,11 @@ control functionals from Sard's method").  That vector is kept in the
 sample set's memo, so every expectation and every report on one particle
 system fits it once.  The lasso, a cross-validated penalty or bandwidth, the
 split estimator and ``crossval`` fit each integrand.
+
+The reports give each expectation its own seed, derived from the report seed
+and the expectation's place in the schedule.  Only the methods that draw --
+the lasso, a cross-validated penalty or bandwidth, the split estimator and
+``crossval`` -- derive it; vanilla and linear methods never do.
 """
 
 from __future__ import annotations
@@ -34,15 +39,15 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
+from . import smc
 from .cf import KernelSpec, _cf_weights, _shared_draw_cf_weights, cf_cv_bandwidth
 from .cf import cf_estimate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .errors import DegenerateWeights, InvalidInput, InvalidSchedule
 from .polybasis import build_design_matrix, enumerate_exponents
 from .regression import refit_fixed_intercept
 from .samples import IntegrandValues, SampleSet
-from .smc import ParticleSystem, TemperatureSchedule
+from .smc import ParticleSystem, TemperatureSchedule, _check_seed
 from .zvcv import (
     ZvSpec, _linear_lam, _number_label, _zv_weights, crossval_select, zvcv_estimate,
 )
@@ -190,6 +195,7 @@ class EvidenceReport:
 
 
 def _derive_seed(seed: int, *key: int) -> int:
+    _check_seed(seed)
     return int(np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
@@ -208,11 +214,19 @@ def _cf_memo_key(kernel: KernelSpec, lam_r: float) -> tuple:
     return ("cf", kernel, lam_r)
 
 
-def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int) -> _MethodOutcome:
+def _seed_of(seed: int | tuple[int, ...]) -> int:
+    """A plain seed as given, or the seed derived from a key (seed, j, k)."""
+    return _derive_seed(*seed) if isinstance(seed, tuple) else seed
+
+
+def _apply_method(s: SampleSet, phi: IntegrandValues, method,
+                  seed: int | tuple[int, ...]) -> _MethodOutcome:
+    """Estimate E[phi] under ``method``; ``seed`` is a plain seed or a key
+    (seed, j, k) whose seed is derived only by the branches that draw."""
     if isinstance(method, ZvSpec):
         lam = _linear_lam(method)
         if lam is None:
-            est, fit = zvcv_estimate(s, phi, method, seed=seed)
+            est, fit = zvcv_estimate(s, phi, method, seed=_seed_of(seed))
             lam = fit.lam
         else:
             key = ("zv", method.degree, method.subset, method.penalty, lam)
@@ -225,7 +239,7 @@ def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int) -> _Met
         if method.kind == "gaussian":
             bw = method.bandwidth
             if bw is None:
-                bw = cf_cv_bandwidth(s, phi, folds=method.folds, seed=seed)
+                bw = cf_cv_bandwidth(s, phi, folds=method.folds, seed=_seed_of(seed))
             kernel = KernelSpec(kind="gaussian", bandwidth=bw)
             detail = {"bandwidth": bw, "lam_r": method.lam_r}
         else:
@@ -237,7 +251,7 @@ def _apply_method(s: SampleSet, phi: IntegrandValues, method, seed: int) -> _Met
         return _MethodOutcome(float(s._memo[key] @ phi.values), kernel.label(), detail)
     if isinstance(method, CrossvalMethod):
         result, est = crossval_select(
-            s, phi, seed=seed,
+            s, phi, seed=_seed_of(seed),
             min_degree=method.min_degree, max_degree=method.max_degree,
         )
         chosen = result.chosen
@@ -261,6 +275,7 @@ def stabilised_cv_expectation(s: SampleSet, phi, method=VANILLA, *,
     the weighted mean of phi; if the result is still non-positive (and always
     for kernel methods) the plain weighted mean is used instead.
     """
+    _check_seed(seed)
     _, est, _ = _stabilised(s, _values(s, phi), method, ratio=ratio, seed=seed)
     return est
 
@@ -270,6 +285,7 @@ def expectation_with_provenance(s: SampleSet, phi, method=VANILLA, *,
                                 temperature: float = float("nan"),
                                 kind: str = "E") -> ExpectationRecord:
     """Like :func:`stabilised_cv_expectation`, but returns a full record."""
+    _check_seed(seed)
     raw, est, out = _stabilised(s, _values(s, phi), method, ratio=ratio, seed=seed)
     return _record(temperature, kind, raw, est, out)
 
@@ -304,11 +320,14 @@ def _report(estimator: str, log_z: float, temperatures, records, cv) -> Evidence
     )
 
 
-def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool, seed: int):
+def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool,
+                seed: int | tuple[int, ...]):
     """(raw weighted mean, estimate, outcome) of E[values] under ``method``.
 
-    A linear method -- a fixed-kernel CF method, or ZV by least squares or
-    ridge at a fixed penalty -- keeps its weight vector in the memo of ``s``,
+    ``seed`` is a plain seed, or a key (seed, j, k) from which only a method
+    that draws derives its seed (see :func:`_apply_method`).  A linear
+    method -- a fixed-kernel CF method, or ZV by least squares or ridge at a
+    fixed penalty -- keeps its weight vector in the memo of ``s``,
     so every expectation on one sample set builds one design or factorises
     once; a snapshot gives out one sample set per temperature, so that holds
     for every report on it too.
@@ -437,7 +456,10 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
     vectors a report lacks are computed before the loop, one snapshot at a
     time, with one gaussian factor per snapshot (see
     :func:`_serving_sample_sets`); at most two N x N arrays are live.
+    Expectation k (0 for E, 1 for V) at temperature j gets the seed
+    ``_derive_seed(seed, j, k)``, derived only by a method that draws.
     """
+    _check_seed(seed)
     if order not in (1, 2):
         raise InvalidInput("quadrature order must be 1 or 2")
     if v_mean_mode not in ("cv", "raw"):
@@ -449,16 +471,14 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
     v_vals: list[float] = []
     for j, (t, ss) in enumerate(zip(schedule.temperatures, sets)):
         ll = ss.log_like
-        raw_e, est_e, out = _stabilised(ss, ll, cv, ratio=False,
-                                        seed=_derive_seed(seed, j, 0))
+        raw_e, est_e, out = _stabilised(ss, ll, cv, ratio=False, seed=(seed, j, 0))
         records.append(_record(t, "E_logl", raw_e, est_e, out))
         e_vals.append(est_e)
         if order == 2:
             centre = est_e if v_mean_mode == "cv" else raw_e
             dev = ll - centre
             sq = dev * dev
-            raw_v, est_v, out_v = _stabilised(ss, sq, cv, ratio=False,
-                                              seed=_derive_seed(seed, j, 1))
+            raw_v, est_v, out_v = _stabilised(ss, sq, cv, ratio=False, seed=(seed, j, 1))
             records.append(_record(t, "V_logl", raw_v, est_v, out_v))
             v_vals.append(est_v)
 
@@ -481,8 +501,12 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
     reads there, so a linear method (fixed-kernel CF, or ZV by least squares
     or fixed-penalty ridge) reuses the weight vector kept in its memo, or
     leaves one for later reports.  Only t_0 .. t_{n-1} are read,
-    so no weights are computed at the last temperature.
+    so no weights are computed at the last temperature.  The raw factor is
+    :func:`steincv.smc._logsumexp` of the scaled log-likelihoods under the
+    set's weights.  Factor j gets the seed ``_derive_seed(seed, j, 2)``,
+    derived only by a method that draws.
     """
+    _check_seed(seed)
     sets = _serving_sample_sets(schedule, snapshots, cv, reads=len(schedule.temperatures) - 1)
 
     temps = schedule.temperatures
@@ -490,7 +514,7 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
     log_z = 0.0
     for j, (t_prev, t_next, ss) in enumerate(zip(temps, temps[1:], sets), start=1):
         dll = (t_next - t_prev) * ss.log_like
-        raw_log = float(logsumexp(dll, b=ss.weights))
+        raw_log = smc._logsumexp(dll, ss.weights)
         if not np.isfinite(raw_log):
             raise DegenerateWeights(
                 "telescoping factor vanished", t_prev=t_prev, t_next=t_next,
@@ -500,9 +524,7 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
             est_log, out = raw_log, _MethodOutcome(raw_log, VANILLA, {})
         else:
             phi_scaled = np.exp(dll - shift)   # in (0, 1], max-scaling in log space
-            _, est, out = _stabilised(
-                ss, phi_scaled, cv, ratio=True, seed=_derive_seed(seed, j, 2),
-            )
+            _, est, out = _stabilised(ss, phi_scaled, cv, ratio=True, seed=(seed, j, 2))
             est_log = shift + float(np.log(est))
         records.append(_record(t_prev, "ratio", raw_log, est_log, out,
                                log_scale=True, t_next=t_next))

@@ -25,6 +25,7 @@ spawn keys, so runs are replayable.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -96,6 +97,16 @@ class SmcConfig:
             raise InvalidInput("max_repeats must be >= 1")
         if self.resampling != "multinomial":
             raise InvalidInput(f"unknown resampling scheme {self.resampling!r}")
+        _check_seed(self.seed)
+        tol = self.bisection_tol
+        if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol < np.inf):
+            raise InvalidInput("bisection_tol must be finite and positive")
+
+
+def _check_seed(seed) -> None:
+    """Raise InvalidInput unless ``seed`` is an integer >= 0 (bool excluded)."""
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -133,23 +144,31 @@ def _log_weights(weights) -> np.ndarray:
         return np.log(weights)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a 1-d array by the steps of scipy.special.logsumexp.
+def _logsumexp(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """log(sum(b * exp(a))) of a 1-d array by the steps of scipy.special.logsumexp.
 
-    The m entries equal to the maximum are taken out of the shifted sum s of
-    the others, and the result is log1p(s / m) + log(m) + max.  A non-finite
-    result (empty, all -inf, +inf or NaN input) is recomputed as
-    log(sum(exp(a))), as scipy does.  The same floats as scipy's, without its
-    array-API dispatch, which costs most of a call at a few hundred entries.
+    ``b`` (default: all ones) holds nonnegative weights; entries with b == 0
+    become -inf first.  The entries equal to the maximum are taken out of the
+    shifted sum s of the others, their weights summed into m, and the result
+    is log1p(s / m) + log(m) + max.  A non-finite result (empty, all -inf,
+    +inf or NaN input, or all weights zero) is recomputed as
+    log(sum(b * exp(a))) on the original ``a``, as scipy does.  The same
+    floats as scipy's, without its array-API dispatch, which costs most of a
+    call at a few hundred entries.  This is the library's only log-sum-exp:
+    the sampler's weights and the evidence ratio factors both go through it.
     """
-    a_max = np.max(a, initial=-np.inf)
-    top = a == a_max
-    m = np.count_nonzero(top)
+    c = a if b is None else np.where(b == 0, -np.inf, a)
+    c_max = np.max(c, initial=-np.inf)
+    top = c == c_max
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
-        out = np.log1p(s / m) + np.log(m) + a_max
+        shifted = np.exp(np.where(top, -np.inf, c) - c_max)
+        if b is None:
+            m, s = np.count_nonzero(top), np.sum(shifted)
+        else:
+            m, s = np.sum(b * top), np.sum(b * shifted)
+        out = np.log1p(s / m) + np.log(m) + c_max
         if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
+            out = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
     return float(out)
 
 

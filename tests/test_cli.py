@@ -822,10 +822,10 @@ def fuzz_base(tmp_path_factory):
     return base
 
 
-def _fuzz_smc_argv(model, out, replicates=1):
+def _fuzz_smc_argv(model, out, replicates=1, seed=5):
     return ["smc", "--model", str(model), "--n", "32", "--rho", "0.7", "--hmin", "0.1",
             "--hmax", "2.0", "--max-repeats", "3", "--replicates", str(replicates),
-            "--seed", "5", "--out", str(out)]
+            "--seed", str(seed), "--out", str(out)]
 
 
 def _json_paths(node, path=()):
@@ -887,7 +887,8 @@ def _exits_cleanly(argv):
 @settings(max_examples=120)
 @given(data=st.data())
 def test_malformed_inputs_exit_with_a_typed_error(fuzz_base, data):
-    target = data.draw(st.sampled_from(["model", "archive", "snapshot", "bytes", "method"]))
+    target = data.draw(st.sampled_from(["model", "archive", "snapshot", "bytes", "method",
+                                        "seed"]))
     with tempfile.TemporaryDirectory(dir=fuzz_base) as tmp:
         tmp = Path(tmp)
         for name in ("data.csv", "model.json"):
@@ -895,6 +896,9 @@ def test_malformed_inputs_exit_with_a_typed_error(fuzz_base, data):
         arch = tmp / "archive"
         shutil.copytree(fuzz_base / "run" / "pilot", arch)
         methods = "vanilla,zv:Q=1"
+        seed = data.draw(st.integers(-2**70, 2**70)) if target == "seed" else None
+        seed_args = [] if seed is None else ["--seed", str(seed)]
+        rejected = seed is not None and seed < 0
         if target in ("model", "archive"):
             path = tmp / "model.json" if target == "model" else arch / "manifest.json"
             doc = json.loads(path.read_text())
@@ -907,15 +911,36 @@ def test_malformed_inputs_exit_with_a_typed_error(fuzz_base, data):
         elif target == "bytes":
             victim = data.draw(st.sampled_from(["model.json", "data.csv", "archive/manifest.json"]))
             (tmp / victim).write_bytes(b'{"kind": "\xff", "x": [1.\xfe]}\n')
-        else:
+        elif target == "method":
             methods = data.draw(method_tokens())
+        elif target == "seed":
+            methods = "vanilla,zv:Q=1:split"      # a method that reads its seed
 
+        ok = []
         if target in ("model", "bytes"):
-            _exits_cleanly(_fuzz_smc_argv(tmp / "model.json", tmp / "smc"))
+            ok.append(_exits_cleanly(_fuzz_smc_argv(tmp / "model.json", tmp / "smc")))
+        if rejected:   # a valid seed would only start a full sampler run
+            ok.append(_exits_cleanly(_fuzz_smc_argv(tmp / "model.json", tmp / "smc",
+                                                    seed=seed)))
         pp = tmp / "pp"
-        if _exits_cleanly(["postprocess", "--archive", str(arch), "--snapshot", "1",
-                           "--methods", methods, "--out", str(pp)]):
+        ok.append(_exits_cleanly(["postprocess", "--archive", str(arch), "--snapshot", "1",
+                                  "--methods", methods, *seed_args, "--out", str(pp)]))
+        if ok[-1]:
             _exits_cleanly(["efficiency", "--inputs", str(pp / "estimates.json"),
                             "--gold-method", "vanilla", "--out", str(tmp / "eff")])
-        _exits_cleanly(["evidence", "--archive", str(arch), "--methods", methods,
-                        "--out", str(tmp / "ev")])
+        ok.append(_exits_cleanly(["evidence", "--archive", str(arch), "--methods", methods,
+                                  *seed_args, "--out", str(tmp / "ev")]))
+        if rejected:
+            assert not any(ok)
+
+
+def test_a_negative_seed_exits_2_and_writes_nothing(fuzz_base, tmp_path, capsys):
+    arch = str(fuzz_base / "run" / "pilot")
+    for command in (_fuzz_smc_argv(fuzz_base / "model.json", tmp_path / "smc", seed=-1),
+                    ["postprocess", "--archive", arch, "--seed", "-1",
+                     "--out", str(tmp_path / "pp")],
+                    ["evidence", "--archive", arch, "--seed", "-1",
+                     "--out", str(tmp_path / "ev")]):
+        assert main(command) == EXIT_CONFIG
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -787,3 +787,98 @@ def test_zv_reports_match_the_per_integrand_fit(conjugate_run, method):
 def scaled_zv(ss, values, spec):
     scale = float(np.max(np.abs(values)))
     return zvcv_estimate(ss, IntegrandValues(values / scale), spec)[0] * scale
+
+
+# --- seeds: checked on entry, derived per expectation only by a method that draws
+
+
+@pytest.mark.parametrize("seed", [-1, -2**70, "x", 1.5, None, True])
+def test_a_seed_must_be_a_nonnegative_integer(conjugate_run, seed):
+    ps = conjugate_run[1]
+    sched = ps.schedule()
+    s = ps.snapshots[-1].sample_set()
+    for call in (lambda: cti_estimate(sched, ps, seed=seed),
+                 lambda: smc_evidence_estimate(sched, ps, seed=seed),
+                 lambda: expectation_with_provenance(s, s.log_like, seed=seed),
+                 lambda: stabilised_cv_expectation(s, s.log_like, seed=seed),
+                 lambda: evidence_mod._derive_seed(seed, 0)):
+        with pytest.raises(InvalidInput, match="seed"):
+            call()
+
+
+def count_derived_seeds(monkeypatch) -> list:
+    """Record the key (seed, j, k) of every per-expectation seed derived."""
+    real = evidence_mod._derive_seed
+    keys = []
+
+    def derive(seed, *key):
+        keys.append((seed, *key))
+        return real(seed, *key)
+
+    monkeypatch.setattr(evidence_mod, "_derive_seed", derive)
+    return keys
+
+
+NON_DRAWING = (VANILLA, ZvSpec(degree=2), ZvSpec(degree=2, penalty="ridge", lam=0.1),
+               CfMethod(bandwidth=1.0), CfMethod(kind="polynomial"))
+
+
+@pytest.mark.parametrize("method", NON_DRAWING, ids=method_label)
+def test_vanilla_and_linear_reports_derive_no_seed(conjugate_run, monkeypatch, method):
+    ps = conjugate_run[1]
+    sched = ps.schedule()
+    keys = count_derived_seeds(monkeypatch)
+    cti_estimate(sched, ps, order=2, cv=method, seed=4)
+    smc_evidence_estimate(sched, ps, cv=method, seed=4)
+    assert keys == []
+
+
+def test_a_lasso_report_derives_one_seed_per_expectation(conjugate_run, monkeypatch):
+    ps = conjugate_run[1]
+    sched = ps.schedule()
+    lasso = ZvSpec(degree=2, penalty="lasso")
+    keys = count_derived_seeds(monkeypatch)
+    cti_estimate(sched, ps, order=2, cv=lasso, seed=4)
+    assert keys == [(4, j, k) for j in range(len(sched)) for k in (0, 1)]
+    keys.clear()
+    smc_evidence_estimate(sched, ps, cv=lasso, seed=4)
+    assert keys == [(4, j, 2) for j in range(1, len(sched))]
+
+
+@pytest.fixture(scope="module")
+def small_run():
+    model = ConjugateGaussianModel(
+        prior_mean=[0.0], prior_cov=[[1.0]], obs_cov=[[1.0]], data=[[0.3], [0.8]],
+    )
+    return run_smc(model, SmcConfig(n_particles=60, rho=0.5, seed=3, h_min=0.1,
+                                    h_max=2.0, h_grid_size=3, max_repeats=5))
+
+
+DRAWING = (ZvSpec(degree=2, penalty="lasso"), ZvSpec(degree=2, estimator="split"), CfMethod())
+
+
+@pytest.mark.parametrize("method", DRAWING, ids=method_label)
+def test_drawing_methods_read_the_seed_derived_for_each_expectation(small_run, method):
+    # the reference derives every seed up front, as the reports once did
+    seed, sched = 9, small_run.schedule()
+    temps = sched.temperatures
+    cti = cti_estimate(sched, fresh_copy(small_run), order=2, cv=method, seed=seed)
+    smc = smc_evidence_estimate(sched, fresh_copy(small_run), cv=method, seed=seed)
+    snaps = fresh_copy(small_run).snapshots
+    sets = [snaps[k].sample_set(t) for t, k in zip(temps, sched.population_index)]
+    derive = evidence_mod._derive_seed
+    want_cti, want_smc = [], []
+    for j, ss in enumerate(sets):
+        ll = ss.log_like
+        est_e = expectation_with_provenance(ss, ll, method, seed=derive(seed, j, 0)).estimate
+        dev = ll - est_e
+        want_cti += [est_e, expectation_with_provenance(ss, dev * dev, method,
+                                                        seed=derive(seed, j, 1)).estimate]
+    for j in range(1, len(temps)):
+        dll = (temps[j] - temps[j - 1]) * sets[j - 1].log_like
+        shift = float(np.max(dll))
+        est = expectation_with_provenance(sets[j - 1], np.exp(dll - shift), method,
+                                          ratio=True, seed=derive(seed, j, 2)).estimate
+        want_smc.append(shift + float(np.log(est)))
+    assert [r.estimate for r in cti.per_expectation] == want_cti
+    assert [r.estimate for r in smc.per_expectation] == want_smc

@@ -20,6 +20,7 @@ from steincv.errors import (
     InvalidInput,
     InvalidSchedule,
 )
+from steincv.evidence import VANILLA, CfMethod, method_label, smc_evidence_estimate
 from steincv.models import (
     ConjugateGaussianModel, GaussianModel, TargetModel, synthetic_logistic_model,
 )
@@ -51,6 +52,7 @@ from steincv.smc import (
     tune_step_size,
     weighted_covariance,
 )
+from steincv.zvcv import ZvSpec
 
 
 def conjugate_1d(data=(1.1, 0.4, 0.9)):
@@ -676,9 +678,16 @@ def test_smc_config_validation():
         dict(h_grid_size=0), dict(jump_fraction=1.5),
         dict(jump_threshold_stat="max"), dict(max_repeats=0),
         dict(resampling="stratified"),
+        dict(seed=-1), dict(seed="x"), dict(seed=1.5), dict(seed=True), dict(seed=None),
+        dict(bisection_tol=-1.0), dict(bisection_tol=0.0), dict(bisection_tol="x"),
+        dict(bisection_tol=np.nan), dict(bisection_tol=np.inf), dict(bisection_tol=None),
+        dict(bisection_tol=True),
     ]:
         with pytest.raises(InvalidInput):
             SmcConfig(**kwargs)
+    for kwargs in [dict(seed=0), dict(seed=np.int64(7)), dict(seed=2**70),
+                   dict(bisection_tol=1), dict(bisection_tol=np.float32(1e-4))]:
+        SmcConfig(**kwargs)
 
 
 # --- full runs -----------------------------------------------------------------------
@@ -824,14 +833,33 @@ def logsumexp_cases(count, seed=0):
         yield np.array(edge, dtype=float)
 
 
+def weighted_logsumexp_cases(count, seed=1):
+    """Each vector of logsumexp_cases, some with a +inf or NaN entry put in,
+    under Dirichlet weights, then with weights zeroed at random, at the
+    maximum, at the non-finite entries, and everywhere."""
+    rng = np.random.default_rng(seed)
+    for a in logsumexp_cases(count, seed):
+        n = a.size
+        if n and rng.uniform() < 0.2:
+            a[rng.integers(0, n)] = rng.choice([np.inf, np.nan])
+        b = rng.dirichlet(np.ones(n)) if n else np.zeros(0)
+        yield a, b
+        for zero in (rng.uniform(size=n) < 0.4, a == np.max(a, initial=-np.inf),
+                     ~np.isfinite(a), np.ones(n, dtype=bool)):
+            yield a, np.where(zero, 0.0, b)
+
+
 def test_private_logsumexp_equals_scipy():
     for a in logsumexp_cases(5000):
         got, want = smc_mod._logsumexp(a), logsumexp(a)
         assert got == want or (np.isnan(got) and np.isnan(want)), a
+    for a, b in weighted_logsumexp_cases(1500):
+        got, want = smc_mod._logsumexp(a, b), logsumexp(a, b=b)
+        assert got == want or (np.isnan(got) and np.isnan(want)), (a, b)
 
 
-def scipy_logsumexp(a):
-    return float(logsumexp(a))
+def scipy_logsumexp(a, b=None):
+    return float(logsumexp(a, b=b))
 
 
 @pytest.mark.parametrize("name", ["conjugate-1d", "logistic-interior-peak"])
@@ -853,6 +881,26 @@ def test_runs_and_posthoc_schedules_match_scipy_logsumexp(monkeypatch, name):
         for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
             for array in ("theta", "weights", "log_like", "grad_log_like"):
                 assert_array_equal(bits(getattr(sa, array)), bits(getattr(sb, array)))
+
+
+@pytest.mark.parametrize("cv", [VANILLA, ZvSpec(degree=2), CfMethod(kind="polynomial"),
+                                CfMethod(bandwidth=1.0)], ids=method_label)
+def test_smc_evidence_reports_match_scipy_logsumexp(monkeypatch, cv):
+    make_model, kwargs = RUN_CONFIGS["conjugate-1d"]
+    pilot = run_smc(make_model(), SmcConfig(**kwargs))
+    sched = posthoc_schedule(pilot, 0.95)
+
+    def report():
+        fresh = [replace(snap) for snap in pilot.snapshots]      # no memo carried over
+        return smc_evidence_estimate(sched, fresh, cv=cv, seed=3)
+
+    ours = report()
+    for rec, t_next, k in zip(ours.per_expectation, sched.temperatures[1:],
+                              sched.population_index):
+        ss = pilot.snapshots[k].sample_set(rec.temperature)
+        assert rec.raw == logsumexp((t_next - rec.temperature) * ss.log_like, b=ss.weights)
+    monkeypatch.setattr(smc_mod, "_logsumexp", scipy_logsumexp)
+    assert repr(ours) == repr(report())
 
 
 def posthoc_schedule_reference(ps, rho_tilde):
