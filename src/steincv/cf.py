@@ -332,6 +332,16 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     time.  The training block, gathered C-ordered, is factorised in place and
     re-gathered after a failed try.  Needs at least 2 folds and a finite,
     positive grid.
+
+    The grid is visited from the largest bandwidth to the smallest, and a
+    bandwidth stops being scored once its running error exceeds the cut
+    best * (1 + 1e-12) + 1e-300, best being the least complete score so far:
+    the tie window of the final choice.  Fold errors are nonnegative and a
+    float sum of them never decreases, so a stopped bandwidth's full score
+    would lie outside the final window too; every bandwidth inside it is
+    scored in full, to the same float, and the choice is that of scoring
+    every fold.  A stopped bandwidth, one whose fold fails to factorise and
+    one with a non-finite fold error all score inf.
     """
     check_aligned(s, phi)
     grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -344,10 +354,11 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
         raise InvalidInput(f"{n} draws cannot fill {folds} folds")
     splits = [(hold, np.delete(np.arange(n), hold)) for hold in _fold_slices(n, folds, seed)]
     f = phi.values
-    scores = np.zeros(grid.size)
-    for gi, bw in enumerate(grid):
+    scores = np.full(grid.size, np.inf)
+    cut = np.inf
+    for gi in np.argsort(-grid, kind="stable"):
         # every fold's training and hold-out blocks come from this one kernel
-        kernel = KernelSpec(bandwidth=float(bw))
+        kernel = KernelSpec(bandwidth=float(grid[gi]))
         K0 = stein_kernel_matrix(s, kernel)
         err = 0.0
         for hold, train in splits:
@@ -364,7 +375,11 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
             alpha = cho_solve(factor, f[train] - a, check_finite=False)
             pred = a + K0[hold][:, train] @ alpha
             err += float(np.mean((f[hold] - pred) ** 2))
+            if not err <= cut:              # NaN too: this bandwidth cannot win
+                err = np.inf
+                break
         scores[gi] = err
+        cut = min(cut, err * (1 + 1e-12) + 1e-300)
     best = float(np.min(scores))
     if not np.isfinite(best):
         raise ConditioningError("every candidate bandwidth failed to factorise")

@@ -49,7 +49,8 @@ from .regression import refit_fixed_intercept
 from .samples import IntegrandValues, SampleSet
 from .smc import ParticleSystem, TemperatureSchedule, _check_seed
 from .zvcv import (
-    ZvSpec, _linear_lam, _number_label, _zv_weights, crossval_select, zvcv_estimate,
+    ZvSpec, _check_degree_range, _linear_lam, _number_label, _zv_weights, crossval_select,
+    zvcv_estimate,
 )
 
 VANILLA = "vanilla"
@@ -101,6 +102,9 @@ class CrossvalMethod:
 
     max_degree: int | None = None
     min_degree: int = 1
+
+    def __post_init__(self):
+        _check_degree_range(self.min_degree, self.max_degree)
 
     def label(self) -> str:
         """The method string that parses back to this selector (``min_degree`` aside)."""

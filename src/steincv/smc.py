@@ -566,7 +566,11 @@ class TemperatureSchedule:
 
 @dataclass(frozen=True)
 class ReplayRecord:
-    """Frozen schedule of an adaptive run: temperatures, step sizes, sweep counts."""
+    """Frozen schedule of an adaptive run: temperatures, step sizes, sweep counts.
+
+    Step sizes must be finite and positive reals, sweep counts nonnegative
+    integers (bools excluded); anything else raises InvalidSchedule.
+    """
 
     temperatures: tuple[float, ...]
     step_sizes: tuple[float, ...]
@@ -577,6 +581,12 @@ class ReplayRecord:
         ts = _ladder(self.temperatures, "replay record")
         if len(self.step_sizes) != len(ts) - 1 or len(self.repeats) != len(ts) - 1:
             raise InvalidSchedule("need one step size and sweep count per move step")
+        for h in self.step_sizes:
+            if not (isinstance(h, numbers.Real) and not isinstance(h, bool) and 0 < h < np.inf):
+                raise InvalidSchedule(f"replay step size {h!r} is not finite and positive")
+        for r in self.repeats:
+            if not (isinstance(r, numbers.Integral) and not isinstance(r, bool) and r >= 0):
+                raise InvalidSchedule(f"replay sweep count {r!r} is not an integer >= 0")
         object.__setattr__(self, "temperatures", ts)
         object.__setattr__(self, "step_sizes", tuple(float(h) for h in self.step_sizes))
         object.__setattr__(self, "repeats", tuple(int(r) for r in self.repeats))

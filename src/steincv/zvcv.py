@@ -196,6 +196,18 @@ def _holdout_error(X, f, w, spec: ZvSpec, halves, seed: int) -> float:
     return float(np.mean(errs))
 
 
+def _check_degree_range(min_degree: int, max_degree: int | None) -> None:
+    """Raise InvalidInput unless 1 <= min_degree <= max_degree (None: no cap).
+
+    The selection scores min_degree before it reads the cap, so a lower cap
+    would be overruled.
+    """
+    if min_degree < 1:
+        raise InvalidInput("min_degree must be >= 1")
+    if max_degree is not None and max_degree < min_degree:
+        raise InvalidInput(f"max_degree {max_degree} is below min_degree {min_degree}")
+
+
 def crossval_select(
     s: SampleSet,
     phi: IntegrandValues,
@@ -219,8 +231,7 @@ def crossval_select(
     check_aligned(s, phi)
     if candidates is None:
         candidates = [(p, None) for p in _PENALTIES]
-    if min_degree < 1:
-        raise InvalidInput("min_degree must be >= 1")
+    _check_degree_range(min_degree, max_degree)
 
     halves = _halves(s.count, seed, "2-fold selection")
     f, w = phi.values, s.weights

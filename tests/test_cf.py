@@ -317,7 +317,7 @@ def per_fold_search_reference(s, phi, grid=None, folds=5, seed=0):
                 s.theta[hold], s.grad_log_target[hold], th_tr, g_tr, bw
             )
             err += float(np.mean((f[hold] - (a + K_cross @ alpha)) ** 2))
-        scores[gi] = err
+        scores[gi] = np.inf if np.isnan(err) else err
     best = float(np.min(scores))
     if not np.isfinite(best):
         raise ConditioningError("every candidate bandwidth failed to factorise")
@@ -491,9 +491,9 @@ def test_search_builds_one_full_kernel_per_bandwidth(monkeypatch):
     monkeypatch.setattr(cf_mod, "stein_kernel_matrix", kernel)
     monkeypatch.setattr(cf_mod, "_gaussian_stein_cross", block)
     s = gaussian_draws(30, seed=12, d=2)
-    grid = [0.5, 2.0, 8.0]
+    grid = [2.0, 0.5, 8.0]
     cf_cv_bandwidth(s, IntegrandValues(s.theta[:, 0]), grid=grid)
-    assert kernels == grid
+    assert kernels == sorted(grid, reverse=True)      # the largest bandwidth first
     assert blocks == [(30, 30)] * len(grid)
 
 
@@ -523,29 +523,63 @@ def unfloored_kernel(s, bw):
     return unfloored_stein_cross(s.theta, s.grad_log_target, s.theta, s.grad_log_target, bw)
 
 
-def unfloored_search_reference(s, phi, grid=None, folds=5, seed=0):
-    """Bandwidth CV on the unfloored kernel, each fold block gathered by np.ix_
-    and every solve checked for finiteness."""
-    grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
+def unfloored_fold_errors(s, phi, grid, folds=5, seed=0):
+    """Per grid bandwidth, the held-out error of every fold on the unfloored
+    kernel, each fold block gathered by np.ix_ and every solve checked for
+    finiteness; a fold that fails to factorise scores inf and ends its list."""
     n = s.count
     perm = np.random.default_rng(seed).permutation(n)
     f = phi.values
-    scores = np.zeros(grid.size)
-    for gi, bw in enumerate(grid):
+    out = []
+    for bw in grid:
         K0 = unfloored_kernel(s, bw)
-        err = 0.0
+        errors = []
         for hold in [perm[k::folds] for k in range(folds)]:
             train = np.delete(np.arange(n), hold)
             try:
                 factor, v = copy_and_factor_weights(K0[np.ix_(train, train)], 0.0, 1e-10,
                                                     np.ones(train.size))
             except ConditioningError:
-                err = np.inf
+                errors.append(np.inf)
                 break
             a = float(v @ f[train])
             alpha = cho_solve(factor, f[train] - a)
-            err += float(np.mean((f[hold] - (a + K0[np.ix_(hold, train)] @ alpha)) ** 2))
-        scores[gi] = err
+            errors.append(float(np.mean((f[hold] - (a + K0[np.ix_(hold, train)] @ alpha)) ** 2)))
+        out.append(errors)
+    return out
+
+
+def summed_score(errors):
+    """A bandwidth's score: its fold errors summed in fold order, NaN as inf."""
+    err = 0.0
+    for e in errors:
+        err += e
+    return np.inf if np.isnan(err) else err
+
+
+def pruned_fold_count(fold_errors, grid):
+    """Fold factorisations of the pruned search, predicted from every fold's
+    error: the grid from the largest bandwidth down, each bandwidth stopped at
+    the first fold whose running error exceeds best * (1 + 1e-12) + 1e-300,
+    best being the least score completed before it."""
+    count, best = 0, np.inf
+    for gi in np.argsort(-np.asarray(grid, dtype=float), kind="stable"):
+        err = 0.0
+        for e in fold_errors[gi]:
+            count += 1
+            err += e
+            if not err <= best * (1 + 1e-12) + 1e-300:
+                break
+        else:
+            best = min(best, err)
+    return count
+
+
+def unfloored_search_reference(s, phi, grid=None, folds=5, seed=0):
+    """Bandwidth CV scoring every fold of every bandwidth (see
+    ``unfloored_fold_errors``); ties go to the larger bandwidth."""
+    grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
+    scores = np.array([summed_score(e) for e in unfloored_fold_errors(s, phi, grid, folds, seed)])
     best = float(np.min(scores))
     if not np.isfinite(best):
         raise ConditioningError("every candidate bandwidth failed to factorise")
@@ -610,6 +644,119 @@ def test_floored_search_and_estimates_equal_unfloored(weighted):
                                   want), bw
             assert np.array_equal(cf_mod._cf_weights(s, KernelSpec(bandwidth=bw), 0.0),
                                   want), bw
+
+
+# --- the cut: pruned search against the unpruned reference -------------------------
+
+
+def count_fold_factors(monkeypatch):
+    """Patch cf._factor_in_place to count its calls: one per fold factorised,
+    a failed one included."""
+    real = cf_mod._factor_in_place
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cf_mod, "_factor_in_place", counting)
+    return calls
+
+
+def assert_pruned_search_matches(monkeypatch, s, phi, grid, folds, seed):
+    """The pruned search picks the reference's bandwidth with exactly the
+    fold factors that the reference's fold errors predict."""
+    grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
+    want = unfloored_search_reference(s, phi, grid=grid, folds=folds, seed=seed)
+    expected = pruned_fold_count(unfloored_fold_errors(s, phi, grid, folds, seed), grid)
+    calls = count_fold_factors(monkeypatch)
+    assert cf_cv_bandwidth(s, phi, grid=grid, folds=folds, seed=seed) == want
+    assert len(calls) == expected
+    monkeypatch.undo()
+    return want, expected
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("grid_kind", ["default", "unsorted", "duplicates"])
+def test_pruned_search_matches_unpruned_reference(monkeypatch, weighted, grid_kind):
+    draw = weighted_draws if weighted else gaussian_draws
+    stopped = 0
+    for folds in range(2, 8):
+        rng = np.random.default_rng(100 * folds + weighted)
+        n, d = int(rng.integers(30, 80)), int(rng.integers(1, 4))
+        s = draw(n, 70 + folds, d=d)
+        phi = IntegrandValues(np.sin(s.theta[:, 0]) + 0.5 * s.theta[:, -1] ** 2)
+        grid = None
+        if grid_kind == "unsorted":
+            grid = rng.permutation(np.power(10.0, rng.uniform(-2.0, 2.0, 7)))
+        elif grid_kind == "duplicates":
+            grid = rng.permutation(np.repeat([0.05, 0.5, 5.0, 50.0], [1, 2, 3, 2]))
+        size = 15 if grid is None else len(grid)
+        _, factors = assert_pruned_search_matches(monkeypatch, s, phi, grid, folds, seed=folds)
+        stopped += size * folds - factors
+    assert stopped > 0
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pruned_search_on_an_exact_tie_scores_every_fold(monkeypatch, weighted):
+    # f = 0 is interpolated exactly at every bandwidth: a = 0, alpha = 0 and
+    # every fold error is 0.0, so no bandwidth is stopped and the largest wins
+    draw = weighted_draws if weighted else gaussian_draws
+    s = draw(36, 5, d=2)
+    phi = IntegrandValues(np.zeros(36))
+    grid = [0.3, 30.0, 3.0, 30.0, 0.03]
+    want, factors = assert_pruned_search_matches(monkeypatch, s, phi, grid, folds=4, seed=1)
+    assert want == 30.0 and factors == 4 * len(grid)
+
+
+def test_pruned_search_when_the_largest_bandwidth_fails(monkeypatch):
+    # Cholesky fails on every kernel with a small diagonal, i.e. the largest
+    # bandwidth (diag K0 = 2 d / bw + |u|^2): its first fold scores inf, which
+    # leaves the cut open for the next bandwidth
+    real = cf_mod.cho_factor
+
+    def fails_on_large_bandwidths(K, *args, **kwargs):
+        if np.mean(np.diag(K)) < 1.5:
+            raise LinAlgError("not positive definite")
+        return real(K, *args, **kwargs)
+
+    s = weighted_draws(50, 33, d=2)
+    phi = IntegrandValues(np.cos(s.theta[:, 1]))
+    grid = [0.3, 300.0, 3.0, 0.03]
+    monkeypatch.setattr(cf_mod, "cho_factor", fails_on_large_bandwidths)
+    errors = unfloored_fold_errors(s, phi, grid, folds=5, seed=2)
+    assert errors[1] == [np.inf] and all(len(e) == 5 for i, e in enumerate(errors) if i != 1)
+    calls = count_fold_factors(monkeypatch)
+    assert cf_cv_bandwidth(s, phi, grid=grid, seed=2) == unfloored_search_reference(
+        s, phi, grid=grid, seed=2)
+    assert len(calls) == pruned_fold_count(errors, grid)
+
+
+def test_a_nan_fold_error_scores_its_bandwidth_inf(monkeypatch):
+    # the hold-out solves of one bandwidth return NaN, so its fold errors are
+    # NaN; it scores inf, and the search picks among the others instead of
+    # raising as if every bandwidth had failed
+    s = weighted_draws(40, 12, d=2)
+    phi = IntegrandValues(np.sin(s.theta[:, 0]))
+    grid = [0.3, 3.0, 30.0]
+    for bad in grid:
+        want = cf_cv_bandwidth(s, phi, grid=[bw for bw in grid if bw != bad], seed=3)
+        current = []
+        real_kernel, real_solve = cf_mod.stein_kernel_matrix, cf_mod.cho_solve
+
+        def kernel(s, spec):
+            current.append(spec.bandwidth)
+            return real_kernel(s, spec)
+
+        def solve(factor, b, **kwargs):
+            x = real_solve(factor, b, **kwargs)
+            hold_out = not np.all(b == 1.0)     # not the weight solve against w~ = 1
+            return np.full_like(x, np.nan) if current[-1] == bad and hold_out else x
+
+        monkeypatch.setattr(cf_mod, "stein_kernel_matrix", kernel)
+        monkeypatch.setattr(cf_mod, "cho_solve", solve)
+        assert cf_cv_bandwidth(s, phi, grid=grid, seed=3) == want
+        monkeypatch.undo()
 
 
 # --- CF's dependence on the jitter --------------------------------------------------
@@ -905,9 +1052,11 @@ def test_a_failed_first_try_regathers_the_fold_block(monkeypatch):
     grid = [0.3, 3.0]
     calls = fail_every_first_try(monkeypatch)
     want = unfloored_search_reference(s, phi, grid=grid, seed=2)
+    folds = pruned_fold_count(unfloored_fold_errors(s, phi, grid, seed=2), grid)
+    assert folds == 6                       # 0.3 stops after its first fold
     calls.clear()
     assert cf_cv_bandwidth(s, phi, grid=grid, seed=2) == want
-    assert len(calls) == 2 * 5 * len(grid)
+    assert len(calls) == 2 * folds
 
 
 def test_every_factorisation_runs_in_place(conjugate_groups, monkeypatch):
@@ -921,12 +1070,16 @@ def test_every_factorisation_runs_in_place(conjugate_groups, monkeypatch):
     monkeypatch.setattr(cf_mod, "cho_factor", check)
     s = weighted_draws(30, 4, d=2)
     phi = IntegrandValues(s.theta[:, 0])
-    cf_cv_bandwidth(s, phi, grid=[0.5, 2.0])
+    grid = [0.5, 2.0]
+    folds = pruned_fold_count(unfloored_fold_errors(s, phi, grid), grid)
+    assert folds == 8                       # 0.5 stops after its third fold
+    seen.clear()
+    cf_cv_bandwidth(s, phi, grid=grid)
     for kernel in (KernelSpec(bandwidth=1.0), KernelSpec("polynomial", degree=2),
                    KernelSpec("polynomial", degree=8)):
         cf_estimate(s, phi, kernel)
     cf_mod._shared_draw_cf_weights(conjugate_groups[:2], KernelSpec(bandwidth=3.0), 0.0)
-    assert len(seen) == 10 + 3 + sum(len(g) for g in conjugate_groups[:2])
+    assert len(seen) == folds + 3 + sum(len(g) for g in conjugate_groups[:2])
     assert all(seen)
 
 

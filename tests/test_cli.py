@@ -83,6 +83,14 @@ def test_parse_method_crossval_and_unknown():
         parse_method("magic")
 
 
+@pytest.mark.parametrize("token", ["crossval:maxQ=0", "crossval:maxQ=-1", "crossval:maxQ=-3"])
+def test_crossval_order_cap_below_one_is_rejected(token):
+    # crossval scores Q = 1 before it reads the cap, so these used to run the
+    # maxQ=1 selection under a label naming another
+    with pytest.raises(InvalidInput, match="max_degree"):
+        parse_method(token)
+
+
 def test_parse_methods_list():
     got = parse_methods("vanilla, zv:Q=1 ,cf")
     assert got == [VANILLA, ZvSpec(degree=1), CfMethod()]
@@ -237,7 +245,7 @@ _METHODS = st.one_of(
         kind=st.sampled_from(["gaussian", "polynomial"]), degree=st.integers(-2, 9),
         folds=st.integers(2, 20),
     ),
-    st.builds(CrossvalMethod, max_degree=st.none() | st.integers(-2, 9)),
+    st.builds(CrossvalMethod, max_degree=st.none() | st.integers(1, 9)),
 )
 
 
@@ -378,6 +386,14 @@ def test_postprocess_bad_integrand(pipeline):
     assert main([
         "postprocess", "--archive", str(archive), "--integrands", "cubes",
         "--out", str(pipeline / "ppbad2"),
+    ]) == EXIT_CONFIG
+
+
+def test_postprocess_rejects_a_crossval_cap_below_one(pipeline):
+    out = pipeline / "ppmaxq0"
+    assert main([
+        "postprocess", "--archive", str(pipeline / "run_a" / "pilot"),
+        "--methods", "crossval:maxQ=0", "--out", str(out),
     ]) == EXIT_CONFIG
 
 

@@ -362,6 +362,15 @@ def test_cf_method_validation():
             CfMethod(**kwargs)
 
 
+def test_crossval_method_validation():
+    for kwargs in ({"max_degree": 0}, {"max_degree": -3}, {"min_degree": 0},
+                   {"min_degree": 3, "max_degree": 2}):
+        with pytest.raises(InvalidInput):
+            CrossvalMethod(**kwargs)
+    for kwargs in ({"max_degree": 1}, {"min_degree": 2, "max_degree": 2}, {"min_degree": 4}):
+        CrossvalMethod(**kwargs)
+
+
 def report_dict_reference(report):
     """An evidence report's dict written out field by field."""
     return {

@@ -1151,6 +1151,40 @@ def test_malformed_manifest_is_invalid_input(tmp_path, load, edit):
         load(arch)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step_sizes", float("nan")), ("step_sizes", -1.0), ("step_sizes", 0.0),
+    ("step_sizes", float("inf")), ("step_sizes", True), ("step_sizes", "0.5"),
+    ("repeats", -3), ("repeats", 2.5), ("repeats", 2.0), ("repeats", True), ("repeats", "3"),
+])
+def test_replay_record_rejects_bad_step_sizes_and_sweep_counts(tmp_path, field, value):
+    # a NaN step used to die in scipy's finiteness check during the replay,
+    # and a step of -1.0 or -3 sweeps to replay without complaint
+    cfg = SmcConfig(n_particles=40, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
+                    h_grid_size=3, max_repeats=5)
+    ps = run_smc(conjugate_1d(), cfg)
+    record = ps.replay_record()
+    bad = list(getattr(record, field))
+    bad[0] = value
+    with pytest.raises(InvalidSchedule):     # so run_smc never receives such a record
+        replace(record, **{field: tuple(bad)})
+    arch = tmp_path / "arch"
+    save_particle_system(ps, arch)
+    manifest = json.loads((arch / "manifest.json").read_text())
+    manifest[field][0] = value
+    (arch / "manifest.json").write_text(json.dumps(manifest))
+    for load in (load_conjugate_archive, load_replay_record):
+        with pytest.raises(InvalidInput, match="InvalidSchedule"):
+            load(arch)
+
+
+def test_replay_of_zero_sweeps_keeps_the_population():
+    record = ReplayRecord((0.0, 0.5, 1.0), (0.2, 0.2), (np.int64(0), 1))
+    assert record.repeats == (0, 1) and type(record.repeats[0]) is int
+    ps = run_smc(conjugate_1d(), SmcConfig(n_particles=32, seed=0), replay=record)
+    assert [s.repeats for s in ps.snapshots[1:]] == [0, 1]
+    assert ps.snapshots[1].acceptance == 0.0      # no sweep, nothing accepted
+
+
 def test_archive_missing_manifest(tmp_path):
     with pytest.raises(InvalidInput):
         load_replay_record(tmp_path / "nope")

@@ -303,6 +303,10 @@ def test_crossval_max_degree_cap():
     s, phi = linear_fixture(30, seed=16)
     result, _ = crossval_select(s, phi, max_degree=1, seed=0)
     assert all(spec.degree <= 1 for spec, _ in result.trace)
+    # a cap below the first order scored would be overruled by it
+    for max_degree, min_degree in ((0, 1), (-3, 1), (1, 2)):
+        with pytest.raises(InvalidInput, match="max_degree"):
+            crossval_select(s, phi, max_degree=max_degree, min_degree=min_degree)
 
 
 def test_crossval_needs_four_draws():
