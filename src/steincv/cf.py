@@ -44,11 +44,11 @@ snapshot builds and keeps per temperature, so every report on one particle
 system reuses it; ``cf_estimate`` keeps nothing.  The gaussian system is an
 N x N Cholesky factor.  A snapshot's sets at several temperatures share the
 draws, and with them the gaussian factor exp(c x.y - e_x - e_y) and its
-floor; only the polynomial factor moves with t.  ``_shared_draw_cf_weights``
-builds that factor once per snapshot and multiplies each temperature's
-polynomial factor into a second buffer, which it factorises in place: two
-N x N arrays serve all of a report's temperatures, as many as one
-``_cf_weights`` call holds, and the weights are bitwise the same.  The
+floor; only the polynomial factor moves with t.  ``_gaussian_cf_weights``
+is the one routine that builds gaussian weights, for one set or for a list:
+it builds that factor once per run of sets on the same draws and multiplies
+each set's polynomial factor into a second buffer, which it factorises in
+place, so two N x N arrays serve all of a report's temperatures.  The
 polynomial kernel has rank J, so while J < N its system is solved in the
 J x J space of X^T X and no N x N matrix is formed; J >= N (the paper's
 regime) keeps the N x N factor.
@@ -64,7 +64,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from .errors import ConditioningError, InvalidInput
 from .polybasis import basis_size, design_columns, enumerate_exponents
 from .regression import _fold_slices
-from .samples import IntegrandValues, SampleSet, check_aligned
+from .samples import IntegrandValues, SampleSet, _as_int, check_aligned
 
 _JITTER_DOUBLINGS = 8
 # gaussian factors below exp(-70) ~ 4e-31 times a block's largest are set to 0
@@ -90,6 +90,7 @@ class KernelSpec:
     jitter: float = 1e-10
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", _as_int(self.degree, "polynomial order"))
         if self.kind not in ("gaussian", "polynomial"):
             raise InvalidInput(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian" and not 0 < self.bandwidth < np.inf:
@@ -134,19 +135,17 @@ def _floored_exp(K):
     np.exp(K, out=K)
 
 
-def _gaussian_stein_cross(theta_a, grad_a, theta_b, grad_b, bandwidth):
-    """First-order Stein kernel for k = exp(-||x-y||^2 / bw), cross block.
+def _gaussian_stein_cross(theta, grad, bandwidth):
+    """First-order Stein kernel for k = exp(-||x-y||^2 / bw) on one set of draws.
 
     The fused form of the module docstring as two products of augmented rows,
-    [t_a, 1, m_a] . [1, t_b, m_b] = t_a + t_b + m_a . m_b; exp taken in place.
+    [t_x, 1, m_x] . [1, t_y, m_y] = t_x + t_y + m_x . m_y; exp taken in place.
     """
     c = 2.0 / bandwidth
-    x_a, _, e_a = _exponent_rows(theta_a, c)
-    _, x_b, e_b = _exponent_rows(theta_b, c)
+    x_a, x_b, e = _exponent_rows(theta, c)
     K = x_a @ x_b.T
     _floored_exp(K)
-    p_a, _ = _polynomial_rows(theta_a, grad_a, c, e_a)
-    _, p_b = _polynomial_rows(theta_b, grad_b, c, e_b)
+    p_a, p_b = _polynomial_rows(theta, grad, c, e)
     K *= p_a @ p_b.T
     return K
 
@@ -163,7 +162,7 @@ def stein_kernel_matrix(s: SampleSet, kernel: KernelSpec) -> np.ndarray:
         g = s.grad_log_target
         if np.any(np.isnan(g)):
             raise InvalidInput("gaussian Stein kernel needs all gradient columns")
-        return _gaussian_stein_cross(s.theta, g, s.theta, g, kernel.bandwidth)
+        return _gaussian_stein_cross(s.theta, g, kernel.bandwidth)
     X = _design(s, kernel.degree)
     return X @ X.T
 
@@ -233,16 +232,19 @@ def _cf_weights(s: SampleSet, kernel: KernelSpec, lam_r: float) -> np.ndarray:
 
     The estimate of E[f] is v @ f for every integrand f.  One jittered
     factorisation, in the kernel's own memory, and one solve; the factor is
-    dropped on return.  For the polynomial kernel with J < N columns,
+    dropped on return.  The gaussian kernel is ``_gaussian_cf_weights`` on
+    this one set.  For the polynomial kernel with J < N columns,
     K0 = X X^T and delta = N lam_r + jitter,
 
         delta K^{-1} w~ = w~ - X (delta I + X^T X)^{-1} X^T w~,
 
     which factorises only the J x J matrix; delta cancels in v.
     """
+    if kernel.kind == "gaussian":
+        return next(_gaussian_cf_weights([s], kernel, lam_r))
     n = s.count
     wt = n * s.weights
-    if kernel.kind == "polynomial" and basis_size(s.dim, kernel.degree) < n:
+    if basis_size(s.dim, kernel.degree) < n:
         X = _design(s, kernel.degree)
         # jitter scales mean(diag X X^T) = trace(X^T X) / N, as in N-space
         factor = _factor_in_place(X.T @ X, lambda G: np.copyto(G, X.T @ X),
@@ -253,51 +255,42 @@ def _cf_weights(s: SampleSet, kernel: KernelSpec, lam_r: float) -> np.ndarray:
                            n * lam_r, kernel.jitter, wt)[1]
 
 
-def _shared_draw_cf_weights(groups, kernel: KernelSpec, lam_r: float) -> list[list]:
-    """``_cf_weights`` of a gaussian kernel for sample sets grouped by their draws.
+def _gaussian_cf_weights(sets, kernel: KernelSpec, lam_r: float):
+    """Yield the CF weights of a gaussian ``kernel`` for each of ``sets``, in order.
 
-    The sets of one group share theta (one snapshot at several temperatures),
-    and the gaussian factor E = exp(c x.y - e_x - e_y) of K0 = E * P
-    (elementwise) depends on theta only: it is built and floored once per
-    group, and each set's polynomial factor P, formed from its gradients, is
-    multiplied into a second buffer that is then factorised in place.  The
-    two N x N buffers serve every group and are dropped on return.  The
-    weights are bitwise those of ``_cf_weights``.  Returns the weights per
-    group and set, or None for a set whose gradients hold NaN or whose system
-    raises ConditioningError: ``_cf_weights`` raises that error where the set
-    is used.
+    The gaussian factor E = exp(c x.y - e_x - e_y) of K0 = E * P
+    (elementwise) depends on theta only: it is built and floored once for
+    each run of consecutive sets on the same theta array (a snapshot's sets
+    at several temperatures share it), and each set's polynomial factor P,
+    formed from its gradients, is multiplied into a second buffer that is
+    then factorised in place, and refilled after a failed try.  The two
+    N x N buffers serve the whole call.  Raises InvalidInput at the first set
+    whose gradients hold NaN, and ConditioningError at the first whose system
+    stays singular.
     """
     c = 2.0 / kernel.bandwidth
-    E = K = None
-    out = []
-    for group in groups:
-        n = group[0].count
-        if E is None or E.shape[0] != n:
-            E = K = None                    # at most two N x N buffers live
-            E, K = np.empty((n, n)), np.empty((n, n))
-        x_a, x_b, e = _exponent_rows(group[0].theta, c)
-        np.matmul(x_a, x_b.T, out=E)
-        _floored_exp(E)
-        weights = []
-        for s in group:
-            g = s.grad_log_target
-            if np.any(np.isnan(g)):
-                weights.append(None)
-                continue
-            p_a, p_b = _polynomial_rows(s.theta, g, c, e)
+    E = K = theta = None
+    for s in sets:
+        g = s.grad_log_target
+        if np.any(np.isnan(g)):
+            raise InvalidInput("gaussian Stein kernel needs all gradient columns")
+        n = s.count
+        if s.theta is not theta:
+            theta = s.theta
+            if E is None or E.shape[0] != n:
+                E = K = None                # at most two N x N buffers live
+                E, K = np.empty((n, n)), np.empty((n, n))
+            x_a, x_b, e = _exponent_rows(theta, c)
+            np.matmul(x_a, x_b.T, out=E)
+            _floored_exp(E)
+        p_a, p_b = _polynomial_rows(theta, g, c, e)
 
-            def fill(A):
-                np.matmul(p_a, p_b.T, out=A)
-                A *= E
+        def fill(A):
+            np.matmul(p_a, p_b.T, out=A)
+            A *= E
 
-            fill(K)
-            try:
-                weights.append(_kernel_weights(K, fill, n * lam_r, kernel.jitter,
-                                               n * s.weights)[1])
-            except ConditioningError:
-                weights.append(None)
-        out.append(weights)
-    return out
+        fill(K)
+        yield _kernel_weights(K, fill, n * lam_r, kernel.jitter, n * s.weights)[1]
 
 
 def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,

@@ -41,12 +41,12 @@ from pathlib import Path
 import numpy as np
 
 from . import smc
-from .cf import KernelSpec, _cf_weights, _shared_draw_cf_weights, cf_cv_bandwidth
+from .cf import KernelSpec, _cf_weights, _gaussian_cf_weights, cf_cv_bandwidth
 from .cf import cf_estimate  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .errors import DegenerateWeights, InvalidInput, InvalidSchedule
+from .errors import ConditioningError, DegenerateWeights, InvalidInput, InvalidSchedule
 from .polybasis import build_design_matrix, enumerate_exponents
 from .regression import refit_fixed_intercept
-from .samples import IntegrandValues, SampleSet
+from .samples import IntegrandValues, SampleSet, _as_int
 from .smc import ParticleSystem, TemperatureSchedule, _check_seed
 from .zvcv import (
     ZvSpec, _check_degree_range, _linear_lam, _number_label, _zv_weights, crossval_select,
@@ -72,6 +72,8 @@ class CfMethod:
     folds: int = 5
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", _as_int(self.degree, "polynomial order"))
+        object.__setattr__(self, "folds", _as_int(self.folds, "folds"))
         if self.kind not in ("gaussian", "polynomial"):
             raise InvalidInput(f"unknown kernel kind {self.kind!r}")
         if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
@@ -104,7 +106,9 @@ class CrossvalMethod:
     min_degree: int = 1
 
     def __post_init__(self):
-        _check_degree_range(self.min_degree, self.max_degree)
+        lo, hi = _check_degree_range(self.min_degree, self.max_degree)
+        object.__setattr__(self, "min_degree", lo)
+        object.__setattr__(self, "max_degree", hi)
 
     def label(self) -> str:
         """The method string that parses back to this selector (``min_degree`` aside)."""
@@ -379,11 +383,11 @@ def _serving_sample_sets(schedule: TemperatureSchedule, snapshots, cv,
     Each is its snapshot's own SampleSet at that temperature, so every report
     on one particle system reuses its weights and memo.  For a fixed-bandwidth
     gaussian CF method the CF weights of the returned sets that lack them are
-    put in their memos here, one snapshot at a time: the sets of one snapshot
-    share its draws, so its gaussian factor is built once for all of them
-    (``cf._shared_draw_cf_weights``, two N x N buffers for the whole call).  A
-    set whose system fails is left without weights, and the per-set path
-    raises the error where the set is used.  Raises InvalidInput for an
+    put in their memos here, in schedule order: the sets of one snapshot share
+    its draws, so one gaussian factor serves each run of them
+    (``cf._gaussian_cf_weights``, two N x N buffers for the whole call).  At
+    the first set whose system fails the filling stops; a report reads its
+    sets in order, and raises the error there.  Raises InvalidInput for an
     unknown ``cv`` or no snapshots, and InvalidSchedule for a population index
     out of range or a snapshot above the temperature it serves.
     """
@@ -400,27 +404,23 @@ def _serving_sample_sets(schedule: TemperatureSchedule, snapshots, cv,
             raise InvalidSchedule(
                 f"snapshot at t={snaps[k].t} cannot serve temperature {t}"
             )
-    served = served[:reads]
-    sets = [snaps[k].sample_set(t) for t, k in served]
+    sets = [snaps[k].sample_set(t) for t, k in served[:reads]]
     if isinstance(cv, CfMethod) and cv.kind == "gaussian" and cv.bandwidth is not None:
-        _fill_gaussian_cf_memos(sets, [k for _, k in served], cv)
+        _fill_gaussian_cf_memos(sets, cv)
     return sets
 
 
-def _fill_gaussian_cf_memos(sets, snapshot_index, cv: CfMethod) -> None:
-    """Put the CF weights of ``cv`` in the memo of every set lacking them,
-    building one gaussian factor per snapshot."""
+def _fill_gaussian_cf_memos(sets, cv: CfMethod) -> None:
+    """Put the CF weights of ``cv`` in the memo of the sets lacking them, in
+    order, up to the first set whose system fails."""
     kernel = KernelSpec(kind="gaussian", bandwidth=cv.bandwidth)
     key = _cf_memo_key(kernel, cv.lam_r)
-    by_snapshot: dict[int, list[SampleSet]] = {}
-    for s, k in zip(sets, snapshot_index):
-        if key not in s._memo:
-            by_snapshot.setdefault(k, []).append(s)
-    groups = list(by_snapshot.values())
-    for group, weights in zip(groups, _shared_draw_cf_weights(groups, kernel, cv.lam_r)):
-        for s, v in zip(group, weights):
-            if v is not None:
-                s._memo[key] = v
+    todo = [s for s in sets if key not in s._memo]
+    try:
+        for s, v in zip(todo, _gaussian_cf_weights(todo, kernel, cv.lam_r)):
+            s._memo[key] = v
+    except (ConditioningError, InvalidInput):
+        pass                                # raised again where the set is used
 
 
 def cti_quadrature(temperatures, e_values, v_values=None) -> float:
@@ -457,8 +457,8 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
     method (fixed-kernel CF, or ZV by least squares or fixed-penalty ridge)
     weights E and V with one weight vector from that memo, which later
     reports reuse.  With a fixed gaussian bandwidth the
-    vectors a report lacks are computed before the loop, one snapshot at a
-    time, with one gaussian factor per snapshot (see
+    vectors a report lacks are computed before the loop, with one gaussian
+    factor per run of temperatures on one snapshot (see
     :func:`_serving_sample_sets`); at most two N x N arrays are live.
     Expectation k (0 for E, 1 for V) at temperature j gets the seed
     ``_derive_seed(seed, j, k)``, derived only by a method that draws.

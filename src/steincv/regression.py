@@ -32,7 +32,7 @@ from scipy import linalg
 
 from .errors import ConvergenceError, InsufficientSamples, InvalidInput
 from .samples import (
-    SD_FLOOR, Standardisation, moments, normalised_weights, standardise, weighted_sd,
+    SD_FLOOR, Standardisation, _as_int, moments, normalised_weights, standardise, weighted_sd,
 )
 
 # Lasso path: a joining column whose squared Cholesky pivot falls below this
@@ -88,6 +88,7 @@ class CvConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
+        object.__setattr__(self, "folds", _as_int(self.folds, "folds"))
         if self.folds < 2:
             raise InvalidInput("cross-validation needs at least 2 folds")
         if self.lambda_grid is not None:

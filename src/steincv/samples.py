@@ -9,6 +9,7 @@ functionals, evidence estimation) consumes SampleSets.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -28,6 +29,14 @@ def _as_matrix(a, name: str) -> np.ndarray:
     if a.ndim != 2:
         raise InvalidInput(f"{name} must be a 2-d array, got ndim={a.ndim}")
     return a
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int: any integer type, numpy's included, but not bool;
+    anything else raises InvalidInput."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
 def _readonly(a) -> np.ndarray:

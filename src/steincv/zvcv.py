@@ -26,7 +26,7 @@ from .polybasis import SubsetSpec, build_design_matrix, enumerate_exponents
 from .regression import (
     CvConfig, RegressionFit, _fit_weights, cv_lambda, fit_lasso, fit_ols, fit_ridge,
 )
-from .samples import IntegrandValues, SampleSet, check_aligned
+from .samples import IntegrandValues, SampleSet, _as_int, check_aligned
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +53,8 @@ class ZvSpec:
     relaxed: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.degree, int) and self.degree >= 1):
+        object.__setattr__(self, "degree", _as_int(self.degree, "polynomial order"))
+        if self.degree < 1:
             raise InvalidInput("polynomial order must be an integer >= 1")
         if self.penalty not in _PENALTIES:
             raise InvalidInput(f"unknown penalty {self.penalty!r}")
@@ -196,16 +197,21 @@ def _holdout_error(X, f, w, spec: ZvSpec, halves, seed: int) -> float:
     return float(np.mean(errs))
 
 
-def _check_degree_range(min_degree: int, max_degree: int | None) -> None:
-    """Raise InvalidInput unless 1 <= min_degree <= max_degree (None: no cap).
+def _check_degree_range(min_degree, max_degree) -> tuple[int, int | None]:
+    """(min_degree, max_degree) as ints; InvalidInput unless both are integers
+    with 1 <= min_degree <= max_degree (None: no cap).
 
     The selection scores min_degree before it reads the cap, so a lower cap
     would be overruled.
     """
+    min_degree = _as_int(min_degree, "min_degree")
+    if max_degree is not None:
+        max_degree = _as_int(max_degree, "max_degree")
     if min_degree < 1:
         raise InvalidInput("min_degree must be >= 1")
     if max_degree is not None and max_degree < min_degree:
         raise InvalidInput(f"max_degree {max_degree} is below min_degree {min_degree}")
+    return min_degree, max_degree
 
 
 def crossval_select(
@@ -231,7 +237,7 @@ def crossval_select(
     check_aligned(s, phi)
     if candidates is None:
         candidates = [(p, None) for p in _PENALTIES]
-    _check_degree_range(min_degree, max_degree)
+    min_degree, max_degree = _check_degree_range(min_degree, max_degree)
 
     halves = _halves(s.count, seed, "2-fold selection")
     f, w = phi.values, s.weights

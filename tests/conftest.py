@@ -1,5 +1,5 @@
-"""Shared test helpers: finite-difference and lasso oracles, archive fixtures, the
-acceptance tally, and the fixed hypothesis profile."""
+"""Shared test helpers: finite-difference and lasso oracles, a counter of gaussian
+CF factors, archive fixtures, the acceptance tally, and the fixed hypothesis profile."""
 
 import json
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import steincv.cf as cf_mod
 from steincv.samples import write_sample_csv
 
 # Fixed hypothesis examples, so every run of the suite draws the same ones;
@@ -64,6 +65,19 @@ def kkt_violation(X, f, w, fit):
 
 
 # --- snapshot archives ----------------------------------------------------
+
+
+def count_gaussian_factors(monkeypatch) -> list:
+    """Record every floored-exp pass, i.e. every gaussian factor E built."""
+    built = []
+    real = cf_mod._floored_exp
+
+    def counted(K):
+        built.append(K.shape)
+        return real(K)
+
+    monkeypatch.setattr(cf_mod, "_floored_exp", counted)
+    return built
 
 
 def rewrite_as_csv_archive(ps, arch):

@@ -8,6 +8,7 @@ from scipy.linalg import LinAlgError, cho_solve
 from scipy.stats import norm
 
 import steincv.cf as cf_mod
+from conftest import count_gaussian_factors
 from steincv.cf import (
     KernelSpec,
     _gaussian_stein_cross,
@@ -57,7 +58,7 @@ def test_gaussian_stein_kernel_matches_finite_differences(bw):
     rng = np.random.default_rng(0)
     theta = rng.normal(size=(6, 2))
     grad = rng.normal(size=(6, 2))          # arbitrary field: the algebra is generic
-    K0 = _gaussian_stein_cross(theta, grad, theta, grad, bw)
+    K0 = _gaussian_stein_cross(theta, grad, bw)
     for i in range(6):
         for l in range(6):
             want = fd_stein_kernel(theta[i], theta[l], grad[i], grad[l], bw)
@@ -68,10 +69,8 @@ def test_gaussian_stein_kernel_zero_mean_under_target():
     # the point of the construction: E_p[k0(X, y)] = 0 for p = N(0,1), u = -x
     for y0, bw in [(0.7, 1.0), (-1.3, 2.5), (0.0, 0.3)]:
         def integrand(x):
-            val = _gaussian_stein_cross(
-                np.array([[x]]), np.array([[-x]]),
-                np.array([[y0]]), np.array([[-y0]]), bw,
-            )[0, 0]
+            # entry [0, 1] of the square kernel on the two draws [x, y0]
+            val = _gaussian_stein_cross(np.array([[x], [y0]]), np.array([[-x], [-y0]]), bw)[0, 1]
             return val * norm.pdf(x)
 
         total, err = quad(integrand, -12.0, 12.0, limit=200, epsabs=1e-12)
@@ -342,27 +341,13 @@ def reference_tolerance(bw, *thetas):
     return 32 * EPS * (1.0 + sq / bw)
 
 
-def test_fused_cross_block_matches_reference():
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        na, nb = rng.choice(np.arange(1, 90), size=2, replace=False)
-        d = int(rng.integers(1, 6))
-        bw = float(10.0 ** rng.uniform(-3.0, 4.0))
-        ta, ga = rng.normal(size=(na, d)), rng.normal(size=(na, d))
-        tb, gb = rng.normal(size=(nb, d)), rng.normal(size=(nb, d))
-        got = _gaussian_stein_cross(ta, ga, tb, gb, bw)
-        want = stein_cross_reference(ta, ga, tb, gb, bw)
-        tol = reference_tolerance(bw, ta, tb)
-        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
-
-
 @pytest.mark.parametrize("n, d", [(60, 1), (60, 3), (201, 5), (500, 5)])
 def test_fused_square_kernel_matches_reference(n, d):
     rng = np.random.default_rng(n)
     theta = rng.normal(size=(n, d))
     grad = -theta + 0.1 * rng.normal(size=(n, d))
     for bw in (1e-3, 0.7, 30.0, 1e4):
-        got = _gaussian_stein_cross(theta, grad, theta, grad, bw)
+        got = _gaussian_stein_cross(theta, grad, bw)
         want = stein_cross_reference(theta, grad, theta, grad, bw)
         tol = reference_tolerance(bw, theta)
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
@@ -587,28 +572,20 @@ def unfloored_search_reference(s, phi, grid=None, folds=5, seed=0):
 
 
 @pytest.mark.parametrize("bw", [1e-3, 10**-2.5, 1e-2, 0.1])
-@pytest.mark.parametrize("square", [True, False])
-def test_floor_drops_only_factors_below_exp_minus_70(bw, square):
+def test_floor_drops_only_factors_below_exp_minus_70(bw):
     # an entry whose exponent -||x - y||^2 / bw lies more than 70 below the
-    # block's largest (0, on the diagonal of a square kernel) is set to 0: it
-    # was at most exp(-70) ~ 4e-31 times its polynomial factor, relative to the
-    # largest factor.  Both exponents are rounded at the scale of
-    # reference_tolerance, so an entry within that of the floor may fall on
-    # either side.
+    # kernel's largest (0, on its diagonal) is set to 0: it was at most
+    # exp(-70) ~ 4e-31 times its polynomial factor, relative to the largest
+    # factor.  Both exponents are rounded at the scale of reference_tolerance,
+    # so an entry within that of the floor may fall on either side.
     rng = np.random.default_rng(17)
-
-    def draws(n, d, shift=0.0):
-        theta = rng.normal(size=(n, d)) + shift
-        return theta, -theta + 0.1 * rng.normal(size=(n, d))
-
-    for na, nb, d in [(80, 41, 1), (120, 61, 3), (60, 31, 5)]:
-        ta, ga = draws(na, d)
-        # a cross block between far-apart sets: its largest exponent is well below 0
-        tb, gb = (ta, ga) if square else draws(nb, d, shift=6.0)
-        got = _gaussian_stein_cross(ta, ga, tb, gb, bw)
-        exponent, core = stein_cross_factors(ta, ga, tb, gb, bw)
+    for n, d in [(80, 1), (120, 3), (60, 5)]:
+        theta = rng.normal(size=(n, d))
+        grad = -theta + 0.1 * rng.normal(size=(n, d))
+        got = _gaussian_stein_cross(theta, grad, bw)
+        exponent, core = stein_cross_factors(theta, grad, theta, grad, bw)
         want = np.exp(exponent) * core
-        tol = reference_tolerance(bw, ta, tb)
+        tol = reference_tolerance(bw, theta)
         floor = np.max(exponent) - 70.0
         assert np.any(exponent < floor - 2 * tol)
         assert np.all(got[exponent < floor - 2 * tol] == 0.0)
@@ -928,77 +905,75 @@ def test_weight_vector_is_read_only_and_sums_to_one(kernel):
     assert cf_estimate(s, IntegrandValues(f), kernel, 0.01) == float(v @ f)
 
 
-# --- oracle: one gaussian factor per set of draws, against the per-set path ------
+# --- oracle: one gaussian factor per run of draws, against per-set weights ---------
 
 
 def per_set_reference(s, kernel, lam_r):
-    """Weights of one sample set from stein_kernel_matrix and the copy-and-factor,
-    or None where that system raises ConditioningError."""
+    """Weights of one sample set from stein_kernel_matrix and the copy-and-factor."""
     n = s.count
-    try:
-        return copy_and_factor_weights(stein_kernel_matrix(s, kernel), n * lam_r,
-                                       kernel.jitter, n * s.weights)[1]
-    except ConditioningError:
-        return None
+    return copy_and_factor_weights(stein_kernel_matrix(s, kernel), n * lam_r,
+                                   kernel.jitter, n * s.weights)[1]
 
 
-def assert_same_weights(got, groups, kernel, lam_r):
-    assert [len(g) for g in got] == [len(g) for g in groups]
-    for weights, group in zip(got, groups):
-        for v, s in zip(weights, group):
-            want = per_set_reference(s, kernel, lam_r)
-            assert (v is None) == (want is None)
-            if v is not None:
-                assert np.array_equal(v, want)
-                assert np.array_equal(v, cf_mod._cf_weights(s, kernel, lam_r))
+def draw_runs(sets):
+    """The number of runs of consecutive sets on the same theta array."""
+    return 1 + sum(a.theta is not b.theta for a, b in zip(sets, sets[1:]))
+
+
+def assert_same_weights(sets, kernel, lam_r, monkeypatch):
+    """The generator's weights, bitwise the per-set ones, from one gaussian
+    factor per run of sets on the same draws."""
+    built = count_gaussian_factors(monkeypatch)
+    got = list(cf_mod._gaussian_cf_weights(sets, kernel, lam_r))
+    assert len(built) == draw_runs(sets) and len(got) == len(sets)
+    monkeypatch.undo()
+    for v, s in zip(got, sets):
+        assert np.array_equal(v, per_set_reference(s, kernel, lam_r))
+        assert np.array_equal(v, cf_mod._cf_weights(s, kernel, lam_r))
 
 
 @pytest.fixture(scope="module")
-def conjugate_groups():
+def conjugate_sets():
     """A reduced evidence-conjugate population: the sets serving a post-hoc
-    schedule, grouped by snapshot, several temperatures per snapshot."""
+    schedule, in order, several temperatures per snapshot."""
     data = np.random.default_rng(2024).normal(0.5, 1.0, size=(100, 3))
     model = ConjugateGaussianModel(np.zeros(3), 4.0 * np.eye(3), np.eye(3), data)
     ps = run_smc(model, SmcConfig(n_particles=150, seed=11))
     sched = posthoc_schedule(ps, 0.95)
-    groups = {}
-    for t, k in zip(sched.temperatures, sched.population_index):
-        groups.setdefault(k, []).append(ps.snapshots[k].sample_set(t))
-    groups = list(groups.values())
-    assert max(len(g) for g in groups) > 1
-    return groups
+    sets = [ps.snapshots[k].sample_set(t)
+            for t, k in zip(sched.temperatures, sched.population_index)]
+    assert draw_runs(sets) == len(set(sched.population_index)) < len(sets)
+    return sets
 
 
 @pytest.mark.parametrize("bw, lam_r", [(3.0, 0.0), (3.0, 0.01), (0.5, 0.0)])
-def test_shared_draw_weights_equal_per_set_weights(conjugate_groups, bw, lam_r):
-    kernel = KernelSpec(bandwidth=bw)
-    got = cf_mod._shared_draw_cf_weights(conjugate_groups, kernel, lam_r)
-    assert_same_weights(got, conjugate_groups, kernel, lam_r)
+def test_shared_draw_weights_equal_per_set_weights(conjugate_sets, monkeypatch, bw, lam_r):
+    assert_same_weights(conjugate_sets, KernelSpec(bandwidth=bw), lam_r, monkeypatch)
 
 
-def tempered_groups(sizes, spread, seed):
-    """Groups of sample sets sharing draws, at four temperatures each."""
+def tempered_sets(sizes, spread, seed):
+    """Sample sets at four temperatures per set of draws, which they share."""
     rng = np.random.default_rng(seed)
-    groups = []
+    sets = []
     for n in sizes:
         theta = spread * rng.normal(size=(n, 2))
+        theta.setflags(write=False)         # so every SampleSet keeps this array
         gll, glp = -(theta - 1.0), -theta / 4.0
-        groups.append([SampleSet(theta=theta, grad_log_target=t * gll + glp,
-                                 weights=rng.uniform(0.2, 2.0, n))
-                       for t in (0.0, 0.3, 0.7, 1.0)])
-    return groups
+        sets += [SampleSet(theta=theta, grad_log_target=t * gll + glp,
+                           weights=rng.uniform(0.2, 2.0, n))
+                 for t in (0.0, 0.3, 0.7, 1.0)]
+    return sets
 
 
 @pytest.mark.parametrize("bw", [1e-2, 0.05])
-def test_shared_draw_weights_equal_per_set_weights_where_the_floor_drops(bw):
-    # two sizes of draws, so the buffers are reallocated between groups
-    groups = tempered_groups([60, 45], spread=1.5, seed=21)
-    for group in groups:
-        K0 = stein_kernel_matrix(group[1], KernelSpec(bandwidth=bw))
-        assert np.any(K0 == 0.0) and not np.array_equal(K0, unfloored_kernel(group[1], bw))
-    kernel = KernelSpec(bandwidth=bw)
-    got = cf_mod._shared_draw_cf_weights(groups, kernel, 0.0)
-    assert_same_weights(got, groups, kernel, 0.0)
+def test_shared_draw_weights_equal_per_set_weights_where_the_floor_drops(monkeypatch, bw):
+    # two sizes of draws, so the buffers are reallocated between runs
+    sets = tempered_sets([60, 45], spread=1.5, seed=21)
+    assert draw_runs(sets) == 2
+    for s in sets[1::4]:
+        K0 = stein_kernel_matrix(s, KernelSpec(bandwidth=bw))
+        assert np.any(K0 == 0.0) and not np.array_equal(K0, unfloored_kernel(s, bw))
+    assert_same_weights(sets, KernelSpec(bandwidth=bw), 0.0, monkeypatch)
 
 
 def fail_every_first_try(monkeypatch):
@@ -1018,18 +993,17 @@ def fail_every_first_try(monkeypatch):
     return calls
 
 
-def test_a_failed_first_try_refills_the_buffer(conjugate_groups, monkeypatch):
+def test_a_failed_first_try_refills_the_buffer(conjugate_sets, monkeypatch):
     kernel = KernelSpec(bandwidth=3.0)
-    groups = [g[:2] for g in conjugate_groups[:3]]
+    sets = conjugate_sets[:6]
     calls = fail_every_first_try(monkeypatch)
-    got = cf_mod._shared_draw_cf_weights(groups, kernel, 0.0)
-    assert len(calls) == 2 * sum(len(g) for g in groups)
-    for weights, group in zip(got, groups):
-        for v, s in zip(weights, group):
-            calls.clear()
-            assert np.array_equal(v, per_set_reference(s, kernel, 0.0))
-            calls.clear()
-            assert np.array_equal(cf_mod._cf_weights(s, kernel, 0.0), v)
+    got = list(cf_mod._gaussian_cf_weights(sets, kernel, 0.0))
+    assert len(calls) == 2 * len(sets)
+    for v, s in zip(got, sets):
+        calls.clear()
+        assert np.array_equal(v, per_set_reference(s, kernel, 0.0))
+        calls.clear()
+        assert np.array_equal(cf_mod._cf_weights(s, kernel, 0.0), v)
 
 
 @pytest.mark.parametrize("n, degree", [(12, 2), (7, 8)])    # J-space, then N-space
@@ -1059,7 +1033,7 @@ def test_a_failed_first_try_regathers_the_fold_block(monkeypatch):
     assert len(calls) == 2 * folds
 
 
-def test_every_factorisation_runs_in_place(conjugate_groups, monkeypatch):
+def test_every_factorisation_runs_in_place(conjugate_sets, monkeypatch):
     real = cf_mod.cho_factor
     seen = []
 
@@ -1078,8 +1052,8 @@ def test_every_factorisation_runs_in_place(conjugate_groups, monkeypatch):
     for kernel in (KernelSpec(bandwidth=1.0), KernelSpec("polynomial", degree=2),
                    KernelSpec("polynomial", degree=8)):
         cf_estimate(s, phi, kernel)
-    cf_mod._shared_draw_cf_weights(conjugate_groups[:2], KernelSpec(bandwidth=3.0), 0.0)
-    assert len(seen) == folds + 3 + sum(len(g) for g in conjugate_groups[:2])
+    list(cf_mod._gaussian_cf_weights(conjugate_sets[:5], KernelSpec(bandwidth=3.0), 0.0))
+    assert len(seen) == folds + 3 + 5
     assert all(seen)
 
 
@@ -1091,18 +1065,22 @@ def test_non_finite_systems_give_no_weights_and_no_warning():
     with pytest.raises(ConditioningError):
         cf_mod._factor_in_place(A, lambda B: None, 0.0, 1e-10)
     # theta ~ 1e8 at bw = 1e-3 overflows the gaussian factor (see
-    # test_a_kernel_that_overflows_raises_conditioning_error); NaN gradient
-    # columns leave the set to the per-set path's InvalidInput
+    # test_a_kernel_that_overflows_raises_conditioning_error), and NaN gradient
+    # columns are rejected as stein_kernel_matrix rejects them: the generator
+    # yields the weights of the sets before the first failing one, then raises
     rng = np.random.default_rng(1)
     theta = 1e8 * rng.normal(size=(13, 1))
     big = SampleSet(theta=theta, grad_log_target=-theta / 1e16, weights=None)
     masked = SampleSet(theta=np.ones((5, 1)), grad_log_target=np.full((5, 1), np.nan),
                        weights=None)
-    with np.errstate(over="ignore"):
-        got = cf_mod._shared_draw_cf_weights([[big, big], [masked]], KernelSpec(bandwidth=1e-3),
-                                             0.0)
-        assert got == [[None, None], [None]]
-        with pytest.raises(ConditioningError):
-            cf_mod._cf_weights(big, KernelSpec(bandwidth=1e-3), 0.0)
-    with pytest.raises(InvalidInput):
-        cf_mod._cf_weights(masked, KernelSpec(bandwidth=1e-3), 0.0)
+    good = gaussian_draws(13, seed=2)
+    kernel = KernelSpec(bandwidth=1e-3)
+    for bad, error in ((big, ConditioningError), (masked, InvalidInput)):
+        weights = cf_mod._gaussian_cf_weights([good, bad, good], kernel, 0.0)
+        assert np.array_equal(next(weights), per_set_reference(good, kernel, 0.0))
+        with np.errstate(over="ignore"), pytest.raises(error):
+            next(weights)
+        with np.errstate(over="ignore"), pytest.raises(error):
+            cf_mod._cf_weights(bad, kernel, 0.0)
+    with pytest.raises(InvalidInput, match="needs all gradient columns"):
+        stein_kernel_matrix(masked, kernel)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steincv.cf as cf_mod
+from steincv.cf import KernelSpec
 from conftest import MALFORMED_MANIFEST, MALFORMED_NPY, rewrite_as_csv_archive
 from steincv.cli import (
     EXIT_CONFIG,
@@ -35,6 +36,7 @@ from steincv.evidence import (
 )
 from steincv.models import model_from_manifest
 from steincv.polybasis import SubsetSpec
+from steincv.regression import CvConfig
 from steincv.smc import load_particle_system
 from steincv.zvcv import ZvSpec
 
@@ -255,6 +257,33 @@ def test_method_label_parses_back(method):
     label = method_label(method)
     assert parse_method(label) == method
     assert parse_method_reference(label) == method
+
+
+INTEGER_FIELDS = {
+    "ZvSpec.degree": lambda v: ZvSpec(degree=v),
+    "CvConfig.folds": lambda v: ZvSpec(penalty="ridge", cv=CvConfig(folds=v)),
+    "CfMethod.folds": lambda v: CfMethod(folds=v),
+    "CfMethod.degree": lambda v: CfMethod(kind="polynomial", degree=v),
+    "KernelSpec.degree": lambda v: KernelSpec(kind="polynomial", degree=v),
+    "CrossvalMethod.min_degree": lambda v: CrossvalMethod(min_degree=v),
+    "CrossvalMethod.max_degree": lambda v: CrossvalMethod(max_degree=v),
+}
+UNLABELLED = {"CvConfig.folds", "KernelSpec.degree", "CrossvalMethod.min_degree"}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_take_any_integer_and_nothing_else(field):
+    # 2.5 used to die at use with a TypeError, and 1.5 or True to run under a
+    # label that does not parse back
+    make = INTEGER_FIELDS[field]
+    for bad in (2.5, 1.5, 2.0, True, "2"):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            make(bad)
+    for good in (np.int64(2), np.uint8(2)):
+        method = make(good)
+        assert repr(method) == repr(make(2))        # stored as a plain int
+        if field not in UNLABELLED:
+            assert parse_method(method_label(method)) == method
 
 
 # --- pipeline fixtures ----------------------------------------------------------------

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 import steincv.cf as cf_mod
 import steincv.evidence as evidence_mod
 import steincv.zvcv as zvcv_mod
+from conftest import count_gaussian_factors
 from steincv.cf import KernelSpec, cf_estimate
 from steincv.errors import (
     ConditioningError, DegenerateWeights, InvalidInput, InvalidSchedule, SteinCvError,
@@ -563,19 +564,6 @@ def test_expectations_at_one_temperature_factorise_once(conjugate_run, monkeypat
 GAUSSIAN_CF_METHODS = [CfMethod(bandwidth=2.0), CfMethod(bandwidth=0.5, lam_r=0.01)]
 
 
-def count_gaussian_factors(monkeypatch) -> list:
-    """Record every floored-exp pass, i.e. every gaussian factor E built."""
-    built = []
-    real = cf_mod._floored_exp
-
-    def counted(K):
-        built.append(K.shape)
-        return real(K)
-
-    monkeypatch.setattr(cf_mod, "_floored_exp", counted)
-    return built
-
-
 @pytest.mark.parametrize("method", GAUSSIAN_CF_METHODS)
 def test_cti2_builds_one_gaussian_factor_per_snapshot(conjugate_run, monkeypatch, method):
     # a post-hoc schedule serves several temperatures from one snapshot; the
@@ -613,9 +601,46 @@ def test_smc_then_cti_equals_cti_then_smc(conjugate_run, monkeypatch, method, po
     assert smc_a.to_dict() == smc_b.to_dict()
 
 
+def smc_cf_loop_reference(sched, snaps, kernel, lam_r):
+    """smc log factors from one cf_estimate call (own factor) per factor."""
+    out = []
+    temps = sched.temperatures
+    for t_prev, t_next, k in zip(temps, temps[1:], sched.population_index):
+        ss = snaps[k].sample_set(t_prev)
+        dll = (t_next - t_prev) * ss.log_like
+        shift = float(np.max(dll))
+        out.append(shift + float(np.log(scaled_cf(ss, np.exp(dll - shift), kernel, lam_r))))
+    return out
+
+
+@pytest.mark.parametrize("method", GAUSSIAN_CF_METHODS)
+def test_a_schedule_that_returns_to_a_snapshot_gives_the_per_set_reports(
+        conjugate_run, monkeypatch, method):
+    # population indices that go back to snapshot 0: each run of temperatures
+    # on one snapshot builds its own gaussian factor, and the reports are those
+    # of one cf_estimate per expectation
+    ps = fresh_copy(conjugate_run[1])
+    assert ps.temperatures[1] < 0.5 and len(ps.snapshots) == 3
+    index = (0, 0, 1, 0, 1, 2)
+    sched = TemperatureSchedule((0.0, 0.2, 0.5, 0.6, 0.8, 1.0), index)
+    kernel = KernelSpec(bandwidth=method.bandwidth)
+    cti_want = cti2_cf_loop_reference(sched, fresh_copy(ps).snapshots, lambda i: kernel,
+                                      method.lam_r)
+    smc_want = smc_cf_loop_reference(sched, fresh_copy(ps).snapshots, kernel, method.lam_r)
+    built = count_gaussian_factors(monkeypatch)
+    smc_report = smc_evidence_estimate(sched, ps, cv=method, seed=6)
+    runs = 1 + sum(a != b for a, b in zip(index[:-1], index[1:-1]))
+    assert len(built) == runs
+    cti_report = cti_estimate(sched, ps, order=2, cv=method, seed=5)
+    assert len(built) == runs + 1
+    assert [r.estimate for r in cti_report.per_expectation] == cti_want
+    assert [r.estimate for r in smc_report.per_expectation] == smc_want
+    assert smc_report.fallbacks_triggered == 0
+
+
 def test_a_failing_gaussian_system_raises_where_it_is_used():
-    # theta ~ 1e8 at bw = 1e-3 overflows the gaussian factor: the shared build
-    # leaves no weights, and the per-set path raises the typed error at the
+    # theta ~ 1e8 at bw = 1e-3 overflows the gaussian factor: the memo fill
+    # stops at the first set, and _cf_weights raises the typed error at the
     # first expectation, never a NaN estimate
     rng = np.random.default_rng(1)
     theta = 1e8 * rng.normal(size=(13, 1))

@@ -26,6 +26,8 @@ from steincv.models import (
     synthetic_logistic_model,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def conjugate_2d():
     return ConjugateGaussianModel(

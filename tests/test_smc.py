@@ -54,6 +54,8 @@ from steincv.smc import (
 )
 from steincv.zvcv import ZvSpec
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def conjugate_1d(data=(1.1, 0.4, 0.9)):
     return ConjugateGaussianModel(
