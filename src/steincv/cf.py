@@ -319,7 +319,7 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     gathers its training and hold-out blocks from it once, rows then columns,
     which copies the same values as an np.ix_ gather in less than half the
     time.  The training block, gathered C-ordered, is factorised in place.
-    Needs at least 2 folds and a finite, positive grid.
+    Needs an integer number of folds, at least 2, and a finite, positive grid.
 
     The grid is visited from the largest bandwidth to the smallest, and a
     bandwidth stops being scored once its running error exceeds the cut
@@ -335,6 +335,7 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all((grid > 0) & (grid < np.inf)):
         raise InvalidInput("bandwidth grid must be finite, positive and nonempty")
+    folds = _as_int(folds, "folds")
     if folds < 2:
         raise InvalidInput("cross-validation needs at least 2 folds")
     n = s.count

@@ -43,7 +43,7 @@ import numpy as np
 from . import smc
 from .cf import KernelSpec, _cf_weights, _gaussian_cf_weights, cf_cv_bandwidth
 from .cf import cf_estimate  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .errors import ConditioningError, DegenerateWeights, InvalidInput, InvalidSchedule
+from .errors import DegenerateWeights, InvalidInput, InvalidSchedule
 from .polybasis import build_design_matrix, enumerate_exponents
 from .regression import refit_fixed_intercept
 from .samples import IntegrandValues, SampleSet, _as_int
@@ -268,8 +268,7 @@ def _apply_method(s: SampleSet, phi: IntegrandValues, method,
             "cv_error": result.cv_error,
             "trace": [[sp.label(), e] for sp, e in result.trace],
         }
-        return _MethodOutcome(est, chosen.label(), detail, zv_spec=chosen,
-                              lam=chosen.lam or 0.0)
+        return _MethodOutcome(est, chosen.label(), detail, zv_spec=chosen, lam=result.lam)
     raise InvalidInput(f"unknown control-variate method {method!r}")
 
 
@@ -375,20 +374,19 @@ def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool,
     return raw, c0, _MethodOutcome(c0, out.label, out.detail, fallback="vanilla")
 
 
-def _serving_sample_sets(schedule: TemperatureSchedule, snapshots, cv,
-                         reads: int | None = None) -> list[SampleSet]:
-    """The sample set serving each of the first ``reads`` temperatures (default
-    all) of ``schedule``, in order.
+def _serving_sample_sets(schedule: TemperatureSchedule, snapshots, cv):
+    """The sample set serving each temperature of ``schedule``, in order.
 
     Each is its snapshot's own SampleSet at that temperature, so every report
     on one particle system reuses its weights and memo.  For a fixed-bandwidth
-    gaussian CF method the CF weights of the returned sets that lack them are
-    put in their memos here, in schedule order: the sets of one snapshot share
-    its draws, so one gaussian factor serves each run of them
-    (``cf._gaussian_cf_weights``, two N x N buffers for the whole call).  At
-    the first set whose system fails the filling stops; a report reads its
-    sets in order, and raises the error there.  Raises InvalidInput for an
-    unknown ``cv`` or no snapshots, and InvalidSchedule for a population index
+    gaussian CF method the sets come from a generator that, as each set lacking
+    CF weights is read, puts the next vector of one ``cf._gaussian_cf_weights``
+    call over exactly those sets in its memo: the sets of one snapshot share
+    its draws, so one gaussian factor serves each run of them, and two N x N
+    buffers the whole report.  A set the report does not read gets no
+    weights, and a failing system raises its typed error as the report reads
+    its set, once.  The whole schedule is checked first: InvalidInput for an
+    unknown ``cv`` or no snapshots, InvalidSchedule for a population index
     out of range or a snapshot above the temperature it serves.
     """
     if not _is_method(cv):
@@ -404,23 +402,20 @@ def _serving_sample_sets(schedule: TemperatureSchedule, snapshots, cv,
             raise InvalidSchedule(
                 f"snapshot at t={snaps[k].t} cannot serve temperature {t}"
             )
-    sets = [snaps[k].sample_set(t) for t, k in served[:reads]]
-    if isinstance(cv, CfMethod) and cv.kind == "gaussian" and cv.bandwidth is not None:
-        _fill_gaussian_cf_memos(sets, cv)
-    return sets
-
-
-def _fill_gaussian_cf_memos(sets, cv: CfMethod) -> None:
-    """Put the CF weights of ``cv`` in the memo of the sets lacking them, in
-    order, up to the first set whose system fails."""
+    sets = [snaps[k].sample_set(t) for t, k in served]
+    if not (isinstance(cv, CfMethod) and cv.kind == "gaussian" and cv.bandwidth is not None):
+        return sets
     kernel = KernelSpec(kind="gaussian", bandwidth=cv.bandwidth)
     key = _cf_memo_key(kernel, cv.lam_r)
-    todo = [s for s in sets if key not in s._memo]
-    try:
-        for s, v in zip(todo, _gaussian_cf_weights(todo, kernel, cv.lam_r)):
-            s._memo[key] = v
-    except (ConditioningError, InvalidInput):
-        pass                                # raised again where the set is used
+    weights = _gaussian_cf_weights([s for s in sets if key not in s._memo], kernel, cv.lam_r)
+
+    def with_weights():
+        for s in sets:
+            if key not in s._memo:
+                s._memo[key] = next(weights)
+            yield s
+
+    return with_weights()
 
 
 def cti_quadrature(temperatures, e_values, v_values=None) -> float:
@@ -456,14 +451,15 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
     and kept on the snapshot with its retempered weights and memo; a linear
     method (fixed-kernel CF, or ZV by least squares or fixed-penalty ridge)
     weights E and V with one weight vector from that memo, which later
-    reports reuse.  With a fixed gaussian bandwidth the
-    vectors a report lacks are computed before the loop, with one gaussian
+    reports reuse.  With a fixed gaussian bandwidth each vector the report
+    lacks is computed as the loop reads its temperature, with one gaussian
     factor per run of temperatures on one snapshot (see
     :func:`_serving_sample_sets`); at most two N x N arrays are live.
     Expectation k (0 for E, 1 for V) at temperature j gets the seed
     ``_derive_seed(seed, j, k)``, derived only by a method that draws.
     """
     _check_seed(seed)
+    order = _as_int(order, "quadrature order")
     if order not in (1, 2):
         raise InvalidInput("quadrature order must be 1 or 2")
     if v_mean_mode not in ("cv", "raw"):
@@ -504,14 +500,15 @@ def smc_evidence_estimate(schedule: TemperatureSchedule, snapshots,
     serving snapshot's own sample set at t_{j-1}, the one :func:`cti_estimate`
     reads there, so a linear method (fixed-kernel CF, or ZV by least squares
     or fixed-penalty ridge) reuses the weight vector kept in its memo, or
-    leaves one for later reports.  Only t_0 .. t_{n-1} are read,
-    so no weights are computed at the last temperature.  The raw factor is
+    leaves one for later reports.  Only t_0 .. t_{n-1} are read (the loop's
+    ``zip`` stops before it takes the last set), so no weights are computed at
+    the last temperature.  The raw factor is
     :func:`steincv.smc._logsumexp` of the scaled log-likelihoods under the
     set's weights.  Factor j gets the seed ``_derive_seed(seed, j, 2)``,
     derived only by a method that draws.
     """
     _check_seed(seed)
-    sets = _serving_sample_sets(schedule, snapshots, cv, reads=len(schedule.temperatures) - 1)
+    sets = _serving_sample_sets(schedule, snapshots, cv)
 
     temps = schedule.temperatures
     records: list[ExpectationRecord] = []

@@ -83,11 +83,13 @@ def _number_label(x: float) -> str:
 
 @dataclass(frozen=True)
 class CvSelectionResult:
-    """Outcome of crossval_select: winner, its error, and the full trace."""
+    """Outcome of crossval_select: winner, its error, the full trace, and the
+    penalty of the winner's full-data refit (0 for least squares)."""
 
     chosen: ZvSpec
     cv_error: float
     trace: tuple[tuple[ZvSpec, float], ...]
+    lam: float = 0.0
 
 
 def _fit_dispatch(X, f, w, spec: ZvSpec, seed: int) -> RegressionFit:
@@ -231,8 +233,8 @@ def crossval_select(
     ols > lasso > ridge, then smaller subset.  Candidates failing at their
     first order are excluded with a logged diagnostic.
 
-    Returns (CvSelectionResult, estimate) with the estimate from a full-data
-    refit of the winner.
+    Returns (CvSelectionResult, estimate) with the estimate and ``lam`` from a
+    full-data refit of the winner.
     """
     check_aligned(s, phi)
     if candidates is None:
@@ -285,6 +287,5 @@ def crossval_select(
     ties = [(sp, e) for sp, e in scored if e <= best_err * (1 + 1e-12) + 1e-300]
     chosen, err = min(ties, key=sort_key)
 
-    result = CvSelectionResult(chosen=chosen, cv_error=err, trace=tuple(trace))
-    estimate, _ = zvcv_estimate(s, phi, replace(chosen, estimator="combined"), seed=seed)
-    return result, estimate
+    estimate, fit = zvcv_estimate(s, phi, replace(chosen, estimator="combined"), seed=seed)
+    return CvSelectionResult(chosen=chosen, cv_error=err, trace=tuple(trace), lam=fit.lam), estimate

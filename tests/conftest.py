@@ -1,5 +1,6 @@
-"""Shared test helpers: finite-difference and lasso oracles, a counter of gaussian
-CF factors, archive fixtures, the acceptance tally, and the fixed hypothesis profile."""
+"""Shared test helpers: finite-difference and lasso oracles, a one-dimensional
+snapshot, a counter of gaussian CF factors, archive fixtures, the acceptance
+tally, and the fixed hypothesis profile."""
 
 import json
 
@@ -9,6 +10,7 @@ from hypothesis import settings
 
 import steincv.cf as cf_mod
 from steincv.samples import write_sample_csv
+from steincv.smc import Snapshot
 
 # Fixed hypothesis examples, so every run of the suite draws the same ones;
 # each test keeps its own max_examples.
@@ -65,6 +67,14 @@ def kkt_violation(X, f, w, fit):
 
 
 # --- snapshot archives ----------------------------------------------------
+
+
+def unit_snapshot(n, t, seed):
+    """n draws from N(0, 1) at temperature t, under the likelihood N(1; theta, 1)."""
+    theta = np.random.default_rng(seed).normal(size=(n, 1))
+    return Snapshot(t=t, theta=theta, weights=np.full(n, 1 / n),
+                    log_like=-0.5 * (theta[:, 0] - 1.0) ** 2, log_prior=-0.5 * theta[:, 0] ** 2,
+                    grad_log_like=1.0 - theta, grad_log_prior=-theta)
 
 
 def count_gaussian_factors(monkeypatch) -> list:

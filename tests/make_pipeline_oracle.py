@@ -9,14 +9,14 @@ of a result, a file's text with the work directory replaced by ``<work>``, or a
 sha256 digest of bytes.  Outputs repeat across processes only at a fixed BLAS
 thread count, so the script pins it to 1 before numpy loads.  The workloads
 are those of ``perfbench.workloads``, imported and driven as the benchmark
-drives them, round 0 at seed 1:
+drives them, round 0 at seed 1 (``evidence-conjugate`` at seeds 2 and 3 too):
 
 * ``sample-logistic``: the pilot's temperatures, step sizes, sweep counts and
   log increments, a digest of its last snapshot's arrays, and the log Z of
   the first replay;
 * ``postprocess-logistic``: the four expectation records of the round;
 * ``evidence-conjugate``: the post-hoc schedule and the eight reports'
-  ``to_dict()``;
+  ``to_dict()``, keyed ``seed<s>/`` for seeds other than 1;
 * the pipeline of acceptance criterion 12 (``smc``, ``postprocess`` and
   ``evidence`` commands): every file it writes except the ``run.log`` and
   ``timings.json`` sidecars, JSON as text and ``.npy`` archives as digests.
@@ -49,6 +49,7 @@ from steincv import smc  # noqa: E402
 from steincv.cli import EXIT_OK, main  # noqa: E402
 
 SEED = 1
+EVIDENCE_SEEDS = (1, 2, 3)
 SIDECARS = ("run.log", "timings.json")
 CONJUGATE_MODEL = {
     "kind": "conjugate_gaussian",
@@ -93,11 +94,14 @@ def _postprocess_logistic(work: Path) -> dict:
 
 def _evidence_conjugate(work: Path) -> dict:
     w = EvidenceConjugate()
-    state = w.setup(SEED, work)
-    ps = smc.load_particle_system(state["archive"], state["model"])
-    out = {"schedule": repr(smc.posthoc_schedule(ps, POSTHOC_RHO))}
-    for job in w.round(state, 0):
-        out[job.label] = repr(_run(job).to_dict())
+    out = {}
+    for seed in EVIDENCE_SEEDS:
+        prefix = "" if seed == SEED else f"seed{seed}/"
+        state = w.setup(seed, work / f"seed{seed}")
+        ps = smc.load_particle_system(state["archive"], state["model"])
+        out[prefix + "schedule"] = repr(smc.posthoc_schedule(ps, POSTHOC_RHO))
+        for job in w.round(state, 0):
+            out[prefix + job.label] = repr(_run(job).to_dict())
     return out
 
 

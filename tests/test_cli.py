@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steincv.cf as cf_mod
-from steincv.cf import KernelSpec
-from conftest import MALFORMED_MANIFEST, MALFORMED_NPY, rewrite_as_csv_archive
+from steincv.cf import KernelSpec, cf_cv_bandwidth
+from conftest import MALFORMED_MANIFEST, MALFORMED_NPY, rewrite_as_csv_archive, unit_snapshot
 from steincv.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -31,13 +31,15 @@ from steincv.evidence import (
     VANILLA,
     CfMethod,
     CrossvalMethod,
+    cti_estimate,
     expectation_with_provenance,
     method_label,
 )
 from steincv.models import model_from_manifest
 from steincv.polybasis import SubsetSpec
 from steincv.regression import CvConfig
-from steincv.smc import load_particle_system
+from steincv.samples import IntegrandValues
+from steincv.smc import TemperatureSchedule, load_particle_system
 from steincv.zvcv import ZvSpec
 
 
@@ -284,6 +286,26 @@ def test_integer_fields_take_any_integer_and_nothing_else(field):
         assert repr(method) == repr(make(2))        # stored as a plain int
         if field not in UNLABELLED:
             assert parse_method(method_label(method)) == method
+
+
+INTEGER_ARGUMENTS = {
+    "cti_estimate.order": lambda v: cti_estimate(
+        TemperatureSchedule((0.0, 1.0), (0, 0)), [unit_snapshot(20, 0.0, seed=0)],
+        order=v).estimator,
+    "cf_cv_bandwidth.folds": lambda v: cf_cv_bandwidth(
+        unit_snapshot(20, 0.0, seed=0).sample_set(), IntegrandValues(np.arange(20.0)),
+        [0.5, 2.0], folds=v),
+}
+
+
+@pytest.mark.parametrize("argument", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_take_any_integer_and_nothing_else(argument):
+    # order=2.0 used to name its report "cti2.0", and folds=3.0 died with a TypeError
+    call = INTEGER_ARGUMENTS[argument]
+    for bad in (2.5, 1.5, 2.0, True, "2"):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            call(bad)
+    assert call(np.int64(2)) == call(np.uint8(2)) == call(2)
 
 
 # --- pipeline fixtures ----------------------------------------------------------------

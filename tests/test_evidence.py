@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.linalg import LinAlgError
 
 import steincv.cf as cf_mod
 import steincv.evidence as evidence_mod
 import steincv.zvcv as zvcv_mod
-from conftest import count_gaussian_factors
+from conftest import count_gaussian_factors, unit_snapshot
 from steincv.cf import KernelSpec, cf_estimate
 from steincv.errors import (
     ConditioningError, DegenerateWeights, InvalidInput, InvalidSchedule, SteinCvError,
@@ -165,6 +166,27 @@ def test_ratio_fallback_fixed_intercept():
     # without the ratio guard the raw regression value is indeed non-positive
     plain = stabilised_cv_expectation(s, phi, ZvSpec(degree=1))
     assert plain <= 0.0
+
+
+@pytest.mark.parametrize("n, d, draw, penalty", [(30, 3, 1, "lasso"), (40, 2, 3, "ridge")])
+def test_crossval_rescue_refits_at_the_winners_penalty(monkeypatch, n, d, draw, penalty):
+    # the pinned-intercept refit uses the lambda of crossval's full-data refit
+    theta = np.random.default_rng(draw).normal(size=(n, d))
+    s = SampleSet(theta=theta, grad_log_target=-theta, weights=None)
+    phi = np.exp(0.5 * theta[:, 0] + 0.3 * theta[:, 1])
+    scale = float(np.max(phi))
+    result, _ = zvcv_mod.crossval_select(s, IntegrandValues(phi / scale), seed=0)
+    assert result.chosen.penalty == penalty and result.lam > 0.0
+    real = evidence_mod.crossval_select
+    monkeypatch.setattr(evidence_mod, "crossval_select",     # force a negative estimate
+                        lambda *args, **kwargs: (real(*args, **kwargs)[0], -1.0))
+    rec = expectation_with_provenance(s, phi, CrossvalMethod(), ratio=True, seed=0)
+    c0 = float(s.weights @ phi)
+    X = build_design_matrix(s, enumerate_exponents(d, result.chosen.degree))
+    fb = refit_fixed_intercept(X, phi / scale, s.weights, intercept=c0 / scale,
+                               method=penalty, lam=result.lam)
+    assert rec.fallback == "fixed_intercept"
+    assert rec.estimate == scale * float(c0 / scale + s.weights @ (X @ fb.beta))
 
 
 def test_ratio_degenerate_mean_raises():
@@ -647,9 +669,8 @@ def test_a_schedule_that_returns_to_a_snapshot_gives_the_per_set_reports(
 
 
 def test_a_failing_gaussian_system_raises_where_it_is_used():
-    # theta ~ 1e8 at bw = 1e-3 overflows the gaussian factor: the memo fill
-    # stops at the first set, and _cf_weights raises the typed error at the
-    # first expectation, never a NaN estimate
+    # theta ~ 1e8 at bw = 1e-3 overflows the gaussian factor: the report raises
+    # the typed error as it reads the first temperature, never a NaN estimate
     rng = np.random.default_rng(1)
     theta = 1e8 * rng.normal(size=(13, 1))
     ll = -0.5 * (theta[:, 0] / 1e8) ** 2
@@ -660,6 +681,48 @@ def test_a_failing_gaussian_system_raises_where_it_is_used():
         for report in (cti_estimate, smc_evidence_estimate):
             with pytest.raises(ConditioningError):
                 report(sched, [replace(snap)], cv=CfMethod(bandwidth=1e-3))
+
+
+def fail_factorisations(monkeypatch, n):
+    """Make every cho_factor of an n x n system fail, as a singular one does."""
+    real = cf_mod.cho_factor
+
+    def cho_factor(M, *args, **kwargs):
+        if M.shape[0] == n:
+            raise LinAlgError("forced failure")
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(cf_mod, "cho_factor", cho_factor)
+
+
+@pytest.mark.parametrize("report", [cti_estimate, smc_evidence_estimate])
+def test_a_failing_gaussian_system_is_built_and_tried_once(monkeypatch, report):
+    # one gaussian factor and one jitter escalation (9 tries) before the error
+    sched = TemperatureSchedule((0.0, 0.5, 1.0), (0, 0, 0))
+    fail_factorisations(monkeypatch, 50)
+    built = count_gaussian_factors(monkeypatch)
+    calls = count_cf_calls(monkeypatch)
+    with pytest.raises(ConditioningError, match="after jitter escalation"):
+        report(sched, [unit_snapshot(50, 0.0, seed=1)], cv=CfMethod(bandwidth=1.0))
+    assert len(built) == 1
+    assert calls["cho_factor"] == cf_mod._JITTER_DOUBLINGS + 1 == 9
+
+
+@pytest.mark.parametrize("report", [cti_estimate, smc_evidence_estimate])
+def test_a_report_stops_at_the_first_set_whose_system_fails(monkeypatch, report):
+    # the second snapshot (50 draws, the first has 40) alone fails: the sets
+    # read before it hold their weights, it and the set after it hold none
+    snaps = [unit_snapshot(40, 0.0, seed=1), unit_snapshot(50, 0.6, seed=2)]
+    sched = TemperatureSchedule((0.0, 0.3, 0.6, 1.0), (0, 0, 1, 1))
+    fail_factorisations(monkeypatch, 50)
+    built = count_gaussian_factors(monkeypatch)
+    calls = count_cf_calls(monkeypatch)
+    with pytest.raises(ConditioningError, match="after jitter escalation"):
+        report(sched, snaps, cv=CfMethod(bandwidth=1.0))
+    assert len(built) == 2 and calls["cho_factor"] == 2 + 9
+    key = ("cf", KernelSpec(bandwidth=1.0), 0.0)
+    sets = [snaps[k].sample_set(t) for t, k in zip(sched.temperatures, sched.population_index)]
+    assert [key in s._memo for s in sets] == [True, True, False, False]
 
 
 def test_cti2_cv_bandwidth_searches_every_expectation(monkeypatch):

@@ -2,7 +2,8 @@
 reproduce their committed outputs exactly.
 
 ``make_pipeline_oracle.py`` runs round 0 of each ``perfbench`` workload at
-seed 1 and the pipeline of acceptance criterion 12, at one BLAS thread, and
+seed 1 (``evidence-conjugate`` at seeds 2 and 3 too) and the pipeline of
+acceptance criterion 12, at one BLAS thread, and
 prints every output as a string; this test runs it in a subprocess and
 compares each string with ``==`` against ``pipeline_oracle.json``.
 
