@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import ConvergenceError, InsufficientSamples, InvalidInput
 from .samples import (
@@ -76,10 +76,10 @@ class RegressionFit:
 class CvConfig:
     """Cross-validation settings for penalty selection.
 
-    ``lambda_grid`` must be strictly descending when given; the default is 100
-    log-spaced values from lambda_max down to lambda_max * 1e-4.  Score ties
-    within ``tolerance`` (relative to the response variance) resolve to the
-    larger lambda.
+    ``lambda_grid`` must be finite, nonnegative and strictly descending when
+    given; the default is 100 log-spaced values from lambda_max down to
+    lambda_max * 1e-4.  Score ties within ``tolerance`` (finite and >= 0,
+    relative to the response variance) resolve to the larger lambda.
     """
 
     folds: int = 10
@@ -91,10 +91,14 @@ class CvConfig:
         object.__setattr__(self, "folds", _as_int(self.folds, "folds"))
         if self.folds < 2:
             raise InvalidInput("cross-validation needs at least 2 folds")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise InvalidInput("cross-validation tolerance must be finite and >= 0")
         if self.lambda_grid is not None:
             grid = tuple(float(v) for v in self.lambda_grid)
-            if len(grid) == 0 or any(v < 0 for v in grid):
-                raise InvalidInput("lambda grid must be nonnegative and nonempty")
+            if not grid:
+                raise InvalidInput("lambda grid must be nonempty")
+            for v in grid:
+                _check_penalty(v, "every lambda grid value")
             if any(a <= b for a, b in zip(grid, grid[1:])):
                 raise InvalidInput("lambda grid must be strictly descending")
             object.__setattr__(self, "lambda_grid", grid)
@@ -282,81 +286,110 @@ def _lasso_path(X, f, w, lams):
     from lambda_max down, the solution is piecewise linear in lam and changes
     direction only where a variable joins or leaves the active set A.  On a
     segment, gamma_A(lam) = u - lam d with G_AA u = q_A and G_AA d = sign_A
-    (G = X^T W X, q = X^T W f), so each grid value is read off its segment
-    exactly.  Columns of G are formed only when their variable joins, and the
-    Cholesky factor of G_AA grows by one row per join and is refactored after
-    a drop.  A joining column in the span of A (non-positive pivot) stays at
-    zero.  Returns (gammas, steps): column k of the (J, L) matrix gammas
+    (G = X^T W X, q = X^T W f), so the grid values on a segment are read off
+    it in one write.  Columns of G are formed only when their variable joins,
+    and the Cholesky factor of G_AA grows by one row per join and is
+    refactored after a drop.  A joining column in the span of A (non-positive
+    pivot) stays at zero.  The steps call LAPACK's potrs, trtrs and potrf
+    with the arguments scipy's cho_solve, solve_triangular and cholesky pass
+    them (check_finite=False), so a path is bitwise the one those wrappers
+    give.  Returns (gammas, steps): column k of the (J, L) matrix gammas
     solves lams[k], reached after steps[k] path events (joins, drops and
-    rejected joins); more than 8 max(n, J) steps raise ConvergenceError.
+    rejected joins); more than 8 max(n, J) steps, or a factor LAPACK rejects,
+    raise ConvergenceError.
     """
     n, J = X.shape
+    lams = np.asarray(lams, dtype=float)
+    grid = lams.tolist()
     q = X.T @ (w * f)
     m = min(n, J)
     cols = np.empty((J, m))          # G[:, A]
     L = np.zeros((m, m))             # lower Cholesky factor of G[A][:, A]
-    active, signs, blocked = [], [], set()
-    gammas = np.zeros((J, len(lams)))
-    steps = np.zeros(len(lams), dtype=int)
-    gi, n_steps, lam_cur = 0, 0, np.inf
-    while gi < len(lams):
-        k = len(active)
-        u = d = np.zeros(0)
-        if k:
-            ud = linalg.cho_solve((L[:k, :k], True), np.column_stack([q[active], signs]),
-                                  check_finite=False)
-            u, d = ud[:, 0], ud[:, 1]
-        # inactive correlations are b + lam a along the segment; a variable
-        # joins with sign s where s (b + lam a) = lam.  Only a correlation
-        # moving towards s lam as lam falls (1 - s a > 0) gets there, so a
-        # variable that has just dropped out cannot re-enter at once with its
-        # old sign, but may return later with either sign.
-        b = q - cols[:, :k] @ u
-        a = cols[:, :k] @ d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = np.stack([np.where(1.0 - s * a > 0.0, s * b / (1.0 - s * a), -np.inf)
-                              for s in (1.0, -1.0)])
-        roots[:, active + list(blocked)] = -np.inf
-        side, join = np.unravel_index(np.argmax(roots), roots.shape)
-        lam_join = min(roots[side, join], lam_cur)
-        # an active coefficient moving towards zero drops out where it gets there
-        with np.errstate(divide="ignore", invalid="ignore"):
-            drops = np.where(d * np.asarray(signs) < 0.0, u / d, -np.inf)
-        lam_drop = min(drops.max(initial=-np.inf), lam_cur)
-        lam_next = max(lam_join, lam_drop)
-        while gi < len(lams) and lams[gi] >= lam_next:
-            gammas[active, gi] = u - lams[gi] * d
-            steps[gi] = n_steps
-            gi += 1
-        if gi == len(lams):
-            break
-        n_steps += 1
-        if n_steps > 8 * max(n, J):
-            raise ConvergenceError("lasso path exceeded its step bound",
-                                   steps=n_steps, lam=float(lam_next))
-        lam_cur = lam_next
-        if lam_join >= lam_drop:
-            col = X.T @ (w * X[:, join])
-            row = linalg.solve_triangular(L[:k, :k], col[active], lower=True, check_finite=False)
-            pivot = col[join] - row @ row
-            if k == m or not pivot > _PIVOT_TOL * col[join]:
-                blocked.add(join)
-                continue
-            L[k, :k], L[k, k] = row, math.sqrt(pivot)
-            cols[:, k] = col
-            active.append(int(join))
-            signs.append(1.0 if side == 0 else -1.0)
-        else:
-            drop = int(np.argmax(drops))
-            del active[drop], signs[drop]
-            cols[:, drop:k - 1] = cols[:, drop + 1:k].copy()
-            blocked.clear()
-            try:
-                L[:k - 1, :k - 1] = linalg.cholesky(cols[active, :k - 1], lower=True,
-                                                    check_finite=False)
-            except linalg.LinAlgError as exc:
-                raise ConvergenceError("lasso path lost its active-set factorisation",
-                                       steps=n_steps, lam=float(lam_cur)) from exc
+    active = np.empty(m, dtype=np.intp)
+    qs = np.empty((m, 2))            # [q_A, sign_A]
+    shut = np.zeros(J, dtype=bool)   # A and the joins rejected since the last drop
+    side_signs = np.array([[1.0], [-1.0]])
+    gammas = np.zeros((J, len(grid)))
+    steps = np.zeros(len(grid), dtype=int)
+    gi, k, n_steps, lam_cur = 0, 0, 0, np.inf
+
+    def failed(what):
+        return ConvergenceError(f"lasso path {what}", steps=n_steps, lam=float(lam_cur))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while gi < len(grid):
+            if k:
+                ud, info = dpotrs(L[:k, :k], qs[:k], lower=1)
+                if info:
+                    raise failed(f"could not solve with its factor (LAPACK info {info})")
+                u, d = ud[:, 0], ud[:, 1]
+            else:
+                u = d = np.zeros(0)
+            # inactive correlations are b + lam a along the segment; a variable
+            # joins with sign s where s (b + lam a) = lam.  Only a correlation
+            # moving towards s lam as lam falls (1 - s a > 0) gets there, so a
+            # variable that has just dropped out cannot re-enter at once with
+            # its old sign, but may return later with either sign.
+            b = q - cols[:, :k] @ u
+            a = cols[:, :k] @ d
+            towards = 1.0 - side_signs * a
+            roots = np.where(towards > 0.0, side_signs * b / towards, -np.inf)
+            roots[:, shut] = -np.inf
+            side, join = divmod(int(np.argmax(roots)), J)
+            lam_join = min(roots[side, join], lam_cur)
+            # an active coefficient moving towards zero drops out where it gets there
+            drops = np.where(d * qs[:k, 1] < 0.0, u / d, -np.inf)
+            lam_drop = min(drops.max(initial=-np.inf), lam_cur)
+            lam_next = max(lam_join, lam_drop)
+            hi = gi
+            while hi < len(grid) and grid[hi] >= lam_next:
+                hi += 1
+            if hi > gi:
+                gammas[active[:k], gi:hi] = u[:, None] - lams[gi:hi] * d[:, None]
+                steps[gi:hi] = n_steps
+                gi = hi
+                if gi == len(grid):
+                    break
+            n_steps += 1
+            if n_steps > 8 * max(n, J):
+                raise ConvergenceError("lasso path exceeded its step bound",
+                                       steps=n_steps, lam=float(lam_next))
+            lam_cur = lam_next
+            if lam_join >= lam_drop:
+                shut[join] = True
+                if k == m:
+                    continue
+                col = X.T @ (w * X[:, join])
+                row = col[active[:k]]
+                if k:
+                    # as solve_triangular: a block that is not Fortran-ordered
+                    # is solved as the transposed system of its transpose
+                    T = L[:k, :k]
+                    row, info = (dtrtrs(T, row, lower=1) if T.flags.f_contiguous
+                                 else dtrtrs(T.T, row, lower=0, trans=1))
+                    if info:
+                        raise failed(f"could not solve with its factor (LAPACK info {info})")
+                pivot = col[join] - row @ row
+                if not pivot > _PIVOT_TOL * col[join]:
+                    continue
+                L[k, :k], L[k, k] = row, math.sqrt(pivot)
+                cols[:, k] = col
+                active[k] = join
+                qs[k] = q[join], side_signs[side, 0]
+                k += 1
+            else:
+                drop = int(np.argmax(drops))
+                k -= 1
+                active[drop:k] = active[drop + 1:k + 1]
+                qs[drop:k] = qs[drop + 1:k + 1]
+                cols[:, drop:k] = cols[:, drop + 1:k + 1]
+                shut[:] = False
+                shut[active[:k]] = True
+                if k:
+                    c, info = dpotrf(cols[active[:k], :k], lower=1, clean=1)
+                    if info:
+                        raise failed("lost its active-set factorisation")
+                    L[:k, :k] = c
     return gammas, steps
 
 

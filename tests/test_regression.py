@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import linalg
 
 from conftest import kkt_violation, standardise_oracle
 import steincv.regression as regression
 from steincv.errors import ConvergenceError, InsufficientSamples, InvalidInput, SteinCvError
 from steincv.regression import (
+    _PIVOT_TOL,
     CvConfig,
     cv_lambda,
     fit_lasso,
@@ -422,6 +426,160 @@ def test_lasso_degenerate_designs(n, J):
     assert_allclose(corr[on], 0.05 * np.sign(gamma[on]), rtol=0, atol=1e-8)
 
 
+# --- the lasso path against its bitwise reference ------------------------------
+
+
+def lasso_path_reference(X, f, w, lams):
+    """The lasso path as it was before its steps called LAPACK directly.
+
+    Kept verbatim as the bitwise reference of ``regression._lasso_path``:
+    scipy's checked wrappers, one list of active columns and one set of
+    rejected joins, and one write per grid value.  Its own description:
+
+    Exact lasso solutions on a descending grid of positive penalties.
+
+    Minimises (1/2) sum_i w_i (f_i - x_i gamma)^2 + lam ||gamma||_1 by the
+    LARS-lasso homotopy (Osborne, Presnell & Turlach 2000; Efron et al. 2004):
+    from lambda_max down, the solution is piecewise linear in lam and changes
+    direction only where a variable joins or leaves the active set A.  On a
+    segment, gamma_A(lam) = u - lam d with G_AA u = q_A and G_AA d = sign_A
+    (G = X^T W X, q = X^T W f), so each grid value is read off its segment
+    exactly.  Columns of G are formed only when their variable joins, and the
+    Cholesky factor of G_AA grows by one row per join and is refactored after
+    a drop.  A joining column in the span of A (non-positive pivot) stays at
+    zero.  Returns (gammas, steps): column k of the (J, L) matrix gammas
+    solves lams[k], reached after steps[k] path events (joins, drops and
+    rejected joins); more than 8 max(n, J) steps raise ConvergenceError.
+    """
+    n, J = X.shape
+    q = X.T @ (w * f)
+    m = min(n, J)
+    cols = np.empty((J, m))          # G[:, A]
+    L = np.zeros((m, m))             # lower Cholesky factor of G[A][:, A]
+    active, signs, blocked = [], [], set()
+    gammas = np.zeros((J, len(lams)))
+    steps = np.zeros(len(lams), dtype=int)
+    gi, n_steps, lam_cur = 0, 0, np.inf
+    while gi < len(lams):
+        k = len(active)
+        u = d = np.zeros(0)
+        if k:
+            ud = linalg.cho_solve((L[:k, :k], True), np.column_stack([q[active], signs]),
+                                  check_finite=False)
+            u, d = ud[:, 0], ud[:, 1]
+        # inactive correlations are b + lam a along the segment; a variable
+        # joins with sign s where s (b + lam a) = lam.  Only a correlation
+        # moving towards s lam as lam falls (1 - s a > 0) gets there, so a
+        # variable that has just dropped out cannot re-enter at once with its
+        # old sign, but may return later with either sign.
+        b = q - cols[:, :k] @ u
+        a = cols[:, :k] @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.stack([np.where(1.0 - s * a > 0.0, s * b / (1.0 - s * a), -np.inf)
+                              for s in (1.0, -1.0)])
+        roots[:, active + list(blocked)] = -np.inf
+        side, join = np.unravel_index(np.argmax(roots), roots.shape)
+        lam_join = min(roots[side, join], lam_cur)
+        # an active coefficient moving towards zero drops out where it gets there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drops = np.where(d * np.asarray(signs) < 0.0, u / d, -np.inf)
+        lam_drop = min(drops.max(initial=-np.inf), lam_cur)
+        lam_next = max(lam_join, lam_drop)
+        while gi < len(lams) and lams[gi] >= lam_next:
+            gammas[active, gi] = u - lams[gi] * d
+            steps[gi] = n_steps
+            gi += 1
+        if gi == len(lams):
+            break
+        n_steps += 1
+        if n_steps > 8 * max(n, J):
+            raise ConvergenceError("lasso path exceeded its step bound",
+                                   steps=n_steps, lam=float(lam_next))
+        lam_cur = lam_next
+        if lam_join >= lam_drop:
+            col = X.T @ (w * X[:, join])
+            row = linalg.solve_triangular(L[:k, :k], col[active], lower=True, check_finite=False)
+            pivot = col[join] - row @ row
+            if k == m or not pivot > _PIVOT_TOL * col[join]:
+                blocked.add(join)
+                continue
+            L[k, :k], L[k, k] = row, math.sqrt(pivot)
+            cols[:, k] = col
+            active.append(int(join))
+            signs.append(1.0 if side == 0 else -1.0)
+        else:
+            drop = int(np.argmax(drops))
+            del active[drop], signs[drop]
+            cols[:, drop:k - 1] = cols[:, drop + 1:k].copy()
+            blocked.clear()
+            try:
+                L[:k - 1, :k - 1] = linalg.cholesky(cols[active, :k - 1], lower=True,
+                                                    check_finite=False)
+            except linalg.LinAlgError as exc:
+                raise ConvergenceError("lasso path lost its active-set factorisation",
+                                       steps=n_steps, lam=float(lam_cur)) from exc
+    return gammas, steps
+
+
+def path_problem(n, J, design, weighted, seed):
+    """A standardised lasso problem and its default grid; ``design`` is
+    "plain", "collinear" (four nearly proportional columns) or "duplicate"."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, J)) * rng.uniform(0.5, 2.0, size=J)
+    if design == "collinear":
+        X[:, :4] = X[:, [0]] * rng.uniform(0.5, 2.0, size=4) + 1e-6 * rng.normal(size=(n, 4))
+    elif design == "duplicate":
+        X[:, 1] = X[:, 0]
+    f = X @ (rng.normal(size=J) * (rng.random(J) < 0.3)) + rng.normal(size=n)
+    w = rng.uniform(0.2, 1.0, size=n) if weighted else np.ones(n)
+    w = w / w.sum()
+    X_s, f_s, _ = regression.standardise(X, f, w)
+    return X_s, f_s, w, regression._default_grid(lasso_lambda_max(X, f, w))
+
+
+def test_lasso_path_is_bitwise_its_reference(monkeypatch):
+    # J < N and J > N, collinear and duplicated columns, uniform and unequal
+    # weights, the default grid and one lambda inside it; the spy checks that
+    # the family reaches the refactor after a drop
+    refactors = []
+    dpotrf = regression.dpotrf
+
+    def counted(*args, **kwargs):
+        refactors.append(args[0].shape)
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(regression, "dpotrf", counted)
+    for n, J in ((60, 15), (25, 70)):
+        for design in ("plain", "collinear", "duplicate"):
+            for weighted in (False, True):
+                X_s, f_s, w, grid = path_problem(n, J, design, weighted, seed=n * J)
+                for lams in (grid, grid[60:61]):
+                    gammas, steps = regression._lasso_path(X_s, f_s, w, lams)
+                    ref_gammas, ref_steps = lasso_path_reference(X_s, f_s, w, lams)
+                    assert np.array_equal(gammas, ref_gammas)
+                    assert np.array_equal(steps, ref_steps)
+    assert len(refactors) >= 10
+
+
+def test_lasso_refactor_failure_is_convergence_error(monkeypatch):
+    # a drop refactors G_AA; a factor LAPACK rejects stops the path with the
+    # step and penalty of that drop, where the reference's cholesky raised
+    X_s, f_s, w, grid = path_problem(25, 70, "plain", False, seed=25 * 70)
+    monkeypatch.setattr(regression, "dpotrf", lambda a, **k: (a, 1))
+    with pytest.raises(ConvergenceError, match="active-set factorisation") as new:
+        regression._lasso_path(X_s, f_s, w, grid)
+
+    def cholesky(*args, **kwargs):
+        raise linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(linalg, "cholesky", cholesky)
+    with pytest.raises(ConvergenceError, match="active-set factorisation") as ref:
+        lasso_path_reference(X_s, f_s, w, grid)
+    assert new.value.diagnostics == ref.value.diagnostics
+    assert new.value.diagnostics["steps"] > 1
+    assert grid[-1] < new.value.diagnostics["lam"] < grid[0]
+
+
 def test_lasso_lambda_max_kills_everything():
     X, f, _, _ = linear_problem(seed=10, noise=0.5)
     lam_max = lasso_lambda_max(X, f)
@@ -517,6 +675,22 @@ def test_cv_lambda_too_few_samples():
         cv_lambda(np.ones((4, 1)), np.ones(4), cfg=CvConfig(folds=10))
     with pytest.raises(InvalidInput):
         cv_lambda(np.ones((20, 1)), np.ones(20), method="ols")
+
+
+def test_cv_config_rejects_what_cross_validation_cannot_use():
+    # a NaN grid value ran every lasso fold to its step bound and let ridge
+    # pick the grid's first value; a negative or NaN tolerance picked
+    # lambda_max, so every coefficient was 0
+    nan, inf = float("nan"), float("inf")
+    for kwargs in (dict(folds=1), dict(folds=2.5), dict(lambda_grid=()),
+                   dict(lambda_grid=(1.0, -0.1)), dict(lambda_grid=(1.0, nan, 0.1)),
+                   dict(lambda_grid=(inf, 1.0)), dict(lambda_grid=(0.1, 1.0)),
+                   dict(lambda_grid=(1.0, 1.0)), dict(tolerance=-1.0), dict(tolerance=nan),
+                   dict(tolerance=inf)):
+        with pytest.raises(InvalidInput):
+            CvConfig(**kwargs)
+    cfg = CvConfig(folds=np.int64(3), lambda_grid=[2, 1, 0], tolerance=0)
+    assert cfg.folds == 3 and cfg.lambda_grid == (2.0, 1.0, 0.0) and cfg.tolerance == 0
 
 
 def cv_lambda_oracle(X, f, w, method, cfg):
@@ -641,8 +815,13 @@ def test_predict_convention():
 
 
 def test_lasso_divergence_guard_is_convergence_error():
-    # ConvergenceError is the declared failure mode of the solver; make sure
-    # the exception type is importable and a SteinCvError
-    from steincv.errors import SteinCvError
-
+    # ConvergenceError is the declared failure mode of the solver, and a
+    # SteinCvError.  A NaN penalty is never reached, so the path walks on past
+    # its last event until the step bound stops it
     assert issubclass(ConvergenceError, SteinCvError)
+    rng = np.random.default_rng(3)
+    n, J = 12, 7
+    X, f, w = rng.normal(size=(n, J)), rng.normal(size=n), np.full(n, 1.0 / n)
+    with pytest.raises(ConvergenceError, match="step bound") as exc:
+        regression._lasso_path(X, f, w, np.array([np.nan]))
+    assert exc.value.diagnostics == {"steps": 8 * max(n, J) + 1, "lam": -np.inf}
