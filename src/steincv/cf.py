@@ -55,6 +55,14 @@ place, so two N x N arrays serve all of a report's temperatures.  The
 polynomial kernel has rank J, so while J < N its system is solved in the
 J x J space of X^T X and no N x N matrix is formed; J >= N (the paper's
 regime) keeps the N x N factor.
+
+``cf_cv_bandwidth`` scores a grid of gaussian bandwidths by K-fold error in
+two passes: the first fold of every bandwidth, then the rest of each in
+ascending order of that first error, a bandwidth stopped once its running
+error leaves the final choice's tie window.  Fold errors are nonnegative, so
+under any order a stopped bandwidth could not have won, and the choice is
+bitwise that of scoring every fold.  One kernel buffer, one scratch buffer
+and one training-block buffer serve a whole search.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from .errors import ConditioningError, InvalidInput
 from .polybasis import basis_size, design_columns, enumerate_exponents
 from .regression import _fold_slices
-from .samples import IntegrandValues, SampleSet, _as_int, check_aligned
+from .samples import IntegrandValues, SampleSet, _as_int, _check_seed, check_aligned
 
 _JITTER_DOUBLINGS = 8
 # gaussian factors below exp(-70) ~ 4e-31 times a block's largest are set to 0
@@ -138,18 +146,21 @@ def _floored_exp(K):
     np.exp(K, out=K)
 
 
-def _gaussian_stein_cross(theta, grad, bandwidth):
+def _gaussian_stein_cross(theta, grad, bandwidth, *, out=None, scratch=None):
     """First-order Stein kernel for k = exp(-||x-y||^2 / bw) on one set of draws.
 
     The fused form of the module docstring as two products of augmented rows,
     [t_x, 1, m_x] . [1, t_y, m_y] = t_x + t_y + m_x . m_y; exp taken in place.
+    ``out`` receives the kernel and ``scratch`` the polynomial factor, two
+    N x N buffers the caller may reuse (fresh ones when None); the products
+    are the same either way, so the kernel is bitwise the same.
     """
     c = 2.0 / bandwidth
     x_a, x_b, e = _exponent_rows(theta, c)
-    K = x_a @ x_b.T
+    K = np.matmul(x_a, x_b.T, out=out)
     _floored_exp(K)
     p_a, p_b = _polynomial_rows(theta, grad, c, e)
-    K *= p_a @ p_b.T
+    K *= np.matmul(p_a, p_b.T, out=scratch)
     return K
 
 
@@ -314,22 +325,36 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
 
     Each fold fits the interpolating surrogate on the remaining draws and
     scores mean squared prediction error on the held-out draws; ties resolve
-    to the larger bandwidth.  One N x N kernel is built per bandwidth (its
-    sub-exp(-70) factors dropped, see the module docstring), and each fold
-    gathers its training and hold-out blocks from it once, rows then columns,
-    which copies the same values as an np.ix_ gather in less than half the
-    time.  The training block, gathered C-ordered, is factorised in place.
-    Needs an integer number of folds, at least 2, and a finite, positive grid.
+    to the larger bandwidth.  A bandwidth's score is its fold errors summed
+    in fold order.  Needs an integer number of folds, at least 2, a seed as
+    ``_check_seed`` takes it, and a finite, positive grid.
 
-    The grid is visited from the largest bandwidth to the smallest, and a
-    bandwidth stops being scored once its running error exceeds the cut
-    best * (1 + 1e-12) + 1e-300, best being the least complete score so far:
-    the tie window of the final choice.  Fold errors are nonnegative and a
-    float sum of them never decreases, so a stopped bandwidth's full score
-    would lie outside the final window too; every bandwidth inside it is
-    scored in full, to the same float, and the choice is that of scoring
-    every fold.  A stopped bandwidth, one whose fold fails to factorise and
-    one with a non-finite fold error all score inf.
+    The search runs in two passes and stops scoring a bandwidth once its
+    running error exceeds the cut best * (1 + 1e-12) + 1e-300, best being
+    the least complete score so far: the tie window of the final choice.
+    Pass 1 scores the first fold of every bandwidth, from the largest down;
+    any order scores it, since a running error of 0 is never over a cut.
+    Pass 2 takes the bandwidths in ascending order of that first error (a
+    stable order, so ties go to the larger bandwidth) and finishes each
+    whose running error stays within the cut; the first whose first error is
+    infinite or over the cut ends the search, since every later one is too.
+    Fold errors are nonnegative and a float sum of them never decreases, so
+    a stopped bandwidth's full score would lie outside the final window,
+    whatever the order; every bandwidth inside the window is scored in full,
+    to the same float, and the choice is that of scoring every fold.  Taking
+    the most promising bandwidths first tightens the cut early.  A stopped
+    bandwidth, one whose fold fails to factorise and one with a non-finite
+    fold error all score inf.
+
+    One N x N kernel buffer, one N x N scratch buffer and one training-block
+    buffer serve the whole search.  A bandwidth's kernel (its sub-exp(-70)
+    factors dropped, see the module docstring) is built into the kernel
+    buffer, with its polynomial factor in the scratch buffer; pass 2 rebuilds
+    it there, bitwise the same.  Each fold gathers its training block, rows
+    then columns through the scratch buffer, into the training buffer, which
+    is factorised in place, and its hold-out rows the same way; the hold-out
+    block is kept F-ordered, as a row-then-column index gather leaves it, so
+    its product with the surrogate is the same float.
     """
     check_aligned(s, phi)
     grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -338,35 +363,64 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     folds = _as_int(folds, "folds")
     if folds < 2:
         raise InvalidInput("cross-validation needs at least 2 folds")
+    _check_seed(seed)
     n = s.count
     if n < folds:
         raise InvalidInput(f"{n} draws cannot fill {folds} folds")
+    theta, g = s.theta, s.grad_log_target
+    if np.any(np.isnan(g)):
+        raise InvalidInput("gaussian Stein kernel needs all gradient columns")
     splits = [(hold, np.delete(np.arange(n), hold)) for hold in _fold_slices(n, folds, seed)]
     f = phi.values
+    jitter = KernelSpec().jitter
+    K0, scratch = np.empty((n, n)), np.empty((n, n))
+    block = np.empty(max(train.size for _, train in splits) ** 2)
+
+    def fold_error(hold, train):
+        # the fold indices are in range; with mode="raise" np.take would
+        # write through a temporary, not straight into out
+        h, m = hold.size, train.size
+        A = block[:m * m].reshape(m, m)
+        np.take(np.take(K0, train, axis=0, out=scratch[:m], mode="clip"), train, axis=1,
+                out=A, mode="clip")
+        factor, v = _kernel_weights(A, 0.0, jitter, np.ones(m))
+        a = float(v @ f[train])
+        # the factor passed cho_factor's finiteness check, and f is finite
+        alpha = cho_solve(factor, f[train] - a, check_finite=False)
+        rows = np.take(K0, hold, axis=0, out=scratch[:h], mode="clip")
+        # F-ordered, as K0[hold][:, train] is, so the product below is the same float
+        cross = scratch[h:].reshape(-1)[:h * m].reshape(m, h).T
+        np.take(rows, train, axis=1, out=cross, mode="clip")
+        return float(np.mean((f[hold] - (a + cross @ alpha)) ** 2))
+
+    def score(some_splits, err, cut):
+        """err plus the errors of ``some_splits`` in order; inf once over the cut."""
+        for hold, train in some_splits:
+            try:
+                err += fold_error(hold, train)
+            except ConditioningError:
+                return np.inf
+            if not err <= cut:              # NaN too: this bandwidth cannot win
+                return np.inf
+        return err
+
+    def build(gi):
+        _gaussian_stein_cross(theta, g, float(grid[gi]), out=K0, scratch=scratch)
+
+    by_size = np.argsort(-grid, kind="stable")
+    partial = np.empty(grid.size)           # first-fold errors, NaN as inf
+    for gi in by_size:
+        build(gi)
+        partial[gi] = score(splits[:1], 0.0, np.inf)
     scores = np.full(grid.size, np.inf)
     cut = np.inf
-    for gi in np.argsort(-grid, kind="stable"):
-        # every fold's training and hold-out blocks come from this one kernel
-        kernel = KernelSpec(bandwidth=float(grid[gi]))
-        K0 = stein_kernel_matrix(s, kernel)
-        err = 0.0
-        for hold, train in splits:
-            try:
-                factor, v = _kernel_weights(np.take(K0[train], train, axis=1), 0.0,
-                                            kernel.jitter, np.ones(train.size))
-            except ConditioningError:
-                err = np.inf
-                break
-            a = float(v @ f[train])
-            # the factor passed cho_factor's finiteness check, and f is finite
-            alpha = cho_solve(factor, f[train] - a, check_finite=False)
-            pred = a + K0[hold][:, train] @ alpha
-            err += float(np.mean((f[hold] - pred) ** 2))
-            if not err <= cut:              # NaN too: this bandwidth cannot win
-                err = np.inf
-                break
-        scores[gi] = err
-        cut = min(cut, err * (1 + 1e-12) + 1e-300)
+    for k, gi in enumerate(by_size[np.argsort(partial[by_size], kind="stable")]):
+        if partial[gi] > cut or partial[gi] == np.inf:
+            break                           # and every bandwidth after it
+        if k or gi != by_size[-1]:          # the last kernel pass 1 built is still in K0
+            build(gi)
+        scores[gi] = score(splits[1:], partial[gi], cut)
+        cut = min(cut, scores[gi] * (1 + 1e-12) + 1e-300)
     best = float(np.min(scores))
     if not np.isfinite(best):
         raise ConditioningError("every candidate bandwidth failed to factorise")

@@ -46,8 +46,8 @@ from .cf import cf_estimate  # noqa: F401  (perfbench/tracing.py wraps this name
 from .errors import DegenerateWeights, InvalidInput, InvalidSchedule
 from .polybasis import build_design_matrix, enumerate_exponents
 from .regression import refit_fixed_intercept
-from .samples import IntegrandValues, SampleSet, _as_int
-from .smc import ParticleSystem, TemperatureSchedule, _check_seed
+from .samples import IntegrandValues, SampleSet, _as_int, _check_seed
+from .smc import ParticleSystem, TemperatureSchedule
 from .zvcv import (
     ZvSpec, _check_degree_range, _linear_lam, _number_label, _zv_weights, crossval_select,
     zvcv_estimate,

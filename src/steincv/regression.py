@@ -25,6 +25,7 @@ one matmul, J > N included; the lasso follows its exact solution path
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +33,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import ConvergenceError, InsufficientSamples, InvalidInput
 from .samples import (
-    SD_FLOOR, Standardisation, _as_int, moments, normalised_weights, standardise, weighted_sd,
+    SD_FLOOR, Standardisation, _as_int, _check_seed, moments, normalised_weights, standardise,
+    weighted_sd,
 )
 
 # Lasso path: a joining column whose squared Cholesky pivot falls below this
@@ -76,10 +78,12 @@ class RegressionFit:
 class CvConfig:
     """Cross-validation settings for penalty selection.
 
-    ``lambda_grid`` must be finite, nonnegative and strictly descending when
-    given; the default is 100 log-spaced values from lambda_max down to
-    lambda_max * 1e-4.  Score ties within ``tolerance`` (finite and >= 0,
-    relative to the response variance) resolve to the larger lambda.
+    ``lambda_grid`` must be a sequence of finite, nonnegative and strictly
+    descending numbers when given; the default is 100 log-spaced values from
+    lambda_max down to lambda_max * 1e-4.  Score ties within ``tolerance`` (a
+    finite number >= 0, relative to the response variance) resolve to the
+    larger lambda.  ``seed`` is an integer >= 0 (``_check_seed``).  A bool is
+    no number here.
     """
 
     folds: int = 10
@@ -91,10 +95,18 @@ class CvConfig:
         object.__setattr__(self, "folds", _as_int(self.folds, "folds"))
         if self.folds < 2:
             raise InvalidInput("cross-validation needs at least 2 folds")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise InvalidInput("cross-validation tolerance must be finite and >= 0")
+        _check_seed(self.seed)
+        if not (_is_real(self.tolerance) and math.isfinite(self.tolerance)
+                and self.tolerance >= 0):
+            raise InvalidInput("cross-validation tolerance must be a finite number >= 0")
         if self.lambda_grid is not None:
-            grid = tuple(float(v) for v in self.lambda_grid)
+            try:
+                grid = tuple(self.lambda_grid)
+            except TypeError:
+                grid = None
+            if grid is None or not all(_is_real(v) for v in grid):
+                raise InvalidInput("lambda grid must be a sequence of numbers")
+            grid = tuple(float(v) for v in grid)
             if not grid:
                 raise InvalidInput("lambda grid must be nonempty")
             for v in grid:
@@ -102,6 +114,10 @@ class CvConfig:
             if any(a <= b for a, b in zip(grid, grid[1:])):
                 raise InvalidInput("lambda grid must be strictly descending")
             object.__setattr__(self, "lambda_grid", grid)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _prepare(X, f, weights):

@@ -39,6 +39,12 @@ def _as_int(value, name: str) -> int:
     raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
+def _check_seed(seed) -> None:
+    """Raise InvalidInput unless ``seed`` is an integer >= 0 (bool excluded)."""
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _readonly(a) -> np.ndarray:
     """``a`` as a read-only C-ordered array that no caller can write through.
 

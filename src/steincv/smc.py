@@ -44,7 +44,8 @@ from .errors import (
 )
 from .models import TargetModel, _manifest_fields
 from .samples import (
-    SampleSet, _read_sample_columns, _readonly, _sample_columns, _sample_set_of_columns,
+    SampleSet, _check_seed, _read_sample_columns, _readonly, _sample_columns,
+    _sample_set_of_columns,
 )
 from .samples import read_sample_csv  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .samples import write_sample_csv  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -101,12 +102,6 @@ class SmcConfig:
         tol = self.bisection_tol
         if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol < np.inf):
             raise InvalidInput("bisection_tol must be finite and positive")
-
-
-def _check_seed(seed) -> None:
-    """Raise InvalidInput unless ``seed`` is an integer >= 0 (bool excluded)."""
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
-        raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:

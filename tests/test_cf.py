@@ -459,25 +459,35 @@ def test_a_kernel_that_overflows_raises_conditioning_error():
         assert bw > 1e-3 and np.isfinite(cf_estimate(s, phi, KernelSpec(bandwidth=bw)))
 
 
-def test_search_builds_one_full_kernel_per_bandwidth(monkeypatch):
-    kernels, blocks = [], []
-    real_kernel, real_block = cf_mod.stein_kernel_matrix, cf_mod._gaussian_stein_cross
+def test_search_builds_each_kernel_in_one_buffer_and_rebuilds_it_bitwise(monkeypatch):
+    builds = []
+    real = cf_mod._gaussian_stein_cross
 
-    def kernel(s, spec):
-        kernels.append(spec.bandwidth)
-        return real_kernel(s, spec)
+    def block(*args, **kwargs):
+        K = real(*args, **kwargs)
+        builds.append((args[2], K, K.copy()))
+        return K
 
-    def block(*args):
-        blocks.append(real_block(*args).shape)
-        return real_block(*args)
-
-    monkeypatch.setattr(cf_mod, "stein_kernel_matrix", kernel)
+    monkeypatch.setattr(cf_mod, "stein_kernel_matrix", None)     # not called
     monkeypatch.setattr(cf_mod, "_gaussian_stein_cross", block)
     s = gaussian_draws(30, seed=12, d=2)
-    grid = [2.0, 0.5, 8.0]
-    cf_cv_bandwidth(s, IntegrandValues(s.theta[:, 0]), grid=grid)
-    assert kernels == sorted(grid, reverse=True)      # the largest bandwidth first
-    assert blocks == [(30, 30)] * len(grid)
+    for f, grid, rebuilt in [
+        # first errors 1.3e-7, 2.3e-7, 8.7e-6: 64 completes, 32 is stopped in
+        # pass 2 and 16 is not continued; both continuing kernels are rebuilt
+        (s.theta[:, 0], [16.0, 64.0, 32.0], [64.0, 32.0]),
+        # first errors 0.18, 0.27, 3.5: 0.4, the last kernel pass 1 built, is
+        # still in the buffer and continues first without a rebuild
+        (np.sin(6 * s.theta[:, 0]), [0.4, 1.6, 0.8], [0.8]),
+    ]:
+        builds.clear()
+        cf_cv_bandwidth(s, IntegrandValues(f), grid=grid)
+        # pass 1 builds every kernel once, the largest bandwidth first
+        assert [bw for bw, _, _ in builds[:len(grid)]] == sorted(grid, reverse=True)
+        assert [bw for bw, _, _ in builds[len(grid):]] == rebuilt
+        first = {bw: K for bw, _, K in builds[:len(grid)]}
+        for bw, K, copy in builds:
+            assert K is builds[0][1] and K.shape == (30, 30)       # one buffer
+            assert np.array_equal(copy, first[bw]), bw
 
 
 # --- oracles: the kernel without the exponent floor, and np.ix_ fold blocks -------
@@ -541,14 +551,21 @@ def summed_score(errors):
 
 
 def pruned_fold_count(fold_errors, grid):
-    """Fold factorisations of the pruned search, predicted from every fold's
-    error: the grid from the largest bandwidth down, each bandwidth stopped at
-    the first fold whose running error exceeds best * (1 + 1e-12) + 1e-300,
-    best being the least score completed before it."""
-    count, best = 0, np.inf
-    for gi in np.argsort(-np.asarray(grid, dtype=float), kind="stable"):
-        err = 0.0
-        for e in fold_errors[gi]:
+    """Fold factorisations of the two-pass search, predicted from every fold's
+    error.  Pass 1 scores the first fold of every bandwidth.  Pass 2 takes the
+    bandwidths in ascending order of that first error, stable over the grid
+    from the largest bandwidth down, and ends at the first whose first error is
+    not finite or exceeds the cut best * (1 + 1e-12) + 1e-300, best being the
+    least score completed before it; each bandwidth before that scores its
+    remaining folds until its running error exceeds the cut."""
+    by_size = np.argsort(-np.asarray(grid, dtype=float), kind="stable")
+    first = np.array([summed_score(fold_errors[gi][:1]) for gi in range(len(grid))])
+    count, best = len(grid), np.inf
+    for gi in by_size[np.argsort(first[by_size], kind="stable")]:
+        err = first[gi]
+        if not (err <= best * (1 + 1e-12) + 1e-300 and err < np.inf):
+            break
+        for e in fold_errors[gi][1:]:
             count += 1
             err += e
             if not err <= best * (1 + 1e-12) + 1e-300:
@@ -707,6 +724,19 @@ def test_pruned_search_when_the_largest_bandwidth_fails(monkeypatch):
     assert len(calls) == pruned_fold_count(errors, grid)
 
 
+def test_pruned_search_when_the_best_first_fold_does_not_win(monkeypatch):
+    # 1.6 has the least first-fold error (0.11) but scores 1.73 in full, and
+    # 0.8 (0.15, then 0.39 in full) wins: pass 2 finishes 1.6 first, 0.8 then
+    # tightens the cut, and the choice is still the reference's
+    s = gaussian_draws(30, seed=12, d=2)
+    phi = IntegrandValues(np.sin(4 * s.theta[:, 0]))
+    grid = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2]
+    errors = unfloored_fold_errors(s, phi, grid)
+    assert int(np.argmin([e[0] for e in errors])) == grid.index(1.6)
+    want, factors = assert_pruned_search_matches(monkeypatch, s, phi, grid, folds=5, seed=0)
+    assert want == 0.8 and factors < 5 * len(grid)
+
+
 def test_a_nan_fold_error_scores_its_bandwidth_inf(monkeypatch):
     # the hold-out solves of one bandwidth return NaN, so its fold errors are
     # NaN; it scores inf, and the search picks among the others instead of
@@ -717,18 +747,18 @@ def test_a_nan_fold_error_scores_its_bandwidth_inf(monkeypatch):
     for bad in grid:
         want = cf_cv_bandwidth(s, phi, grid=[bw for bw in grid if bw != bad], seed=3)
         current = []
-        real_kernel, real_solve = cf_mod.stein_kernel_matrix, cf_mod.cho_solve
+        real_kernel, real_solve = cf_mod._gaussian_stein_cross, cf_mod.cho_solve
 
-        def kernel(s, spec):
-            current.append(spec.bandwidth)
-            return real_kernel(s, spec)
+        def kernel(theta, grad, bandwidth, **buffers):
+            current.append(bandwidth)
+            return real_kernel(theta, grad, bandwidth, **buffers)
 
         def solve(factor, b, **kwargs):
             x = real_solve(factor, b, **kwargs)
             hold_out = not np.all(b == 1.0)     # not the weight solve against w~ = 1
             return np.full_like(x, np.nan) if current[-1] == bad and hold_out else x
 
-        monkeypatch.setattr(cf_mod, "stein_kernel_matrix", kernel)
+        monkeypatch.setattr(cf_mod, "_gaussian_stein_cross", kernel)
         monkeypatch.setattr(cf_mod, "cho_solve", solve)
         assert cf_cv_bandwidth(s, phi, grid=grid, seed=3) == want
         monkeypatch.undo()

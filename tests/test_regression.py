@@ -20,7 +20,8 @@ from steincv.regression import (
     lasso_lambda_max,
     refit_fixed_intercept,
 )
-from steincv.samples import weighted_sd
+from steincv.cf import cf_cv_bandwidth
+from steincv.samples import IntegrandValues, SampleSet, weighted_sd
 
 
 def soft(x, lam):
@@ -677,20 +678,41 @@ def test_cv_lambda_too_few_samples():
         cv_lambda(np.ones((20, 1)), np.ones(20), method="ols")
 
 
+BAD_SEEDS = (-1, 1.5, "3", True, None)
+
+
 def test_cv_config_rejects_what_cross_validation_cannot_use():
     # a NaN grid value ran every lasso fold to its step bound and let ridge
     # pick the grid's first value; a negative or NaN tolerance picked
-    # lambda_max, so every coefficient was 0
+    # lambda_max, so every coefficient was 0.  A seed of -1 or 1.5 died in
+    # numpy at the first fold split and True ran as seed 1; a string tolerance
+    # and a scalar grid raised TypeError, and the string "321" was the grid
+    # (3.0, 2.0, 1.0)
     nan, inf = float("nan"), float("inf")
     for kwargs in (dict(folds=1), dict(folds=2.5), dict(lambda_grid=()),
                    dict(lambda_grid=(1.0, -0.1)), dict(lambda_grid=(1.0, nan, 0.1)),
                    dict(lambda_grid=(inf, 1.0)), dict(lambda_grid=(0.1, 1.0)),
                    dict(lambda_grid=(1.0, 1.0)), dict(tolerance=-1.0), dict(tolerance=nan),
-                   dict(tolerance=inf)):
+                   dict(tolerance=inf), dict(tolerance="0.1"), dict(tolerance=None),
+                   dict(tolerance=True), dict(lambda_grid=1.0), dict(lambda_grid="321"),
+                   dict(lambda_grid=(1.0, "0.5")), dict(lambda_grid=(True, False)),
+                   dict(lambda_grid=np.array(1.0)),
+                   *(dict(seed=bad) for bad in BAD_SEEDS)):
         with pytest.raises(InvalidInput):
             CvConfig(**kwargs)
-    cfg = CvConfig(folds=np.int64(3), lambda_grid=[2, 1, 0], tolerance=0)
+    cfg = CvConfig(folds=np.int64(3), lambda_grid=[2, 1, 0], tolerance=0, seed=np.uint32(7))
     assert cfg.folds == 3 and cfg.lambda_grid == (2.0, 1.0, 0.0) and cfg.tolerance == 0
+    cfg = CvConfig(lambda_grid=np.array([0.5, np.float32(0.25)]), tolerance=np.float64(0.1))
+    assert cfg.lambda_grid == (0.5, 0.25) and cfg.tolerance == 0.1
+    # the CF bandwidth search takes a seed by the same rule
+    s = SampleSet(theta=np.linspace(-1.0, 1.0, 12)[:, None],
+                  grad_log_target=-np.linspace(-1.0, 1.0, 12)[:, None], weights=None)
+    phi = IntegrandValues(np.sin(s.theta[:, 0]))
+    for bad in BAD_SEEDS:
+        with pytest.raises(InvalidInput, match="seed"):
+            cf_cv_bandwidth(s, phi, folds=3, seed=bad)
+    assert cf_cv_bandwidth(s, phi, folds=3, seed=np.int64(2)) == cf_cv_bandwidth(
+        s, phi, folds=3, seed=2)
 
 
 def cv_lambda_oracle(X, f, w, method, cfg):

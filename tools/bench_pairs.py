@@ -1,7 +1,8 @@
-"""Alternating pairs of perfbench runs on two git revisions.
+"""Alternating pairs of perfbench runs on two git revisions, or digests of their outputs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload NAME --seeds 11-20
     python3 tools/bench_pairs.py PARENT --aa --workload NAME --seeds 11-20
+    python3 tools/bench_pairs.py PARENT CHANGE --digest --seeds 1-5 --rounds 0-2 [--workload NAME]
 
 Each revision is unpacked with ``git archive`` into its own directory under
 ``--workdir`` (a fresh temporary directory, removed afterwards, by default).
@@ -15,15 +16,30 @@ block shows is what two identical programs differ by on this machine.
 For each end-to-end metric of ``BENCHMARK.json`` the report gives both sides'
 median and quartiles, the relative change of the median, the pairs the change
 side won, and whether the medians differ by more than the parent's
-interquartile range; then both sides' failed-job counts.  The exit code is 0
-when every run printed a result, 1 otherwise.
+interquartile range; then both sides' failed-job counts.  A run that printed
+a result with failed jobs has its ``perfbench: ... failed`` lines printed, with
+its seed and side (and, for a job that raised, the exception's line).  The
+exit code is 0 when every run printed a result, 1 otherwise.
+
+``--digest`` runs no timed pairs.  For every seed it sets up each workload
+(every workload of the parent's ``BENCHMARK.json`` unless ``--workload``
+names one) in each checkout, as ``perfbench`` does, and runs the jobs of the
+given rounds in order, at one BLAS thread, in a fresh process per checkout
+and workload.  Each job's output, its value after its own check passed (or
+the error it raised), is written with ``repr`` (every array in full, floats
+as the shortest text that reads back to the same value, the work directory
+as ``<work>``) and hashed with sha256.  The report counts the outputs and
+names each one whose digest differs between the checkouts; the exit code is
+0 when none differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -33,6 +49,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -56,19 +73,49 @@ def unpack(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict | None:
-    """The result JSON of one benchmark run, or None when it printed none."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict | None, str]:
+    """The result JSON of one benchmark run (None when it printed none) and its stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), proc.stderr
     except (IndexError, json.JSONDecodeError):
         print(f"  no result from {checkout.name} seed {seed} (exit {proc.returncode}):\n"
               f"{proc.stderr.strip()[-2000:]}", file=sys.stderr)
-        return None
+        return None, proc.stderr
+
+
+_TRACEBACK_HEADS = ("Traceback", "The above exception", "During handling")
+
+
+def _exception_line(lines: list[str]) -> str | None:
+    """The last exception line of the traceback (chained or not) that ``lines`` start with."""
+    found = None
+    for i, line in enumerate(lines):
+        if not line.strip():
+            after = lines[i + 1] if i + 1 < len(lines) else ""
+            if after.strip() and not after.startswith(_TRACEBACK_HEADS):
+                break                       # the traceback ended here
+        elif not line[0].isspace() and not line.startswith(_TRACEBACK_HEADS):
+            found = line
+    return found
+
+
+def failure_lines(stderr: str) -> list[str]:
+    """Why a run's jobs failed: each ``perfbench: ... failed`` line of its stderr,
+    followed, where a traceback comes after it, by the traceback's exception line."""
+    lines = stderr.splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        if line.startswith("perfbench: ") and " failed" in line:
+            out.append(line)
+            exception = _exception_line(lines[i + 1:]) if line.endswith("failed:") else None
+            if exception:
+                out.append("  " + exception)
+    return out
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,30 +145,123 @@ def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     return lines
 
 
+def _job_output(job) -> str:
+    """The repr of a job's value once its check passed, or the error it raised."""
+    try:
+        value = job.run()
+        job.check(value)
+        return repr(value)
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def digest_worker(checkout: str, workload: str, seeds: list[int], rounds: list[int]) -> None:
+    """Print, as JSON, the sha256 of every job output of ``workload`` in ``checkout``.
+
+    Runs in a process of its own whose BLAS thread count is already set, and
+    imports steincv and perfbench from ``checkout``.
+    """
+    sys.path[:0] = [str(Path(checkout) / "src"), str(checkout)]
+    import numpy as np
+    from perfbench.workloads import WORKLOADS
+
+    np.set_printoptions(threshold=sys.maxsize, floatmode="unique")
+    w = WORKLOADS[workload]()
+    out = {}
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as work:
+
+            def digest(text):
+                return hashlib.sha256(text.replace(work, "<work>").encode()).hexdigest()
+
+            state = w.setup(seed, Path(work) / "setup")
+            for r in rounds:
+                try:
+                    for i, job in enumerate(w.round(state, r)):
+                        out[f"seed {seed} round {r} job {i} {job.label}"] = digest(_job_output(job))
+                except Exception as exc:     # the round's own code, between jobs
+                    out[f"seed {seed} round {r}"] = digest(f"raised {type(exc).__name__}: {exc}")
+                w.end_round(state, r)
+    print(json.dumps(out))
+
+
+def digests(checkout: Path, workload: str, seeds: list[int], rounds: list[int]) -> dict | None:
+    """The output digests of ``digest_worker`` run on ``checkout``, or None when it failed."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            f"import bench_pairs; bench_pairs.digest_worker({str(checkout)!r}, {workload!r}, "
+            f"{seeds!r}, {rounds!r})")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout, capture_output=True,
+                          text=True, env={**os.environ, **BLAS_THREADS})
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        print(f"  no digests from {checkout.name} {workload} (exit {proc.returncode}):\n"
+              f"{proc.stderr.strip()[-2000:]}", file=sys.stderr)
+        return None
+
+
+def compare_digests(parent: dict, change: dict) -> list[str]:
+    """The outputs whose digests differ, or that only one side produced."""
+    out = []
+    for key in list(parent) + [k for k in change if k not in parent]:
+        if key not in change:
+            out.append(f"{key}: only in parent")
+        elif key not in parent:
+            out.append(f"{key}: only in change")
+        elif parent[key] != change[key]:
+            out.append(f"{key}: differs")
+    return out
+
+
+def run_digest(sides, names, args) -> int:
+    same = True
+    for name in names:
+        got = [digests(side, name, args.seeds, args.rounds) for side in sides]
+        if None in got:
+            print(f"{name}: no digests from {'both sides' if got == [None, None] else 'one side'}")
+            same = False
+            continue
+        differ = compare_digests(*got)
+        print(f"{name}: {len(got[0])} parent outputs, {len(got[1])} change outputs, "
+              f"{len(differ)} differ")
+        for line in differ:
+            print(f"  {line}")
+        same = same and not differ
+    return 0 if same else 1
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent")
     p.add_argument("change", nargs="?")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", help="required for pairs; every workload by default with --digest")
     p.add_argument("--seeds", required=True, type=parse_seeds)
     p.add_argument("--aa", action="store_true", help="run PARENT against a copy of itself")
+    p.add_argument("--digest", action="store_true", help="compare output digests, time nothing")
+    p.add_argument("--rounds", type=parse_seeds, default=[0],
+                   help="rounds whose outputs --digest compares (default 0)")
     p.add_argument("--workdir", type=Path, help="where to unpack (default: a temporary directory)")
     args = p.parse_args(argv)
     if args.aa == (args.change is not None):
         p.error("give either CHANGE or --aa")
+    if args.workload is None and not args.digest:
+        p.error("pairs need --workload")
 
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         sides = (unpack(args.parent, workdir / "parent"),
                  unpack(args.parent if args.aa else args.change, workdir / "change"))
         bench = json.loads((sides[0] / "BENCHMARK.json").read_text())
+        if args.digest:
+            names = [args.workload] if args.workload else [w["name"] for w in bench["workloads"]]
+            return run_digest(sides, names, args)
         metrics, seconds = bench["end_to_end"], bench["run_seconds"]
         pairs, missing, failed, attempted = [], 0, [0, 0], [0, 0]
         for i, seed in enumerate(args.seeds):
             order = (0, 1) if i % 2 == 0 else (1, 0)
-            results = [None, None]
+            results, stderrs = [None, None], ["", ""]
             for side in order:
-                results[side] = run_once(sides[side], args.workload, seed, seconds)
+                results[side], stderrs[side] = run_once(sides[side], args.workload, seed, seconds)
             for side, res in enumerate(results):
                 if res is None:
                     missing += 1
@@ -135,6 +275,12 @@ def main(argv=None) -> int:
                 f"{label} job_p50_s {res['metrics']['job_p50_s']['value']:.4g}"
                 if res else f"{label} no result"
                 for label, res in zip(("parent", "change"), results)), flush=True)
+            for label, res, err in zip(("parent", "change"), results, stderrs):
+                if res is not None and res["failed"]:
+                    print(f"  seed {seed}, {label}: {res['failed']} of {res['attempted']} jobs "
+                          "failed")
+                    for line in failure_lines(err):
+                        print(f"    {line}", flush=True)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)

@@ -1,5 +1,11 @@
-"""Tests of the pair runner's seed lists, report and arguments (no benchmark runs)."""
+"""Tests of the pair runner's seed lists, report, arguments, failure record and
+digests (no benchmark runs)."""
 
+import hashlib
+import json
+import sys
+
+import numpy as np
 import pytest
 
 import bench_pairs
@@ -32,3 +38,82 @@ def test_change_and_aa_exclude_each_other():
                  ["HEAD", "HEAD~1", "--aa", "--workload", "w", "--seeds", "1"]):
         with pytest.raises(SystemExit):
             bench_pairs.main(argv)
+
+
+STDERR = """\
+perfbench: check of smc:cf:bw=3 (round 2) failed: smc cf:bw=3 log Z off by 0.31, tolerance 0.2
+perfbench: job cf (round 0) failed:
+Traceback (most recent call last):
+  File "cf.py", line 180, in _factor_in_place
+scipy.linalg.LinAlgError: not positive definite
+
+The above exception was the direct cause of the following exception:
+
+Traceback (most recent call last):
+  File "harness.py", line 120, in run_pass
+steincv.errors.ConditioningError: every candidate bandwidth failed to factorise
+
+
+some other line
+"""
+
+
+def test_failure_lines_keep_each_failure_and_its_exception():
+    assert bench_pairs.failure_lines(STDERR) == [
+        "perfbench: check of smc:cf:bw=3 (round 2) failed: smc cf:bw=3 log Z off by 0.31,"
+        " tolerance 0.2",
+        "perfbench: job cf (round 0) failed:",
+        "  steincv.errors.ConditioningError: every candidate bandwidth failed to factorise",
+    ]
+    assert bench_pairs.failure_lines("perfbench: env ok\n") == []
+
+
+def test_compare_digests_names_every_output_that_differs():
+    parent = {"a": "1", "b": "2", "c": "3"}
+    change = {"a": "1", "b": "x", "d": "4"}
+    assert bench_pairs.compare_digests(parent, change) == [
+        "b: differs", "c: only in parent", "d: only in change"]
+    assert bench_pairs.compare_digests(parent, dict(parent)) == []
+
+
+def test_digest_worker_hashes_every_output_in_full(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.syspath_prepend(str(bench_pairs.ROOT))
+    from perfbench import workloads
+
+    class Fake:
+        def setup(self, seed, workdir):
+            return {"seed": seed, "workdir": workdir}
+
+        def round(self, state, r):
+            a = np.zeros(3000)
+            a[1500] = state["seed"]         # past what a summarised repr shows
+            yield workloads.Job("array", lambda: a, lambda v: 0.0)
+            yield workloads.Job("path", lambda: str(state["workdir"]), lambda v: 0.0)
+
+            def fails(v):
+                raise workloads.CheckFailed("off by 1")
+
+            yield workloads.Job("checked", lambda: 1.0, fails)
+            if r == 1:
+                raise RuntimeError("no archive")
+
+        def end_round(self, state, r):
+            pass
+
+    monkeypatch.setitem(workloads.WORKLOADS, "fake", Fake)
+    with np.printoptions():
+        bench_pairs.digest_worker(str(bench_pairs.ROOT), "fake", [1, 2], [0, 1])
+    got = json.loads(capsys.readouterr().out)
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
+    keys = []
+    for seed in (1, 2):
+        for r in (0, 1):
+            keys += [f"seed {seed} round {r} job {i} {label}"
+                     for i, label in enumerate(("array", "path", "checked"))]
+        keys.append(f"seed {seed} round 1")     # the round raised after its jobs
+    assert list(got) == keys
+    assert got["seed 1 round 0 job 0 array"] != got["seed 2 round 0 job 0 array"]
+    assert got["seed 1 round 0 job 1 path"] == sha("'<work>/setup'")
+    assert got["seed 1 round 0 job 2 checked"] == sha("raised CheckFailed: off by 1")
+    assert got["seed 2 round 1"] == sha("raised RuntimeError: no archive")
