@@ -32,7 +32,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -191,32 +191,28 @@ def _read_json(path: Path) -> dict:
 # --- smc ----------------------------------------------------------------------
 
 
-def _run_replicate(model_manifest: dict, record, cfg_kwargs: dict, out_dir: str) -> float:
+def _run_replicate(model_manifest: dict, record, config: SmcConfig, out_dir: str) -> float:
     """One replay run saved to ``out_dir``; returns the sampler's wall time.  It
     rebuilds the model and writes only ``out_dir``, so it can run in a worker."""
     model = model_from_manifest(model_manifest)
     t0 = time.perf_counter()
-    ps = run_smc(model, SmcConfig(**cfg_kwargs), replay=record)
+    ps = run_smc(model, config, replay=record)
     elapsed = time.perf_counter() - t0
     save_particle_system(ps, out_dir, model_manifest=model_manifest)
     return elapsed
+
+
+def _smc_config(args) -> SmcConfig:
+    """The ``smc`` options' SmcConfig: an option's ``dest`` is the field it sets."""
+    return SmcConfig(**{f.name: getattr(args, f.name) for f in fields(SmcConfig)
+                        if hasattr(args, f.name)})
 
 
 def cmd_smc(args) -> int:
     manifest = _read_json(Path(args.model))
     resolved = _resolve_data_paths(manifest, Path(args.model).parent)
     model = model_from_manifest(resolved)
-    cfg = SmcConfig(
-        n_particles=args.n,
-        rho=args.rho,
-        rho_tilde=args.rho_tilde,
-        h_min=args.hmin,
-        h_max=args.hmax,
-        jump_fraction=args.jump_fraction,
-        jump_threshold_stat=args.jump_stat,
-        max_repeats=args.max_repeats,
-        seed=args.seed,
-    )
+    cfg = _smc_config(args)
 
     if args.replicates < 0:
         raise InvalidInput(f"--replicates must be >= 0, got {args.replicates}")
@@ -235,8 +231,8 @@ def cmd_smc(args) -> int:
     side.note(f"pilot finished: {len(pilot.snapshots)} temperatures")
 
     replicate = partial(_run_replicate, resolved, pilot.replay_record())
-    replicate_seeds = [args.seed + 1 + r for r in range(args.replicates)]
-    cfgs = [asdict(replace(cfg, seed=seed_r)) for seed_r in replicate_seeds]
+    replicate_seeds = [cfg.seed + 1 + r for r in range(args.replicates)]
+    cfgs = [replace(cfg, seed=seed_r) for seed_r in replicate_seeds]
     dirs = [str(out / "replicates" / f"rep_{r:03d}") for r in range(args.replicates)]
     jobs = min(args.jobs, args.replicates)
     if jobs > 1:
@@ -538,20 +534,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smc", help="adaptive pilot run plus seeded replays")
     p.add_argument("--model", required=True, help="model manifest JSON")
-    p.add_argument("--n", type=int, default=1000, help="number of particles")
-    p.add_argument("--rho", type=float, default=0.5, help="ESS fraction target")
-    p.add_argument("--rho-tilde", type=float, default=0.9, dest="rho_tilde",
-                   help="post-hoc CESS fraction")
-    p.add_argument("--hmin", type=float, default=0.01)
-    p.add_argument("--hmax", type=float, default=1.0)
-    p.add_argument("--jump-fraction", type=float, default=0.5, dest="jump_fraction")
-    p.add_argument("--jump-stat", choices=("mean", "median"), default="mean",
-                   dest="jump_stat")
-    p.add_argument("--max-repeats", type=int, default=100, dest="max_repeats")
+
+    def config_option(flag, field, **kw):     # sets the SmcConfig field, from its default
+        p.add_argument(flag, dest=field, default=getattr(SmcConfig, field), **kw)
+
+    config_option("--n", "n_particles", type=int, help="number of particles")
+    config_option("--rho", "rho", type=float, help="ESS fraction target")
+    config_option("--rho-tilde", "rho_tilde", type=float, help="post-hoc CESS fraction")
+    config_option("--hmin", "h_min", type=float)
+    config_option("--hmax", "h_max", type=float)
+    config_option("--jump-fraction", "jump_fraction", type=float)
+    config_option("--jump-stat", "jump_threshold_stat", choices=("mean", "median"))
+    config_option("--max-repeats", "max_repeats", type=int)
     p.add_argument("--replicates", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="replicate pool width (1 = sequential)")
-    p.add_argument("--seed", type=int, default=0)
+    config_option("--seed", "seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_smc)
 

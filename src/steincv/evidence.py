@@ -76,6 +76,8 @@ class CfMethod:
         object.__setattr__(self, "folds", _as_int(self.folds, "folds"))
         if self.kind not in ("gaussian", "polynomial"):
             raise InvalidInput(f"unknown kernel kind {self.kind!r}")
+        if self.kind == "polynomial" and self.degree < 1:
+            raise InvalidInput("polynomial order must be >= 1")
         if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
             raise InvalidInput("bandwidth must be finite and positive")
         if not 0 <= self.lam_r < np.inf:

@@ -25,7 +25,6 @@ one matmul, J > N included; the lasso follows its exact solution path
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +32,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import ConvergenceError, InsufficientSamples, InvalidInput
 from .samples import (
-    SD_FLOOR, Standardisation, _as_int, _check_seed, moments, normalised_weights, standardise,
-    weighted_sd,
+    SD_FLOOR, Standardisation, _as_int, _check_seed, _is_real, moments, normalised_weights,
+    standardise, weighted_sd,
 )
 
 # Lasso path: a joining column whose squared Cholesky pivot falls below this
@@ -114,10 +113,6 @@ class CvConfig:
             if any(a <= b for a, b in zip(grid, grid[1:])):
                 raise InvalidInput("lambda grid must be strictly descending")
             object.__setattr__(self, "lambda_grid", grid)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _prepare(X, f, weights):

@@ -31,17 +31,26 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
+def _is_int(value) -> bool:
+    """The integer rule: any integer type, numpy's included, but not bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """The real-number rule: any real type, numpy's included, but not bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _as_int(value, name: str) -> int:
-    """``value`` as an int: any integer type, numpy's included, but not bool;
-    anything else raises InvalidInput."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    """``value`` as an int under the integer rule; anything else raises InvalidInput."""
+    if _is_int(value):
         return int(value)
     raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
 def _check_seed(seed) -> None:
     """Raise InvalidInput unless ``seed`` is an integer >= 0 (bool excluded)."""
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+    if not (_is_int(seed) and seed >= 0):
         raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")
 
 

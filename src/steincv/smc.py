@@ -25,7 +25,6 @@ spawn keys, so runs are replayable.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -44,8 +43,8 @@ from .errors import (
 )
 from .models import TargetModel, _manifest_fields
 from .samples import (
-    SampleSet, _check_seed, _read_sample_columns, _readonly, _sample_columns,
-    _sample_set_of_columns,
+    SampleSet, _as_int, _check_seed, _is_int, _is_real, _read_sample_columns, _readonly,
+    _sample_columns, _sample_set_of_columns,
 )
 from .samples import read_sample_csv  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .samples import write_sample_csv  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -63,9 +62,11 @@ class SmcConfig:
     ``rho`` targets ESS = rho * N when picking the next temperature;
     ``rho_tilde`` is the CESS fraction used by post-hoc schedules.  Step sizes
     are tuned over ``h_grid_size`` log-spaced values in [h_min, h_max].  Move
-    sweeps repeat until ``jump_fraction`` of the particles exceed the
-    pre-resampling mean (or median) inter-particle Mahalanobis distance, with
-    a hard cap of ``max_repeats``.
+    sweeps repeat until ``jump_fraction`` of the particles exceed the mean (or
+    median) inter-particle Mahalanobis distance before the resample, with a
+    hard cap of ``max_repeats``.  Counts take the integer rule, the other
+    numbers the real-number rule (``samples._is_int``, ``_is_real``), and
+    h_max is finite; anything else raises InvalidInput.
     """
 
     n_particles: int = 1000
@@ -77,17 +78,23 @@ class SmcConfig:
     jump_fraction: float = 0.5
     jump_threshold_stat: str = "mean"
     max_repeats: int = 100
-    resampling: str = "multinomial"
     seed: int = 0
     bisection_tol: float = 1e-3   # |criterion - target| <= tol * N
 
     def __post_init__(self):
+        for name in ("n_particles", "h_grid_size", "max_repeats"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        for name in ("rho", "rho_tilde", "h_min", "h_max", "jump_fraction"):
+            if not _is_real(getattr(self, name)):
+                raise InvalidInput(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.n_particles < 2:
             raise InvalidInput("need at least two particles")
         if not (0 < self.rho < 1) or not (0 < self.rho_tilde < 1):
             raise InvalidInput("rho and rho_tilde must lie strictly inside (0, 1)")
         if not (0 < self.h_min < self.h_max):
             raise InvalidInput("need 0 < h_min < h_max")
+        if not self.h_max < np.inf:
+            raise InvalidInput("h_max must be finite")
         if self.h_grid_size < 1:
             raise InvalidInput("step-size grid must be nonempty")
         if not (0 <= self.jump_fraction <= 1):
@@ -96,11 +103,8 @@ class SmcConfig:
             raise InvalidInput("jump_threshold_stat must be 'mean' or 'median'")
         if self.max_repeats < 1:
             raise InvalidInput("max_repeats must be >= 1")
-        if self.resampling != "multinomial":
-            raise InvalidInput(f"unknown resampling scheme {self.resampling!r}")
         _check_seed(self.seed)
-        tol = self.bisection_tol
-        if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and 0 < tol < np.inf):
+        if not (_is_real(self.bisection_tol) and 0 < self.bisection_tol < np.inf):
             raise InvalidInput("bisection_tol must be finite and positive")
 
 
@@ -566,17 +570,16 @@ class ReplayRecord:
     temperatures: tuple[float, ...]
     step_sizes: tuple[float, ...]
     repeats: tuple[int, ...]
-    resampling: str = "multinomial"
 
     def __post_init__(self):
         ts = _ladder(self.temperatures, "replay record")
         if len(self.step_sizes) != len(ts) - 1 or len(self.repeats) != len(ts) - 1:
             raise InvalidSchedule("need one step size and sweep count per move step")
         for h in self.step_sizes:
-            if not (isinstance(h, numbers.Real) and not isinstance(h, bool) and 0 < h < np.inf):
+            if not (_is_real(h) and 0 < h < np.inf):
                 raise InvalidSchedule(f"replay step size {h!r} is not finite and positive")
         for r in self.repeats:
-            if not (isinstance(r, numbers.Integral) and not isinstance(r, bool) and r >= 0):
+            if not (_is_int(r) and r >= 0):
                 raise InvalidSchedule(f"replay sweep count {r!r} is not an integer >= 0")
         object.__setattr__(self, "temperatures", ts)
         object.__setattr__(self, "step_sizes", tuple(float(h) for h in self.step_sizes))
@@ -610,7 +613,6 @@ class ParticleSystem:
             temperatures=self.temperatures,
             step_sizes=tuple(s.h for s in self.snapshots[1:]),
             repeats=tuple(s.repeats for s in self.snapshots[1:]),
-            resampling=self.config.resampling,
         )
 
 
@@ -668,7 +670,7 @@ def run_smc(model: TargetModel, config: SmcConfig,
         weights, log_inc = reweight(weights, cloud.log_like, t, t_next)
 
         cov, chol = weighted_covariance(cloud.theta, weights)
-        if replay is None:   # the jump threshold is measured before resampling
+        if replay is None:   # the jump threshold is measured before the resample
             threshold = mean_interparticle_distance(
                 cloud.theta, chol, stat=config.jump_threshold_stat, rng=_rng(seed, step, 4)
             )
@@ -806,8 +808,9 @@ def _read_manifest(archive_dir) -> _Manifest:
     Every loader and command reads an archive's manifest here.  It must be a
     JSON object with a known snapshot ``format`` (none: a CSV archive from
     before the binary snapshots), a positive integer ``n_particles``, a
-    ``config`` that builds an :class:`SmcConfig`, a ``model`` that is an
-    object or null, and lists that build a :class:`ReplayRecord` plus one log
+    ``config`` object that builds an :class:`SmcConfig` once a legacy
+    ``"resampling": "multinomial"`` is dropped, a ``model`` that is an object
+    or null, and lists that build a :class:`ReplayRecord` plus one log
     increment per temperature and one acceptance rate per move.  Anything
     else, a missing or unreadable file included, raises InvalidInput.
     """
@@ -833,10 +836,11 @@ def _read_manifest(archive_dir) -> _Manifest:
         if len(incs) != len(ts) or len(accs) != len(ts) - 1:
             raise ValueError("need one log increment per temperature and "
                              "one acceptance rate per move")
-        config = SmcConfig(**m["config"])
-        record = ReplayRecord(ts, hs, reps, config.resampling)
-        return _Manifest(fmt, n, record, tuple(map(float, incs)), tuple(map(float, accs)),
-                         config, model)
+        config = {**m["config"]}    # a copy; a TypeError unless an object
+        if (scheme := config.pop("resampling", "multinomial")) != "multinomial":
+            raise ValueError(f"unknown resampling scheme {scheme!r}")   # older archives name it
+        return _Manifest(fmt, n, ReplayRecord(ts, hs, reps), tuple(map(float, incs)),
+                         tuple(map(float, accs)), SmcConfig(**config), model)
 
 
 def load_replay_record(archive_dir) -> ReplayRecord:

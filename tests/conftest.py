@@ -147,6 +147,7 @@ MALFORMED_MANIFEST = {
     "reversed_temperatures": lambda m: m["temperatures"].reverse(),
     "last_temperature_0.9": _set_temperature(-1, 0.9),
     "nan_interior_temperature": _set_temperature(1, float("nan")),
+    "stratified_resampling": lambda m: m["config"].update(resampling="stratified"),
 }
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import shutil
 import tempfile
+from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from steincv.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    _smc_config,
+    build_parser,
     main,
     parse_method,
     parse_methods,
@@ -39,7 +42,7 @@ from steincv.models import model_from_manifest
 from steincv.polybasis import SubsetSpec
 from steincv.regression import CvConfig
 from steincv.samples import IntegrandValues
-from steincv.smc import TemperatureSchedule, load_particle_system
+from steincv.smc import SmcConfig, TemperatureSchedule, load_particle_system
 from steincv.zvcv import ZvSpec
 
 
@@ -73,7 +76,7 @@ def test_parse_method_cf():
     assert poly == CfMethod(kind="polynomial", degree=3, lam_r=0.5)
     with pytest.raises(InvalidInput):
         parse_method("cf:shape=round")
-    for bad in ("cf:bw=tiny", "cf:bw=inf", "cf:folds=1"):
+    for bad in ("cf:bw=tiny", "cf:bw=inf", "cf:folds=1", "cf:poly:Q=0", "cf:poly:Q=-1"):
         with pytest.raises(InvalidInput):
             parse_method(bad)
 
@@ -234,6 +237,17 @@ def test_parse_method_matches_the_written_out_grammar(token):
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+def _cf_methods(kind, min_degree):
+    # a Gaussian method ignores its order, a polynomial one needs Q >= 1
+    return st.builds(
+        CfMethod, bandwidth=st.none() | _POSITIVE,
+        lam_r=st.just(0.0) | st.floats(min_value=0.0, allow_infinity=False),
+        kind=st.just(kind), degree=st.integers(min_degree, 9), folds=st.integers(2, 20),
+    )
+
+
 _METHODS = st.one_of(
     st.just(VANILLA),
     st.builds(
@@ -243,12 +257,8 @@ _METHODS = st.one_of(
         estimator=st.sampled_from(["combined", "split"]), lam=st.none() | _FINITE,
         relaxed=st.booleans(),
     ),
-    st.builds(
-        CfMethod, bandwidth=st.none() | _POSITIVE,
-        lam_r=st.just(0.0) | st.floats(min_value=0.0, allow_infinity=False),
-        kind=st.sampled_from(["gaussian", "polynomial"]), degree=st.integers(-2, 9),
-        folds=st.integers(2, 20),
-    ),
+    _cf_methods("gaussian", -2),
+    _cf_methods("polynomial", 1),
     st.builds(CrossvalMethod, max_degree=st.none() | st.integers(1, 9)),
 )
 
@@ -520,6 +530,30 @@ def test_malformed_manifest_exits_config(pipeline, tmp_path, capsys):
                 command, "--archive", str(archive),
                 "--out", str(tmp_path / f"{command}_{archive.name}"),
             ]), (command, archive.name)
+
+
+def test_evidence_reads_an_archive_naming_the_multinomial_scheme(pipeline, tmp_path):
+    # archives written while SmcConfig had a one-valued ``resampling`` option
+    # carry it in their config; any other scheme is refused (MALFORMED_MANIFEST)
+    archive = _archive_with_manifest(pipeline, tmp_path, "legacy",
+                                     lambda m: m["config"].update(resampling="multinomial"))
+    for arch, out in ((pipeline / "run_a" / "pilot", tmp_path / "ev"),
+                      (archive, tmp_path / "ev_legacy")):
+        assert main(["evidence", "--archive", str(arch), "--methods", "vanilla,zv",
+                     "--out", str(out)]) == EXIT_OK
+    summaries = [json.loads((tmp_path / d / "summary.json").read_text())
+                 for d in ("ev", "ev_legacy")]
+    assert summaries[0]["reports"] == summaries[1]["reports"]
+
+
+@pytest.mark.parametrize("command", ["postprocess", "evidence"])
+def test_polynomial_cf_order_below_one_exits_before_creating_the_output(pipeline, tmp_path,
+                                                                       capsys, command):
+    # cf:poly:Q=0 used to pass the grammar and exit 2 only after --out existed
+    out = tmp_path / "o"
+    assert _exits_config(capsys, [command, "--archive", str(pipeline / "run_a" / "pilot"),
+                                  "--methods", "cf:poly:Q=0", "--out", str(out)])
+    assert not out.exists()
 
 
 def _copy_pilot(pipeline, tmp_path, fmt):
@@ -856,6 +890,26 @@ def test_smc_rejects_bad_counts_before_creating_the_output(model_file, tmp_path,
                  "--out", str(out)]) == EXIT_CONFIG
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_smc_rejects_an_infinite_step_size_before_creating_the_output(model_file, tmp_path,
+                                                                      capsys):
+    # --hmax inf used to create --out and end in a traceback from scipy
+    out = tmp_path / "o"
+    assert _exits_config(capsys, ["smc", "--model", str(model_file), "--hmax", "inf",
+                                  "--out", str(out)])
+    assert not out.exists()
+
+
+def test_smc_options_default_to_the_sampler_config():
+    args = build_parser().parse_args(["smc", "--model", "M", "--out", "O"])
+    assert _smc_config(args) == SmcConfig()
+    assert {f.name for f in fields(SmcConfig) if not hasattr(args, f.name)} == {
+        "h_grid_size", "bisection_tol"}          # library-only
+    args = build_parser().parse_args(["smc", "--model", "M", "--out", "O", "--rho-tilde", "0.8",
+                                      "--jump-fraction", "0.4", "--jump-stat", "median"])
+    assert _smc_config(args) == SmcConfig(rho_tilde=0.8, jump_fraction=0.4,
+                                          jump_threshold_stat="median")
 
 
 def test_exit_io_on_missing_files(tmp_path):

@@ -692,17 +692,32 @@ def test_smc_config_validation():
         dict(h_min=0.0), dict(h_min=1.0, h_max=1.0), dict(h_min=2.0, h_max=1.0),
         dict(h_grid_size=0), dict(jump_fraction=1.5),
         dict(jump_threshold_stat="max"), dict(max_repeats=0),
-        dict(resampling="stratified"),
         dict(seed=-1), dict(seed="x"), dict(seed=1.5), dict(seed=True), dict(seed=None),
         dict(bisection_tol=-1.0), dict(bisection_tol=0.0), dict(bisection_tol="x"),
         dict(bisection_tol=np.nan), dict(bisection_tol=np.inf), dict(bisection_tol=None),
         dict(bisection_tol=True),
+        # counts take the integer rule: these used to end in a raw TypeError
+        # inside run_smc, a "1.5-sweep cap" or a 1-point step-size grid
+        dict(n_particles=64.5), dict(n_particles=np.float64(64.0)), dict(n_particles="64"),
+        dict(h_grid_size=2.5), dict(h_grid_size=True), dict(max_repeats=1.5),
+        dict(max_repeats=True), dict(max_repeats=None),
+        # the other numbers take the real-number rule, and h_max is finite:
+        # "0.5" used to raise a raw TypeError, and h_max=inf to end in scipy's
+        # "array must not contain infs or NaNs"
+        dict(rho="0.5"), dict(rho_tilde=None), dict(h_min="0.1"), dict(h_max=True),
+        dict(h_max=np.inf), dict(jump_fraction=True), dict(jump_fraction=False),
+        dict(jump_fraction="0.5"),
     ]:
         with pytest.raises(InvalidInput):
             SmcConfig(**kwargs)
     for kwargs in [dict(seed=0), dict(seed=np.int64(7)), dict(seed=2**70),
-                   dict(bisection_tol=1), dict(bisection_tol=np.float32(1e-4))]:
+                   dict(bisection_tol=1), dict(bisection_tol=np.float32(1e-4)),
+                   dict(rho=np.float64(0.6), rho_tilde=np.float32(0.8), h_min=1, h_max=2,
+                        jump_fraction=0)]:
         SmcConfig(**kwargs)
+    cfg = SmcConfig(n_particles=np.int64(64), h_grid_size=np.int32(3), max_repeats=np.uint8(5))
+    assert (cfg.n_particles, cfg.h_grid_size, cfg.max_repeats) == (64, 3, 5)
+    assert all(type(v) is int for v in (cfg.n_particles, cfg.h_grid_size, cfg.max_repeats))
 
 
 # --- full runs -----------------------------------------------------------------------
@@ -1190,6 +1205,25 @@ def test_replay_record_rejects_bad_step_sizes_and_sweep_counts(tmp_path, field, 
     for load in (load_conjugate_archive, load_replay_record):
         with pytest.raises(InvalidInput, match="InvalidSchedule"):
             load(arch)
+
+
+def test_an_archive_naming_the_multinomial_scheme_still_loads(tmp_path):
+    # archives written while SmcConfig had a one-valued ``resampling`` option
+    # carry it in their config
+    cfg = SmcConfig(n_particles=40, rho=0.7, seed=9, h_min=0.1, h_max=1.0,
+                    h_grid_size=3, max_repeats=5)
+    ps = run_smc(conjugate_1d(), cfg)
+    arch = tmp_path / "arch"
+    save_particle_system(ps, arch)
+    manifest = json.loads((arch / "manifest.json").read_text())
+    assert "resampling" not in manifest["config"]
+    manifest["config"]["resampling"] = "multinomial"
+    (arch / "manifest.json").write_text(json.dumps(manifest))
+    loaded = load_conjugate_archive(arch)
+    assert loaded.config == cfg and loaded.log_evidence == ps.log_evidence
+    record = load_replay_record(arch)
+    assert record == ps.replay_record()
+    assert run_smc(conjugate_1d(), cfg, replay=record).log_evidence == ps.log_evidence
 
 
 def test_replay_of_zero_sweeps_keeps_the_population():

@@ -1,25 +1,26 @@
-"""Alternating pairs of perfbench runs on two git revisions, or digests of their outputs.
+"""Alternating perfbench runs on two git revisions, or digests of their outputs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload NAME --seeds 11-20
-    python3 tools/bench_pairs.py PARENT --aa --workload NAME --seeds 11-20
     python3 tools/bench_pairs.py PARENT CHANGE --digest --seeds 1-5 --rounds 0-2 [--workload NAME]
 
 Each revision is unpacked with ``git archive`` into its own directory under
-``--workdir`` (a fresh temporary directory, removed afterwards, by default).
-For every seed the two checkouts run ``perfbench/run.py --seed S`` for the
-``run_seconds`` of the parent's ``BENCHMARK.json``, one after the other, and
-the side that runs first alternates from pair to pair.  Only the last line of
-each run's output, its result JSON, is read.
-``--aa`` runs PARENT against a second copy of itself: the spread such an A/A
-block shows is what two identical programs differ by on this machine.
+``--workdir`` (a fresh temporary directory, removed afterwards, by default),
+and PARENT a second time, as the copy.  For every seed the three checkouts
+run ``perfbench/run.py --seed S`` for the ``run_seconds`` of the parent's
+``BENCHMARK.json``, one after the other, and the order rotates from seed to
+seed (parent, copy, change; then copy, change, parent; ...).  Only the last
+line of each run's output, its result JSON, is read.  The copy is an A/A
+control: what it differs from the parent by is what two identical programs
+differ by on this machine.
 
-For each end-to-end metric of ``BENCHMARK.json`` the report gives both sides'
-median and quartiles, the relative change of the median, the pairs the change
-side won, and whether the medians differ by more than the parent's
-interquartile range; then both sides' failed-job counts.  A run that printed
-a result with failed jobs has its ``perfbench: ... failed`` lines printed, with
-its seed and side (and, for a job that raised, the exception's line).  The
-exit code is 0 when every run printed a result, 1 otherwise.
+For each end-to-end metric of ``BENCHMARK.json`` the report gives the parent's
+and the change's median and quartiles, the relative change of the median, the
+seeds the change won, and whether the medians differ by more than the
+parent's interquartile range; beside it, the copy's median gap from the parent
+and the seeds the copy won.  Then every side's failed-job counts.  A run that
+printed a result with failed jobs has its ``perfbench: ... failed`` lines
+printed, with its seed and side (and, for a job that raised, the exception's
+line).  The exit code is 0 when every run printed a result, 1 otherwise.
 
 ``--digest`` runs no timed pairs.  For every seed it sets up each workload
 (every workload of the parent's ``BENCHMARK.json`` unless ``--workload``
@@ -125,23 +126,33 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
-    """One report line per metric over (parent, change) result pairs."""
+SIDES = ("parent", "copy", "change")
+
+
+def summarise(runs: list[tuple[dict, dict, dict]], metrics: list[dict]) -> list[str]:
+    """One report line per metric over (parent, copy, change) results: the change
+    against the parent, then the copy against the parent (the A/A gap)."""
     lines = []
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
-        got = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
-               if name in p["metrics"] and name in c["metrics"]]
+        got = [tuple(res["metrics"][name]["value"] for res in run) for run in runs
+               if all(name in res["metrics"] for res in run)]
         if not got:
             continue
-        parent, change = [p for p, _ in got], [c for _, c in got]
-        (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
-        wins = sum((c < p) if lower else (c > p) for p, c in got)
-        rel = (cm - pm) / pm if pm else float("nan")
+        parent, copy, change = zip(*got)
+        (p1, pm, p3), (_, am, _), (c1, cm, c3) = map(quartiles, (parent, copy, change))
+
+        def gap(median):
+            return (median - pm) / pm if pm else float("nan")
+
+        def wins(side):
+            return sum((s < p) if lower else (s > p) for p, s in zip(parent, side))
+
         lines.append(
             f"{name:12s} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]"
-            f"  {rel:+.1%}  change better in {wins}/{len(got)}"
-            f"  |diff| > parent IQR: {'yes' if abs(cm - pm) > p3 - p1 else 'no'}")
+            f"  {gap(cm):+.1%}  change better in {wins(change)}/{len(got)}"
+            f"  |diff| > parent IQR: {'yes' if abs(cm - pm) > p3 - p1 else 'no'}"
+            f"  A/A: copy {gap(am):+.1%}, better in {wins(copy)}/{len(got)}")
     return lines
 
 
@@ -233,33 +244,32 @@ def run_digest(sides, names, args) -> int:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent")
-    p.add_argument("change", nargs="?")
+    p.add_argument("change")
     p.add_argument("--workload", help="required for pairs; every workload by default with --digest")
     p.add_argument("--seeds", required=True, type=parse_seeds)
-    p.add_argument("--aa", action="store_true", help="run PARENT against a copy of itself")
     p.add_argument("--digest", action="store_true", help="compare output digests, time nothing")
     p.add_argument("--rounds", type=parse_seeds, default=[0],
                    help="rounds whose outputs --digest compares (default 0)")
     p.add_argument("--workdir", type=Path, help="where to unpack (default: a temporary directory)")
     args = p.parse_args(argv)
-    if args.aa == (args.change is not None):
-        p.error("give either CHANGE or --aa")
     if args.workload is None and not args.digest:
         p.error("pairs need --workload")
 
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        sides = (unpack(args.parent, workdir / "parent"),
-                 unpack(args.parent if args.aa else args.change, workdir / "change"))
-        bench = json.loads((sides[0] / "BENCHMARK.json").read_text())
+        parent = unpack(args.parent, workdir / "parent")
+        bench = json.loads((parent / "BENCHMARK.json").read_text())
         if args.digest:
             names = [args.workload] if args.workload else [w["name"] for w in bench["workloads"]]
-            return run_digest(sides, names, args)
+            return run_digest((parent, unpack(args.change, workdir / "change")), names, args)
+        sides = (parent, unpack(args.parent, workdir / "copy"),
+                 unpack(args.change, workdir / "change"))
         metrics, seconds = bench["end_to_end"], bench["run_seconds"]
-        pairs, missing, failed, attempted = [], 0, [0, 0], [0, 0]
+        runs, missing, failed, attempted = [], 0, [0] * 3, [0] * 3
         for i, seed in enumerate(args.seeds):
-            order = (0, 1) if i % 2 == 0 else (1, 0)
-            results, stderrs = [None, None], ["", ""]
+            # each side runs first, second and last once in any three seeds
+            order = [(i + k) % len(SIDES) for k in range(len(SIDES))]
+            results, stderrs = [None] * 3, [""] * 3
             for side in order:
                 results[side], stderrs[side] = run_once(sides[side], args.workload, seed, seconds)
             for side, res in enumerate(results):
@@ -269,13 +279,12 @@ def main(argv=None) -> int:
                     failed[side] += res["failed"]
                     attempted[side] += res["attempted"]
             if None not in results:
-                pairs.append(tuple(results))
-            first = "parent" if order[0] == 0 else "change"
-            print(f"seed {seed}: {first} first, " + ", ".join(
+                runs.append(tuple(results))
+            print(f"seed {seed} ({', '.join(SIDES[side] for side in order)}): " + ", ".join(
                 f"{label} job_p50_s {res['metrics']['job_p50_s']['value']:.4g}"
-                if res else f"{label} no result"
-                for label, res in zip(("parent", "change"), results)), flush=True)
-            for label, res, err in zip(("parent", "change"), results, stderrs):
+                f" failed {res['failed']}" if res else f"{label} no result"
+                for label, res in zip(SIDES, results)), flush=True)
+            for label, res, err in zip(SIDES, results, stderrs):
                 if res is not None and res["failed"]:
                     print(f"  seed {seed}, {label}: {res['failed']} of {res['attempted']} jobs "
                           "failed")
@@ -285,13 +294,13 @@ def main(argv=None) -> int:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
 
-    change = "copy of parent" if args.aa else args.change
-    print(f"{args.workload}: {args.parent} (parent) against {change} (change), "
-          f"{len(pairs)} pairs, --seconds {seconds}")
-    for line in summarise(pairs, metrics):
+    print(f"{args.workload}: {args.parent} (parent and copy) against {args.change} (change), "
+          f"{len(runs)} seeds, --seconds {seconds}")
+    for line in summarise(runs, metrics):
         print(line)
-    print(f"failed jobs: parent {failed[0]}/{attempted[0]}, change {failed[1]}/{attempted[1]};"
-          f" runs without a result: {missing}")
+    print("failed jobs: " + ", ".join(f"{label} {f}/{a}" for label, f, a in
+                                      zip(SIDES, failed, attempted))
+          + f"; runs without a result: {missing}")
     return 1 if missing else 0
 
 

@@ -1,5 +1,5 @@
-"""Tests of the pair runner's seed lists, report, arguments, failure record and
-digests (no benchmark runs)."""
+"""Tests of the pair runner's seed lists, run order, report, arguments, failure
+record and digests (no benchmark runs)."""
 
 import hashlib
 import json
@@ -25,16 +25,52 @@ def test_seed_lists_take_ranges_and_single_seeds():
 
 
 def test_report_counts_wins_in_each_metric_direction():
-    # the change is faster in 3 of 4 pairs; a lower rate is worse
-    pairs = [(result(1.0, 10.0), result(0.5, 12.0)), (result(1.1, 10.0), result(0.6, 12.0)),
-             (result(0.9, 10.0), result(0.4, 9.0)), (result(1.0, 10.0), result(1.2, 9.0))]
-    p50, rate = bench_pairs.summarise(pairs, METRICS)
+    # the change is faster at 3 of 4 seeds and the copy at 1; a lower rate is worse
+    runs = [(result(1.0, 10.0), result(1.1, 11.0), result(0.5, 12.0)),
+            (result(1.1, 10.0), result(1.0, 10.0), result(0.6, 12.0)),
+            (result(0.9, 10.0), result(1.0, 9.0), result(0.4, 9.0)),
+            (result(1.0, 10.0), result(1.0, 10.0), result(1.2, 9.0))]
+    p50, rate = bench_pairs.summarise(runs, METRICS)
     assert "change better in 3/4" in p50 and "|diff| > parent IQR: yes" in p50
-    assert "change better in 2/4" in rate
+    assert p50.endswith("A/A: copy +0.0%, better in 1/4")
+    assert "change better in 2/4" in rate and rate.endswith("A/A: copy +0.0%, better in 1/4")
 
 
-def test_change_and_aa_exclude_each_other():
+def test_every_seed_runs_parent_copy_and_change_in_rotation(monkeypatch, tmp_path, capsys):
+    def unpack(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "REV").write_text(rev)
+        (dest / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": METRICS, "run_seconds": 30, "workloads": []}))
+        return dest
+
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, seed))
+        p50 = 0.5 if checkout.name == "change" else 1.0 + 0.1 * (checkout.name == "copy")
+        return {**result(p50, 10.0), "failed": int(checkout.name == "copy"), "attempted": 4}, ""
+
+    monkeypatch.setattr(bench_pairs, "unpack", unpack)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    work = tmp_path / "work"
+    assert bench_pairs.main(["P", "C", "--workload", "w", "--seeds", "1-4",
+                             "--workdir", str(work)]) == 0
+    assert [(work / side / "REV").read_text() for side in bench_pairs.SIDES] == ["P", "P", "C"]
+    assert calls == [("parent", 1), ("copy", 1), ("change", 1),
+                     ("copy", 2), ("change", 2), ("parent", 2),
+                     ("change", 3), ("parent", 3), ("copy", 3),
+                     ("parent", 4), ("copy", 4), ("change", 4)]
+    out = capsys.readouterr().out
+    assert "seed 2 (copy, change, parent): parent job_p50_s 1 failed 0, " in out
+    assert "seed 3, copy: 1 of 4 jobs failed" in out
+    assert "change better in 4/4" in out and "A/A: copy +10.0%, better in 0/4" in out
+    assert "failed jobs: parent 0/16, copy 4/16, change 0/16; runs without a result: 0" in out
+
+
+def test_pairs_need_a_change_and_a_workload():
     for argv in (["HEAD", "--workload", "w", "--seeds", "1"],
+                 ["HEAD", "HEAD~1", "--seeds", "1"],
                  ["HEAD", "HEAD~1", "--aa", "--workload", "w", "--seeds", "1"]):
         with pytest.raises(SystemExit):
             bench_pairs.main(argv)
