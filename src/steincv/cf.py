@@ -36,12 +36,15 @@ For a fixed kernel the estimator is a fixed weighting of the draws,
 a_hat = v^T phi with v = K^{-1} w~ / 1^T K^{-1} w~, so ``_cf_weights`` factorises
 K once, solves once against w~ and keeps only the N weights: every integrand
 on the same draws, kernel and lambda_r is then one inner product.  Every
-factorisation runs in place in a throw-away C-ordered block (a fresh kernel,
-a fold's gathered training block, a J x J Gram), through its Fortran-ordered
-transpose.  A failed try copies the upper triangle it overwrote back from the
-intact lower one, so a retry factorises the lower triangle: the same system
-for the exactly symmetric Grams X X^T and X^T X, else one off by the gaussian
-kernel's rounding asymmetry (measured up to 2e-15 of its largest entry).
+factorisation runs in place in a C-ordered block (a fresh kernel, a fold's
+gathered training block, a J x J Gram, the one array of the gaussian
+weights), through its Fortran-ordered transpose, and reads and writes only
+the block's upper triangle.  A failed try has the triangle it overwrote
+rewritten: the gaussian weights refill it from their two factors, and any
+other block copies it back from its intact lower triangle, so a retry
+factorises that one: the same system for the exactly symmetric Grams X X^T
+and X^T X, else one off by the gaussian kernel's rounding asymmetry
+(measured up to 2e-15 of its largest entry).
 The evidence layer keeps v in the memo of the SampleSet it weights, the one a
 snapshot builds and keeps per temperature, so every report on one particle
 system reuses it; ``cf_estimate`` keeps nothing.  The gaussian system is an
@@ -49,12 +52,14 @@ N x N Cholesky factor.  A snapshot's sets at several temperatures share the
 draws, and with them the gaussian factor exp(c x.y - e_x - e_y) and its
 floor; only the polynomial factor moves with t.  ``_gaussian_cf_weights``
 is the one routine that builds gaussian weights, for one set or for a list:
-it builds that factor once per run of sets on the same draws and multiplies
-each set's polynomial factor into a second buffer, which it factorises in
-place, so two N x N arrays serve all of a report's temperatures.  The
-polynomial kernel has rank J, so while J < N its system is solved in the
-J x J space of X^T X and no N x N matrix is formed; J >= N (the paper's
-regime) keeps the N x N factor.
+it builds that factor once per run of sets on the same draws, with both
+axes reversed, into one N x N array, whose strict lower triangle then holds
+the factor's upper one, each row of it along a row of the array.  Each
+set's kernel is written, a strip of rows at a time, into the upper triangle
+of the same array and factorised there, so one N x N array serves all of a
+report's temperatures.  The polynomial kernel has rank J, so while J < N
+its system is solved in the J x J space of X^T X and no N x N matrix is
+formed; J >= N (the paper's regime) keeps the N x N factor.
 
 ``cf_cv_bandwidth`` scores a grid of gaussian bandwidths by K-fold error in
 two passes: the first fold of every bandwidth, then the rest of each in
@@ -80,6 +85,8 @@ from .samples import IntegrandValues, SampleSet, _as_int, _check_seed, check_ali
 _JITTER_DOUBLINGS = 8
 # gaussian factors below exp(-70) ~ 4e-31 times a block's largest are set to 0
 _EXP_FLOOR = -70.0
+# rows of a gaussian kernel written per strip by _gaussian_cf_weights
+_STRIP_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -181,8 +188,14 @@ def stein_kernel_matrix(s: SampleSet, kernel: KernelSpec) -> np.ndarray:
     return X @ X.T
 
 
+def _mirror_lower(A: np.ndarray):
+    """Copy A's strict lower triangle over its upper one, row by row."""
+    for i in range(A.shape[0] - 1):
+        A[i, i + 1:] = A[i + 1:, i]
+
+
 def _factor_in_place(A: np.ndarray, shift: float, jitter_scale: float,
-                     size: int | None = None):
+                     size: int | None = None, refill=_mirror_lower):
     """Cholesky factor of symmetric A + (shift + jitter) I, in A's own memory.
 
     A is a C-ordered block the caller gives up: A^T, a Fortran-ordered view of
@@ -190,11 +203,13 @@ def _factor_in_place(A: np.ndarray, shift: float, jitter_scale: float,
     (diag A + shift) + jitter.  jitter is jitter_scale times trace(A) / size
     (size defaults to the order of A, giving mean(diag A)) and doubles on each
     failure.  Only A's upper triangle is read and overwritten, so a matrix
-    symmetric to rounding is factorised as that triangle; a failed try copies
-    it back row by row from A's intact strict lower triangle, and the retry
-    factorises that one.  A non-finite A raises ConditioningError as a system
-    no jitter can rescue: its diagonal is checked before the trace is taken,
-    every other entry by cho_factor's finiteness check.
+    symmetric to rounding is factorised as that triangle, and the strict
+    lower triangle may hold anything finite.  A failed try leaves the upper
+    triangle scribbled over; ``refill(A)`` rewrites it before the retry.  By
+    default it is copied back from A's intact strict lower triangle, and the
+    retry factorises that one.  A non-finite A raises ConditioningError as a
+    system no jitter can rescue: its diagonal is checked before the trace is
+    taken, every other entry by cho_factor's finiteness check.
     """
     d = np.diag(A)
     if not np.all(np.isfinite(d)):
@@ -211,8 +226,7 @@ def _factor_in_place(A: np.ndarray, shift: float, jitter_scale: float,
             return cho_factor(M, lower=True, overwrite_a=True)
         except LinAlgError as exc:
             last = exc
-            for i in range(A.shape[0] - 1):     # the triangle a failed try wrote
-                A[i, i + 1:] = A[i + 1:, i]
+            refill(A)                       # the triangle a failed try wrote
             jitter = max(jitter * 2.0, np.finfo(float).tiny)
         except ValueError as exc:           # cho_factor's finiteness check
             raise ConditioningError("kernel system has non-finite entries") from exc
@@ -232,12 +246,13 @@ def _normalised_weights(u: np.ndarray) -> np.ndarray:
     return v
 
 
-def _kernel_weights(K0: np.ndarray, shift: float, jitter_scale: float, wt: np.ndarray):
+def _kernel_weights(K0: np.ndarray, shift: float, jitter_scale: float, wt: np.ndarray,
+                    refill=_mirror_lower):
     """(Cholesky factor of K = K0 + shift I (+ jitter), CF weights of K and w~).
 
-    K0 is factorised in place (see ``_factor_in_place``).
+    K0 is factorised in place (see ``_factor_in_place``, which takes ``refill``).
     """
-    factor = _factor_in_place(K0, shift, jitter_scale)
+    factor = _factor_in_place(K0, shift, jitter_scale, refill=refill)
     # the factor passed cho_factor's finiteness check, and w~ is finite
     return factor, _normalised_weights(cho_solve(factor, wt, check_finite=False))
 
@@ -273,14 +288,19 @@ def _gaussian_cf_weights(sets, kernel: KernelSpec, lam_r: float):
     The gaussian factor E = exp(c x.y - e_x - e_y) of K0 = E * P
     (elementwise) depends on theta only: it is built and floored once for
     each run of consecutive sets on the same theta array (a snapshot's sets
-    at several temperatures share it), and each set's polynomial factor P,
-    formed from its gradients, is multiplied into a second buffer that is
-    then factorised in place.  The two N x N buffers serve the whole call.
-    Raises InvalidInput at the first set whose gradients hold NaN, and
-    ConditioningError at the first whose system stays singular.
+    at several temperatures share it).  E and each set's K0 share one N x N
+    array A.  E is built from the reversed draws, E[i, j] = A[N-1-i, N-1-j],
+    so its strict upper triangle lies along the rows of A's strict lower one,
+    and diag(E) is kept apart.  ``fill`` writes K0's upper triangle into A's,
+    ``_STRIP_ROWS`` rows at a time, each strip's P one matrix product, and
+    never writes A's strict lower triangle.  The factor reads and writes only
+    A's upper triangle, so E serves every set of its run, and a failed try
+    is refilled the same way.  Raises InvalidInput at the first set whose
+    gradients hold NaN, and ConditioningError at the first whose system
+    stays singular.
     """
     c = 2.0 / kernel.bandwidth
-    E = K = theta = None
+    A = theta = None
     for s in sets:
         g = s.grad_log_target
         if np.any(np.isnan(g)):
@@ -288,16 +308,33 @@ def _gaussian_cf_weights(sets, kernel: KernelSpec, lam_r: float):
         n = s.count
         if s.theta is not theta:
             theta = s.theta
-            if E is None or E.shape[0] != n:
-                E = K = None                # at most two N x N buffers live
-                E, K = np.empty((n, n)), np.empty((n, n))
-            x_a, x_b, e = _exponent_rows(theta, c)
-            np.matmul(x_a, x_b.T, out=E)
-            _floored_exp(E)
+            if A is None or A.shape[0] != n:
+                A = None                    # at most one N x N array live
+                A = np.empty((n, n))
+                h = min(n, _STRIP_ROWS)
+                # the entries of a strip's diagonal block above its diagonal
+                upper = np.triu(np.ones((h, h), dtype=bool), 1)
+            x_a, x_b, e = _exponent_rows(theta[::-1], c)
+            np.matmul(x_a, x_b.T, out=A)
+            _floored_exp(A)
+            e_diag = np.diag(A)[::-1].copy()
+            e = e[::-1]
         p_a, p_b = _polynomial_rows(theta, g, c, e)
-        np.matmul(p_a, p_b.T, out=K)
-        K *= E
-        yield _kernel_weights(K, n * lam_r, kernel.jitter, n * s.weights)[1]
+
+        def fill(A):
+            """E * P into A's upper triangle, strip by strip, E read from A."""
+            E, diag = A[::-1, ::-1], A.reshape(-1)[::n + 1]
+            for a in range(0, n, h):
+                b = min(a + h, n)
+                m = b - a
+                P = p_a[a:b] @ p_b[a:].T
+                np.multiply(P[:, m:], E[a:b, b:], out=A[a:b, b:])
+                np.multiply(P[:, :m], E[a:b, a:b], out=A[a:b, a:b], where=upper[:m, :m])
+                np.multiply(P.diagonal(), e_diag[a:b], out=diag[a:b])
+                del P                       # one strip's product live at a time
+
+        fill(A)
+        yield _kernel_weights(A, n * lam_r, kernel.jitter, n * s.weights, refill=fill)[1]
 
 
 def cf_estimate(s: SampleSet, phi: IntegrandValues, kernel: KernelSpec,

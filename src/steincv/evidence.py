@@ -384,12 +384,13 @@ def _serving_sample_sets(schedule: TemperatureSchedule, snapshots, cv):
     gaussian CF method the sets come from a generator that, as each set lacking
     CF weights is read, puts the next vector of one ``cf._gaussian_cf_weights``
     call over exactly those sets in its memo: the sets of one snapshot share
-    its draws, so one gaussian factor serves each run of them, and two N x N
-    buffers the whole report.  A set the report does not read gets no
-    weights, and a failing system raises its typed error as the report reads
-    its set, once.  The whole schedule is checked first: InvalidInput for an
-    unknown ``cv`` or no snapshots, InvalidSchedule for a population index
-    out of range or a snapshot above the temperature it serves.
+    its draws, so one gaussian factor serves each run of them, and one N x N
+    array, holding that factor and each set's kernel, the whole report.  A
+    set the report does not read gets no weights, and a failing system
+    raises its typed error as the report reads its set, once.  The whole
+    schedule is checked first: InvalidInput for an unknown ``cv`` or no
+    snapshots, InvalidSchedule for a population index out of range or a
+    snapshot above the temperature it serves.
     """
     if not _is_method(cv):
         raise InvalidInput(f"unknown control-variate method {cv!r}")
@@ -456,7 +457,7 @@ def cti_estimate(schedule: TemperatureSchedule, snapshots, order: int = 2,
     reports reuse.  With a fixed gaussian bandwidth each vector the report
     lacks is computed as the loop reads its temperature, with one gaussian
     factor per run of temperatures on one snapshot (see
-    :func:`_serving_sample_sets`); at most two N x N arrays are live.
+    :func:`_serving_sample_sets`); at most one N x N array is live.
     Expectation k (0 for E, 1 for V) at temperature j gets the seed
     ``_derive_seed(seed, j, k)``, derived only by a method that draws.
     """

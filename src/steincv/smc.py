@@ -717,11 +717,23 @@ def posthoc_schedule(ps: ParticleSystem, rho_tilde: float | None = None,
     ESS of reweighting the serving population hits rho_tilde * N; every
     temperature is served by the latest snapshot at or below it.  Larger
     rho_tilde gives denser schedules (rho_tilde -> 1 refines without bound).
+    ``rho_tilde`` (the config's when None) takes the real-number rule.  A
+    schedule that needs more than ``max_length`` temperatures after t = 0
+    raises InvalidSchedule; ``max_length`` takes the integer rule and is at
+    least 1.
     """
     cfg = ps.config
-    rho_tilde = cfg.rho_tilde if rho_tilde is None else float(rho_tilde)
+    if rho_tilde is None:
+        rho_tilde = cfg.rho_tilde
+    elif _is_real(rho_tilde):
+        rho_tilde = float(rho_tilde)
+    else:
+        raise InvalidInput(f"rho_tilde must be a real number, got {rho_tilde!r}")
     if not (0 < rho_tilde < 1):
         raise InvalidInput("rho_tilde must lie in (0, 1)")
+    max_length = _as_int(max_length, "max_length")
+    if max_length < 1:
+        raise InvalidInput("max_length must be >= 1")
     snap_ts = [s.t for s in ps.snapshots]
     n = ps.snapshots[0].count
     target = rho_tilde * n

@@ -1,5 +1,7 @@
 """Kernel control functionals: closed-form Stein kernel, estimator, bandwidth CV."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -979,12 +981,12 @@ def test_shared_draw_weights_equal_per_set_weights(conjugate_sets, monkeypatch, 
     assert_same_weights(conjugate_sets, KernelSpec(bandwidth=bw), lam_r, monkeypatch)
 
 
-def tempered_sets(sizes, spread, seed):
+def tempered_sets(sizes, spread, seed, d=2):
     """Sample sets at four temperatures per set of draws, which they share."""
     rng = np.random.default_rng(seed)
     sets = []
     for n in sizes:
-        theta = spread * rng.normal(size=(n, 2))
+        theta = spread * rng.normal(size=(n, d))
         theta.setflags(write=False)         # so every SampleSet keeps this array
         gll, glp = -(theta - 1.0), -theta / 4.0
         sets += [SampleSet(theta=theta, grad_log_target=t * gll + glp,
@@ -1032,6 +1034,70 @@ def test_a_failed_first_try_retries_the_gaussian_buffer(conjugate_sets, monkeypa
         assert np.array_equal(v, per_set_reference(s, kernel, 0.0))
         calls.clear()
         assert np.array_equal(cf_mod._cf_weights(s, kernel, 0.0), v)
+
+
+def test_gaussian_weights_keep_one_n_by_n_array():
+    # E and each set's kernel share one N x N array, dropped before an array
+    # of another size is made.  Beside it live one strip's polynomial factor
+    # (at most 64 x N), numpy's ufunc buffers and cho_factor's N x N boolean
+    # finiteness check: measured 1.22 x 8 N^2.  E and the kernel in two
+    # arrays peaked at 2.17 x, and an old array kept through the reallocation
+    # would add 8 * 500^2 bytes, 0.69 x.
+    sets = tempered_sets([600, 500], spread=1.0, seed=5)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        got = list(cf_mod._gaussian_cf_weights(sets, KernelSpec(bandwidth=1.0), 0.0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(got) == len(sets) == 8
+    assert peak < 1.25 * 8 * 600 ** 2
+
+
+def factorised_triangles(monkeypatch) -> list:
+    """Patch cf.cho_factor to record a copy of the triangle each call factorises."""
+    real = cf_mod.cho_factor
+    seen = []
+
+    def recording(M, *args, **kwargs):
+        seen.append(np.tril(M))
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(cf_mod, "cho_factor", recording)
+    return seen
+
+
+# At d = 5 OpenBLAS's product over a strip of rows, or over the reversed
+# draws, is not always bitwise those rows of the full product (here the four
+# kernels at N = 300 differ in some entry), so the triangle each set
+# factorises and its weights are compared with the per-set reference at
+# stated tolerances, relative to the largest entry.  Measured at this seed
+# (1 and 2 BLAS threads) and seeds 1, 2 and 4 (2 threads): kernel entries
+# within 2.0e-15; weights within 1.3e-15 (bw 0.5, lam_r 0), 9.2e-14 (bw 3,
+# lam_r 0, where the conditioning amplifies the kernel's rounding), 1.8e-15
+# (bw 3, lam_r 0.01) and 3.7e-15 (bw 30, lam_r 0.01).
+@pytest.mark.parametrize("bw, lam_r, rel", [(0.5, 0.0, 1e-13), (3.0, 0.0, 1e-11),
+                                            (3.0, 0.01, 1e-13), (30.0, 0.01, 1e-13)])
+def test_strip_filled_weights_match_per_set_weights_at_d5(monkeypatch, bw, lam_r, rel):
+    # N = 1, N below a strip's 64 rows, N not a multiple of them
+    sets = tempered_sets([1, 40, 150, 300], spread=1.0, seed=3, d=5)
+    kernel = KernelSpec(bandwidth=bw)
+    seen = factorised_triangles(monkeypatch)
+    got = list(cf_mod._gaussian_cf_weights(sets, kernel, lam_r))
+    monkeypatch.undo()
+    assert len(seen) == len(got) == len(sets)
+    for v, s, M in zip(got, sets, seen):
+        K0 = stein_kernel_matrix(s, kernel)
+        want = np.tril(K0.T)
+        d = np.diag(K0)
+        want[np.diag_indices_from(want)] = (d + s.count * lam_r) + kernel.jitter * np.mean(d)
+        assert_allclose(M, want, rtol=0, atol=1e-14 * np.abs(K0).max())
+        ref = per_set_reference(s, kernel, lam_r)
+        assert_allclose(v, ref, rtol=0, atol=rel * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("n, degree", [(12, 2), (7, 8)])    # J-space, then N-space

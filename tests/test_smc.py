@@ -976,6 +976,27 @@ def test_posthoc_schedule_flat_run():
         posthoc_schedule(ps, rho_tilde=1.0)
 
 
+def test_posthoc_schedule_takes_the_number_rules():
+    ps = run_smc(conjugate_1d(), SmcConfig(n_particles=64, seed=5))
+    want = posthoc_schedule(ps, 0.9)
+    after_zero = len(want) - 1
+    assert after_zero >= 2
+    # "0.5" used to be accepted through float(), True and 2.5 taken as caps,
+    # and "9" or None to raise a raw TypeError; 0 raised InvalidSchedule
+    for kwargs in [dict(rho_tilde="0.5"), dict(rho_tilde=np.str_("0.7")),
+                   dict(rho_tilde=True), dict(rho_tilde=[0.5]),
+                   dict(max_length="9"), dict(max_length=None), dict(max_length=True),
+                   dict(max_length=2.5), dict(max_length=np.float64(9.0)),
+                   dict(max_length=0), dict(max_length=-3)]:
+        with pytest.raises(InvalidInput):
+            posthoc_schedule(ps, **kwargs)
+    # numpy scalars take the rules as Python numbers do
+    assert posthoc_schedule(ps, np.float64(0.9)) == want
+    assert posthoc_schedule(ps, 0.9, max_length=np.int64(after_zero)) == want
+    with pytest.raises(InvalidSchedule):
+        posthoc_schedule(ps, 0.9, max_length=np.int32(after_zero - 1))
+
+
 # --- archives --------------------------------------------------------------------
 
 

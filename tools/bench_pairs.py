@@ -1,6 +1,6 @@
 """Alternating perfbench runs on two git revisions, or digests of their outputs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload NAME --seeds 11-20
+    python3 tools/bench_pairs.py PARENT CHANGE --workload NAME --seeds 11-20 [--label LABEL]
     python3 tools/bench_pairs.py PARENT CHANGE --digest --seeds 1-5 --rounds 0-2 [--workload NAME]
 
 Each revision is unpacked with ``git archive`` into its own directory under
@@ -21,6 +21,11 @@ and the seeds the copy won.  Then every side's failed-job counts.  A run that
 printed a result with failed jobs has its ``perfbench: ... failed`` lines
 printed, with its seed and side (and, for a job that raised, the exception's
 line).  The exit code is 0 when every run printed a result, 1 otherwise.
+
+With ``--label`` the same statistics are appended to the JSON list in
+``BENCH_trajectory.json`` at the repository root, the kept record of
+measured changes: one row per metric, holding the label, workload,
+revisions as given, seeds and run length besides them.
 
 ``--digest`` runs no timed pairs.  For every seed it sets up each workload
 (every workload of the parent's ``BENCHMARK.json`` unless ``--workload``
@@ -50,6 +55,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRAJECTORY = ROOT / "BENCH_trajectory.json"
 BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -129,10 +135,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 SIDES = ("parent", "copy", "change")
 
 
-def summarise(runs: list[tuple[dict, dict, dict]], metrics: list[dict]) -> list[str]:
-    """One report line per metric over (parent, copy, change) results: the change
-    against the parent, then the copy against the parent (the A/A gap)."""
-    lines = []
+def compare(runs: list[tuple[dict, dict, dict]], metrics: list[dict]) -> list[dict]:
+    """Per end-to-end metric over (parent, copy, change) results: the parent's
+    and the change's median and quartiles, the relative gap of the change's
+    median from the parent's and the seeds it won, whether that gap exceeds
+    the parent's interquartile range, and the copy's gap and wins (the A/A
+    control).  A gap is None when the parent's median is 0."""
+    out = []
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
         got = [tuple(res["metrics"][name]["value"] for res in run) for run in runs
@@ -143,17 +152,53 @@ def summarise(runs: list[tuple[dict, dict, dict]], metrics: list[dict]) -> list[
         (p1, pm, p3), (_, am, _), (c1, cm, c3) = map(quartiles, (parent, copy, change))
 
         def gap(median):
-            return (median - pm) / pm if pm else float("nan")
+            return (median - pm) / pm if pm else None
 
         def wins(side):
             return sum((s < p) if lower else (s > p) for p, s in zip(parent, side))
 
-        lines.append(
-            f"{name:12s} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]"
-            f"  {gap(cm):+.1%}  change better in {wins(change)}/{len(got)}"
-            f"  |diff| > parent IQR: {'yes' if abs(cm - pm) > p3 - p1 else 'no'}"
-            f"  A/A: copy {gap(am):+.1%}, better in {wins(copy)}/{len(got)}")
-    return lines
+        out.append({
+            "metric": name, "unit": spec.get("unit"), "better": spec["better"],
+            "pairs": len(got),
+            "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
+            "change_median": cm, "change_q1": c1, "change_q3": c3,
+            "change_gap": gap(cm), "change_wins": wins(change),
+            "beyond_parent_iqr": abs(cm - pm) > p3 - p1,
+            "aa_gap": gap(am), "aa_wins": wins(copy),
+        })
+    return out
+
+
+def _percent(gap: float | None) -> str:
+    return "n/a" if gap is None else f"{gap:+.1%}"
+
+
+def summarise(runs: list[tuple[dict, dict, dict]], metrics: list[dict]) -> list[str]:
+    """One report line per metric of ``compare``: the change against the
+    parent, then the copy against the parent (the A/A gap)."""
+    return [
+        f"{st['metric']:12s} parent {st['parent_median']:.4g} [{st['parent_q1']:.4g}, "
+        f"{st['parent_q3']:.4g}]  change {st['change_median']:.4g} [{st['change_q1']:.4g}, "
+        f"{st['change_q3']:.4g}]  {_percent(st['change_gap'])}  change better in "
+        f"{st['change_wins']}/{st['pairs']}  |diff| > parent IQR: "
+        f"{'yes' if st['beyond_parent_iqr'] else 'no'}  A/A: copy {_percent(st['aa_gap'])}, "
+        f"better in {st['aa_wins']}/{st['pairs']}"
+        for st in compare(runs, metrics)]
+
+
+def trajectory_rows(label: str, workload: str, parent: str, change: str, seeds: list[int],
+                    seconds: int, stats: list[dict]) -> list[dict]:
+    """One trajectory row per metric of ``compare``: who and what was run, then the stats."""
+    run = {"label": label, "workload": workload, "parent": parent, "change": change,
+           "seeds": seeds, "seconds": seconds}
+    return [{**run, **st} for st in stats]
+
+
+def append_trajectory(path: Path, rows: list[dict]) -> None:
+    """Append ``rows`` to the JSON list in ``path`` (made when missing), one row a line."""
+    kept = json.loads(path.read_text()) if path.exists() else []
+    lines = [json.dumps(row) for row in kept + rows]
+    path.write_text("[\n" + ",\n".join(lines) + "\n]\n")
 
 
 def _job_output(job) -> str:
@@ -251,9 +296,13 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=parse_seeds, default=[0],
                    help="rounds whose outputs --digest compares (default 0)")
     p.add_argument("--workdir", type=Path, help="where to unpack (default: a temporary directory)")
+    p.add_argument("--label", help="append each metric's pair statistics, labelled so, to "
+                                   f"{TRAJECTORY.name}")
     args = p.parse_args(argv)
     if args.workload is None and not args.digest:
         p.error("pairs need --workload")
+    if args.label is not None and args.digest:
+        p.error("--label records pairs, not digests")
 
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -298,6 +347,11 @@ def main(argv=None) -> int:
           f"{len(runs)} seeds, --seconds {seconds}")
     for line in summarise(runs, metrics):
         print(line)
+    if args.label is not None:
+        rows = trajectory_rows(args.label, args.workload, args.parent, args.change, args.seeds,
+                               seconds, compare(runs, metrics))
+        append_trajectory(TRAJECTORY, rows)
+        print(f"appended {len(rows)} rows labelled {args.label!r} to {TRAJECTORY}")
     print("failed jobs: " + ", ".join(f"{label} {f}/{a}" for label, f, a in
                                       zip(SIDES, failed, attempted))
           + f"; runs without a result: {missing}")

@@ -36,6 +36,37 @@ def test_report_counts_wins_in_each_metric_direction():
     assert "change better in 2/4" in rate and rate.endswith("A/A: copy +0.0%, better in 1/4")
 
 
+def test_trajectory_rows_hold_each_metrics_pair_statistics(tmp_path):
+    runs = [(result(1.0, 10.0), result(1.1, 11.0), result(0.5, 12.0)),
+            (result(1.1, 10.0), result(1.0, 10.0), result(0.6, 12.0)),
+            (result(0.9, 10.0), result(1.0, 9.0), result(0.4, 9.0)),
+            (result(1.0, 10.0), result(1.0, 10.0), result(1.2, 9.0))]
+    rows = bench_pairs.trajectory_rows("a change", "w", "P", "C", [1, 2, 3, 4], 30,
+                                       bench_pairs.compare(runs, METRICS))
+    assert rows[0] == {
+        "label": "a change", "workload": "w", "parent": "P", "change": "C",
+        "seeds": [1, 2, 3, 4], "seconds": 30,
+        "metric": "job_p50_s", "unit": None, "better": "lower", "pairs": 4,
+        "parent_median": 1.0, "parent_q1": pytest.approx(0.975), "parent_q3": pytest.approx(1.025),
+        "change_median": pytest.approx(0.55), "change_q1": pytest.approx(0.475),
+        "change_q3": pytest.approx(0.75), "change_gap": pytest.approx(-0.45),
+        "change_wins": 3, "beyond_parent_iqr": True, "aa_gap": 0.0, "aa_wins": 1,
+    }
+    assert rows[1]["metric"] == "jobs_per_s" and rows[1]["change_wins"] == 2
+    # a parent median of 0 has no relative gap
+    zero = [(result(0.0, 1.0), result(0.0, 1.0), result(0.1, 1.0))]
+    assert bench_pairs.compare(zero, METRICS)[0]["change_gap"] is None
+    assert "parent 0 [0, 0]  change 0.1 [0.1, 0.1]  n/a" in bench_pairs.summarise(zero, METRICS)[0]
+    # appended to the JSON list, one row a line
+    path = tmp_path / "BENCH_trajectory.json"
+    bench_pairs.append_trajectory(path, rows[:1])
+    bench_pairs.append_trajectory(path, rows[1:])
+    assert json.loads(path.read_text()) == rows
+    assert path.read_text().splitlines()[1:-1] == [
+        json.dumps(row) + "," for row in rows[:-1]] + [
+        json.dumps(rows[-1])]
+
+
 def test_every_seed_runs_parent_copy_and_change_in_rotation(monkeypatch, tmp_path, capsys):
     def unpack(rev, dest):
         dest.mkdir(parents=True)
@@ -66,6 +97,33 @@ def test_every_seed_runs_parent_copy_and_change_in_rotation(monkeypatch, tmp_pat
     assert "seed 3, copy: 1 of 4 jobs failed" in out
     assert "change better in 4/4" in out and "A/A: copy +10.0%, better in 0/4" in out
     assert "failed jobs: parent 0/16, copy 4/16, change 0/16; runs without a result: 0" in out
+
+
+def test_a_labelled_pair_run_appends_its_rows(monkeypatch, tmp_path):
+    def unpack(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": METRICS, "run_seconds": 30, "workloads": []}))
+        return dest
+
+    def run_once(checkout, workload, seed, seconds):
+        return {**result(0.5 if checkout.name == "change" else 1.0, 10.0),
+                "failed": 0, "attempted": 4}, ""
+
+    path = tmp_path / "trajectory.json"
+    monkeypatch.setattr(bench_pairs, "unpack", unpack)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "TRAJECTORY", path)
+    for label in ("first", "second"):
+        assert bench_pairs.main(["P", "C", "--workload", "w", "--seeds", "1-3", "--label", label,
+                                 "--workdir", str(tmp_path / label)]) == 0
+    rows = json.loads(path.read_text())
+    assert [(r["label"], r["metric"]) for r in rows] == [
+        ("first", "job_p50_s"), ("first", "jobs_per_s"),
+        ("second", "job_p50_s"), ("second", "jobs_per_s")]
+    assert rows[0]["change_wins"] == 3 and rows[0]["seeds"] == [1, 2, 3]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["P", "C", "--digest", "--seeds", "1", "--label", "x"])
 
 
 def test_pairs_need_a_change_and_a_workload():
