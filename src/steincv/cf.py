@@ -146,11 +146,19 @@ def _polynomial_rows(theta, grad, c, e):
 
 
 def _floored_exp(K):
-    """exp of an exponent block in place, entries below its largest - 70 set to 0."""
+    """exp of an exponent block in place, entries below its largest - 70 set to 0.
+
+    Those entries are raised to the floor before the exp and zeroed after it:
+    exp of a subnormal result or of -inf takes numpy's slow path.
+    """
     floor = K.max() + _EXP_FLOOR
-    if K.min() < floor:
-        K[K < floor] = -np.inf                      # off exp's subnormal slow path
+    if not K.min() < floor:
+        np.exp(K, out=K)
+        return
+    low = K < floor
+    np.maximum(K, floor, out=K)
     np.exp(K, out=K)
+    np.copyto(K, 0.0, where=low)
 
 
 def _gaussian_stein_cross(theta, grad, bandwidth, *, out=None, scratch=None):
@@ -194,6 +202,18 @@ def _mirror_lower(A: np.ndarray):
         A[i, i + 1:] = A[i + 1:, i]
 
 
+def _upper_is_finite(A: np.ndarray) -> bool:
+    """Whether A's upper triangle is finite, checked ``_STRIP_ROWS`` rows at a time."""
+    n = A.shape[0]
+    upper = np.triu(np.ones((_STRIP_ROWS, _STRIP_ROWS), dtype=bool))
+    for a in range(0, n, _STRIP_ROWS):
+        b = min(a + _STRIP_ROWS, n)
+        on_block = A[a:b, a:b][upper[:b - a, :b - a]]
+        if not (np.isfinite(on_block).all() and np.isfinite(A[a:b, b:]).all()):
+            return False
+    return True
+
+
 def _factor_in_place(A: np.ndarray, shift: float, jitter_scale: float,
                      size: int | None = None, refill=_mirror_lower):
     """Cholesky factor of symmetric A + (shift + jitter) I, in A's own memory.
@@ -204,12 +224,13 @@ def _factor_in_place(A: np.ndarray, shift: float, jitter_scale: float,
     (size defaults to the order of A, giving mean(diag A)) and doubles on each
     failure.  Only A's upper triangle is read and overwritten, so a matrix
     symmetric to rounding is factorised as that triangle, and the strict
-    lower triangle may hold anything finite.  A failed try leaves the upper
+    lower triangle may hold anything.  A failed try leaves the upper
     triangle scribbled over; ``refill(A)`` rewrites it before the retry.  By
     default it is copied back from A's intact strict lower triangle, and the
-    retry factorises that one.  A non-finite A raises ConditioningError as a
-    system no jitter can rescue: its diagonal is checked before the trace is
-    taken, every other entry by cho_factor's finiteness check.
+    retry factorises that one.  A non-finite system raises ConditioningError,
+    as no jitter can rescue it: the diagonal is checked before the trace is
+    taken, and the upper triangle on every try by ``_upper_is_finite``, in
+    place of cho_factor's own check and its N x N boolean array.
     """
     d = np.diag(A)
     if not np.all(np.isfinite(d)):
@@ -222,14 +243,14 @@ def _factor_in_place(A: np.ndarray, shift: float, jitter_scale: float,
     last = None
     for _ in range(_JITTER_DOUBLINGS + 1):
         M[on_diag] = diag + jitter
+        if not _upper_is_finite(A):
+            raise ConditioningError("kernel system has non-finite entries")
         try:
-            return cho_factor(M, lower=True, overwrite_a=True)
+            return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
         except LinAlgError as exc:
             last = exc
             refill(A)                       # the triangle a failed try wrote
             jitter = max(jitter * 2.0, np.finfo(float).tiny)
-        except ValueError as exc:           # cho_factor's finiteness check
-            raise ConditioningError("kernel system has non-finite entries") from exc
     raise ConditioningError(
         "kernel system stayed non-positive-definite after jitter escalation",
         jitter=jitter,
@@ -253,7 +274,7 @@ def _kernel_weights(K0: np.ndarray, shift: float, jitter_scale: float, wt: np.nd
     K0 is factorised in place (see ``_factor_in_place``, which takes ``refill``).
     """
     factor = _factor_in_place(K0, shift, jitter_scale, refill=refill)
-    # the factor passed cho_factor's finiteness check, and w~ is finite
+    # the factor is of a finite triangle, and w~ is finite
     return factor, _normalised_weights(cho_solve(factor, wt, check_finite=False))
 
 
@@ -422,7 +443,7 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
                 out=A, mode="clip")
         factor, v = _kernel_weights(A, 0.0, jitter, np.ones(m))
         a = float(v @ f[train])
-        # the factor passed cho_factor's finiteness check, and f is finite
+        # the factor is of a finite triangle, and f is finite
         alpha = cho_solve(factor, f[train] - a, check_finite=False)
         rows = np.take(K0, hold, axis=0, out=scratch[:h], mode="clip")
         # F-ordered, as K0[hold][:, train] is, so the product below is the same float

@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, LinAlgError
-from scipy.spatial.distance import pdist
 
 from .errors import (
     ConditioningError,
@@ -53,6 +52,8 @@ _MIN_TEMPERATURE_STEP = 1e-8
 _BISECTION_ITERS = 50
 _MAX_STEPS = 10_000
 _DISTANCE_SUBSAMPLE = 1500
+# rows of a whitened cloud whose pair distances one product gives
+_DISTANCE_STRIP = 64
 
 
 @dataclass(frozen=True)
@@ -423,12 +424,43 @@ def tune_step_size(cloud: _Cloud, model: TargetModel, t: float, cov, chol,
     return float(grid[0])
 
 
+def _pair_distances(white: np.ndarray):
+    """Yield the distances of the pairs i < j of rows of ``white``, in blocks.
+
+    The cloud is centred first, which moves no distance, and with
+    s = ||w||^2 one product of augmented rows [s, 1, -2w] . [1, s, w]
+    gives the squared distances of a strip of ``_DISTANCE_STRIP`` rows
+    against every later row.  That sum rounds by up to about
+    (d + 2) eps (s_i + s_j + 2 |w_i . w_j|) <= 4 (d + 2) eps max(s), so a
+    result below that bound is taken as 0: a duplicate row, as resampling
+    leaves them, is at distance 0, and a pair closer than the bound's square
+    root is off by at most that.  Each strip yields its diagonal block's pairs, then
+    the rectangle of the rows after it.
+    """
+    n, d = white.shape
+    w = white - white.mean(axis=0)
+    s = np.einsum("ij,ij->i", w, w)
+    one = np.ones_like(s)
+    rows, cols = np.column_stack([s, one, -2.0 * w]), np.column_stack([one, s, w])
+    cut = 4.0 * (d + 2) * np.finfo(float).eps * float(np.max(s))
+    upper = np.triu(np.ones((_DISTANCE_STRIP, _DISTANCE_STRIP), dtype=bool), 1)
+    for a in range(0, n - 1, _DISTANCE_STRIP):
+        b = min(a + _DISTANCE_STRIP, n)
+        D = rows[a:b] @ cols[a:].T
+        np.copyto(D, 0.0, where=D < cut)
+        np.sqrt(D, out=D)
+        yield D[:, :b - a][upper[:b - a, :b - a]]
+        yield D[:, b - a:]
+
+
 def mean_interparticle_distance(theta: np.ndarray, chol: np.ndarray,
                                 stat: str = "mean", rng=None) -> float:
     """Mean (or median) pairwise Mahalanobis distance of the cloud.
 
     Clouds beyond 1500 particles are subsampled (seeded) before the O(n^2)
-    pairwise computation.
+    pairwise computation.  The distances come a strip at a time from
+    ``_pair_distances``; the mean keeps a running sum, and only the median
+    gathers all n (n - 1) / 2 of them.
     """
     n = theta.shape[0]
     if n < 2:
@@ -436,9 +468,16 @@ def mean_interparticle_distance(theta: np.ndarray, chol: np.ndarray,
     if n > _DISTANCE_SUBSAMPLE:
         rng = np.random.default_rng(rng)
         theta = theta[rng.choice(n, size=_DISTANCE_SUBSAMPLE, replace=False)]
+        n = _DISTANCE_SUBSAMPLE
     white = solve_triangular(chol, theta.T, lower=True).T
-    dists = pdist(white)
-    return float(np.median(dists) if stat == "median" else np.mean(dists))
+    pairs = n * (n - 1) // 2
+    if stat == "median":
+        dists, k = np.empty(pairs), 0
+        for block in _pair_distances(white):
+            dists[k:k + block.size] = block.reshape(-1)
+            k += block.size
+        return float(np.median(dists))
+    return sum(float(np.sum(block)) for block in _pair_distances(white)) / pairs
 
 
 def choose_num_repeats(sweep_fn, threshold_distance: float, threshold_fraction: float,

@@ -588,6 +588,41 @@ def unfloored_search_reference(s, phi, grid=None, folds=5, seed=0):
     return float(np.max(grid[scores <= best * (1 + 1e-12) + 1e-300]))
 
 
+def minus_inf_floored_exp(K):
+    """The floor as first written: entries below the largest - 70 set to -inf, then exp."""
+    floor = K.max() + cf_mod._EXP_FLOOR
+    if K.min() < floor:
+        K[K < floor] = -np.inf
+    np.exp(K, out=K)
+
+
+def assert_floored_exp_matches_reference(K):
+    want = K.copy()
+    minus_inf_floored_exp(want)
+    cf_mod._floored_exp(K)
+    assert np.array_equal(K, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("bw", default_bandwidth_grid())
+def test_floored_exp_equals_the_minus_inf_reference(bw):
+    s = weighted_draws(300, 3, d=5)
+    for theta in (s.theta, s.theta[::-1]):
+        x_a, x_b, _ = cf_mod._exponent_rows(theta, 2.0 / bw)
+        assert_floored_exp_matches_reference(x_a @ x_b.T)
+
+
+def test_floored_exp_equals_the_minus_inf_reference_on_special_blocks():
+    rng = np.random.default_rng(4)
+    mixed = rng.uniform(-150.0, 0.0, size=(40, 30))
+    blocks = [mixed, mixed - 700.0, np.full((3, 3), -5.0), np.array([[0.0, -70.0, -71.0]])]
+    for value in (np.inf, -np.inf, np.nan):
+        block = mixed.copy()
+        block[3, 4] = value
+        blocks.append(block)
+    for K in blocks:
+        assert_floored_exp_matches_reference(K)
+
+
 @pytest.mark.parametrize("bw", [1e-3, 10**-2.5, 1e-2, 0.1])
 def test_floor_drops_only_factors_below_exp_minus_70(bw):
     # an entry whose exponent -||x - y||^2 / bw lies more than 70 below the
@@ -1039,10 +1074,11 @@ def test_a_failed_first_try_retries_the_gaussian_buffer(conjugate_sets, monkeypa
 def test_gaussian_weights_keep_one_n_by_n_array():
     # E and each set's kernel share one N x N array, dropped before an array
     # of another size is made.  Beside it live one strip's polynomial factor
-    # (at most 64 x N), numpy's ufunc buffers and cho_factor's N x N boolean
-    # finiteness check: measured 1.22 x 8 N^2.  E and the kernel in two
-    # arrays peaked at 2.17 x, and an old array kept through the reallocation
-    # would add 8 * 500^2 bytes, 0.69 x.
+    # (at most 64 x N) and numpy's copy of the E strip it multiplies, which
+    # shares A with the output: measured 1.22 x 8 N^2, the same before and
+    # after the factor stopped making cho_factor's N x N boolean check.  E and
+    # the kernel in two arrays peaked at 2.17 x, and an old array kept through
+    # the reallocation would add 8 * 500^2 bytes, 0.69 x.
     sets = tempered_sets([600, 500], spread=1.0, seed=5)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -1163,7 +1199,9 @@ def test_every_factorisation_runs_in_place(conjugate_sets, monkeypatch):
     seen = []
 
     def check(M, *args, **kwargs):
-        seen.append(M.flags.f_contiguous and kwargs.get("overwrite_a", False))
+        # in place, and without cho_factor's N x N finiteness check
+        seen.append(M.flags.f_contiguous and kwargs.get("overwrite_a", False)
+                    and kwargs.get("check_finite") is False)
         return real(M, *args, **kwargs)
 
     monkeypatch.setattr(cf_mod, "cho_factor", check)
@@ -1180,6 +1218,55 @@ def test_every_factorisation_runs_in_place(conjugate_sets, monkeypatch):
     list(cf_mod._gaussian_cf_weights(conjugate_sets[:5], KernelSpec(bandwidth=3.0), 0.0))
     assert len(seen) == folds + 3 + 5
     assert all(seen)
+
+
+def test_the_finiteness_check_makes_no_n_by_n_array():
+    # cho_factor's own check made an N x N boolean array, 0.125 x 8 N^2; the
+    # strips' check peaks at 0.046 x here
+    n = 600
+    A = np.full((n, n), 0.1) + np.eye(n)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cf_mod._factor_in_place(A, 0.0, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 0.0625 * 8 * n ** 2
+
+
+@pytest.mark.parametrize("n", [5, 64, 65, 130])
+def test_a_non_finite_upper_entry_raises_wherever_it_lies(n):
+    # the upper triangle is checked strip by strip in place of cho_factor's
+    # own check; the strict lower triangle is never read
+    spd = np.full((n, n), 0.1) + np.eye(n)
+    cells = {(0, 1), (0, n - 1), (n - 2, n - 1), (n // 2, n // 2 + 1), (1, n - 2)}
+    if n > 64:
+        cells |= {(63, 64), (64, n - 1), (0, 63)}
+    for i, j in sorted(c for c in cells if c[0] < c[1]):
+        for value in (np.nan, np.inf, -np.inf):
+            A = spd.copy()
+            A[i, j] = value
+            with pytest.raises(ConditioningError, match="non-finite"):
+                cf_mod._factor_in_place(A, 0.0, 1e-10)
+            A = spd.copy()
+            A[j, i] = value
+            got, lower = cf_mod._factor_in_place(A, 0.0, 0.0)
+            assert lower
+            assert np.array_equal(np.tril(got), np.tril(cho_factor(spd, lower=True)[0]))
+
+
+def test_a_retry_from_a_non_finite_lower_triangle_raises(monkeypatch):
+    # the default refill copies the lower triangle up, and the retry checks it
+    A = np.full((70, 70), 0.1) + np.eye(70)
+    A[66, 2] = np.nan
+    calls = fail_every_first_try(monkeypatch)
+    with pytest.raises(ConditioningError, match="non-finite"):
+        cf_mod._factor_in_place(A, 0.0, 1e-10)
+    assert len(calls) == 1
 
 
 def test_non_finite_systems_give_no_weights_and_no_warning():

@@ -1,6 +1,9 @@
 """Annealing sampler: weights, temperature search, kernels, archives, replay."""
 
+import itertools
 import json
+import math
+import statistics
 import warnings
 from dataclasses import replace
 
@@ -556,6 +559,61 @@ def test_mean_interparticle_distance_subsampling_seeded():
     c = mean_interparticle_distance(theta, np.eye(2), rng=2)
     assert a == b
     assert a != c
+
+
+# --- oracle: every pair distance one at a time ---------------------------------------
+
+
+def slow_interparticle_distance(theta, chol, stat="mean"):
+    """Mean or median of math.dist over itertools.combinations of the whitened rows."""
+    white = solve_triangular(chol, theta.T, lower=True).T
+    dists = [math.dist(p, q) for p, q in itertools.combinations(white.tolist(), 2)]
+    return statistics.median(dists) if stat == "median" else math.fsum(dists) / len(dists)
+
+
+def resampled_cloud(n, d, seed, scale=1.0, shift=0.0):
+    """A normal cloud resampled with replacement: exact duplicate rows, as a step leaves."""
+    rng = np.random.default_rng(seed)
+    theta = shift + scale * rng.normal(size=(n, d))
+    return theta[rng.choice(n, size=n)]
+
+
+def lower_chol(d, seed):
+    rng = np.random.default_rng(seed)
+    return np.tril(rng.normal(size=(d, d)), -1) + np.diag(rng.uniform(0.5, 2.0, size=d))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("stat", ["mean", "median"])
+def test_interparticle_distance_matches_every_pair(d, stat):
+    cases = [
+        (resampled_cloud(150, d, seed=d), np.eye(d)),
+        (resampled_cloud(131, d, seed=10 + d, scale=3.0), lower_chol(d, seed=d)),
+        # far from the origin: the centred strips cancel no large norms
+        (resampled_cloud(97, d, seed=20 + d, shift=1e6), lower_chol(d, seed=30 + d)),
+        # a few distinct rows, each many times over
+        (resampled_cloud(6, d, seed=40 + d)[np.arange(70) % 6], np.eye(d)),
+        (resampled_cloud(2, d, seed=50 + d, scale=0.1), lower_chol(d, seed=50 + d)),
+    ]
+    for theta, chol in cases:
+        want = slow_interparticle_distance(theta, chol, stat)
+        assert_allclose(mean_interparticle_distance(theta, chol, stat=stat), want, rtol=1e-10)
+
+
+def test_interparticle_distance_of_equal_rows_is_zero():
+    theta = np.repeat(np.array([[1e3, -2.0, 7.5]]), 5, axis=0)
+    for stat in ("mean", "median"):
+        assert mean_interparticle_distance(theta, lower_chol(3, seed=1), stat=stat) == 0.0
+
+
+@pytest.mark.parametrize("stat", ["mean", "median"])
+def test_interparticle_distance_subsamples_large_clouds_by_its_seed(stat):
+    theta = resampled_cloud(1600, 2, seed=5, shift=4.0)
+    chol = lower_chol(2, seed=5)
+    rows = np.random.default_rng(9).choice(1600, size=smc_mod._DISTANCE_SUBSAMPLE, replace=False)
+    want = slow_interparticle_distance(theta[rows], chol, stat)
+    got = mean_interparticle_distance(theta, chol, stat=stat, rng=9)
+    assert_allclose(got, want, rtol=1e-10)
 
 
 def test_choose_num_repeats_accumulates():
