@@ -13,9 +13,8 @@ annealing run:
 Every expectation can be improved with a control variate method: a fixed
 polynomial spec, kernel control functionals, or per-expectation
 cross-validated selection.  Estimation always runs on the integrand divided
-by its maximum absolute value; ratio factors additionally get a positivity
-fallback chain (fixed-intercept refit for polynomial methods, then the plain
-weighted mean) so a factor never poisons the product.
+by its maximum absolute value; a ratio factor whose estimate is not positive
+falls back to the plain weighted mean, so a factor never poisons the product.
 
 A method that is linear in the integrand -- polynomial ZV by least squares
 or ridge at a fixed penalty (combined estimator), and kernel CF with a fixed
@@ -44,8 +43,8 @@ from . import smc
 from .cf import KernelSpec, _cf_weights, _gaussian_cf_weights, cf_cv_bandwidth
 from .cf import cf_estimate  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .errors import DegenerateWeights, InvalidInput, InvalidSchedule
-from .polybasis import build_design_matrix, enumerate_exponents
-from .regression import refit_fixed_intercept
+from .polybasis import build_design_matrix  # noqa: F401  (perfbench/tracing.py wraps this name)
+from .regression import refit_fixed_intercept  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .samples import IntegrandValues, SampleSet, _as_int, _check_seed
 from .smc import ParticleSystem, TemperatureSchedule
 from .zvcv import (
@@ -137,8 +136,9 @@ class ExpectationRecord:
 
     ``raw`` is the plain weighted mean, ``estimate`` the control-variate
     value actually used.  Ratio records hold both on the log scale
-    (log_scale=True).  ``fallback`` marks the positivity rescue that fired,
-    if any.
+    (log_scale=True).  ``fallback`` is "vanilla" when a ratio factor's
+    estimate was not positive and the weighted mean replaced it; older
+    reports may also name "fixed_intercept", a refit no longer made.
     """
 
     temperature: float
@@ -214,8 +214,6 @@ class _MethodOutcome:
     estimate: float
     label: str
     detail: dict
-    zv_spec: ZvSpec | None = None   # resolved polynomial spec, for fallbacks
-    lam: float = 0.0
     fallback: str | None = None
 
 
@@ -244,7 +242,7 @@ def _apply_method(s: SampleSet, phi: IntegrandValues, method,
                 s._memo[key] = _zv_weights(s, method)
             est = float(s._memo[key] @ phi.values)
         detail = {"Q": method.degree, "penalty": method.penalty, "lam": lam}
-        return _MethodOutcome(est, method.label(), detail, zv_spec=method, lam=lam)
+        return _MethodOutcome(est, method.label(), detail)
     if isinstance(method, CfMethod):
         if method.kind == "gaussian":
             bw = method.bandwidth
@@ -270,7 +268,7 @@ def _apply_method(s: SampleSet, phi: IntegrandValues, method,
             "cv_error": result.cv_error,
             "trace": [[sp.label(), e] for sp, e in result.trace],
         }
-        return _MethodOutcome(est, chosen.label(), detail, zv_spec=chosen, lam=result.lam)
+        return _MethodOutcome(est, chosen.label(), detail)
     raise InvalidInput(f"unknown control-variate method {method!r}")
 
 
@@ -279,10 +277,11 @@ def stabilised_cv_expectation(s: SampleSet, phi, method=VANILLA, *,
     """Estimate E[phi] with the regression run on phi / max|phi|.
 
     Returns the rescaled estimate.  With ``ratio=True`` (positive integrands
-    such as likelihood-ratio factors) a non-positive estimate triggers the
-    fallback chain: polynomial methods are refit with the intercept pinned at
-    the weighted mean of phi; if the result is still non-positive (and always
-    for kernel methods) the plain weighted mean is used instead.
+    such as likelihood-ratio factors) a control-variate estimate that is not
+    positive and finite is replaced by the plain weighted mean of phi, and
+    DegenerateWeights is raised if that mean is not positive either.  The
+    vanilla method, and any method on an all-zero phi, return the weighted
+    mean unguarded.
     """
     _check_seed(seed)
     _, est, _ = _stabilised(s, _values(s, phi), method, ratio=ratio, seed=seed)
@@ -349,31 +348,16 @@ def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool,
         return raw, 0.0, _MethodOutcome(0.0, method_label(method), {"scale": 0.0})
     out = _apply_method(s, IntegrandValues(values / scale), method, seed)
     est = out.estimate * scale
-    if not ratio:
+    if not ratio or (est > 0.0 and np.isfinite(est)):
         return raw, est, out
-    if est > 0.0 and np.isfinite(est):
-        return raw, est, out
-    # positivity rescue for ratio factors
-    c0 = raw  # weighted mean; positive whenever the integrand is
-    if out.zv_spec is not None:
-        spec = out.zv_spec
-        A = enumerate_exponents(s.dim, spec.degree, spec.subset)
-        X = build_design_matrix(s, A)
-        fb = refit_fixed_intercept(
-            X, values / scale, s.weights, intercept=c0 / scale,
-            method=spec.penalty, lam=out.lam,
-        )
-        est_fb = scale * float(c0 / scale + s.weights @ (X @ fb.beta))
-        if est_fb > 0.0 and np.isfinite(est_fb):
-            return raw, est_fb, _MethodOutcome(est_fb, out.label, out.detail,
-                                               zv_spec=spec, lam=out.lam,
-                                               fallback="fixed_intercept")
-    if not (c0 > 0.0 and np.isfinite(c0)):
+    # positivity rescue for ratio factors: the weighted mean, positive whenever
+    # the integrand is
+    if not (raw > 0.0 and np.isfinite(raw)):
         raise DegenerateWeights(
             "ratio factor has non-positive weighted mean; no rescue possible",
-            raw=c0,
+            raw=raw,
         )
-    return raw, c0, _MethodOutcome(c0, out.label, out.detail, fallback="vanilla")
+    return raw, raw, _MethodOutcome(raw, out.label, out.detail, fallback="vanilla")
 
 
 def _serving_sample_sets(schedule: TemperatureSchedule, snapshots, cv):

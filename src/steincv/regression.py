@@ -431,9 +431,7 @@ def refit_fixed_intercept(X, f, weights=None, intercept: float = 0.0, *,
     """Refit beta with the intercept pinned at a given value.
 
     Solves  min sum_i w_i (f_i - intercept + x_i beta)^2 (+ penalty)  without
-    centring the covariates, so constant columns stay live regressors.  Used
-    as a rescue path when a free-intercept fit of a positive integrand goes
-    non-positive: the caller pins the intercept at the weighted mean of f.
+    centring the covariates, so constant columns stay live regressors.
     """
     X, f, w = _prepare(X, f, weights)
     if method not in ("ols", "ridge", "lasso"):

@@ -357,12 +357,12 @@ def _mala_sweep(cloud: _Cloud, model: TargetModel, t: float, h: float,
     with np.errstate(divide="ignore"):
         accepted = np.log(u) < log_ratio
 
-    if np.any(accepted):
-        cloud.theta[accepted] = proposal[accepted]
-        cloud.log_like[accepted] = prop.log_like[accepted]
-        cloud.log_prior[accepted] = prop.log_prior[accepted]
-        cloud.grad_log_like[accepted] = prop.grad_log_like[accepted]
-        cloud.grad_log_prior[accepted] = prop.grad_log_prior[accepted]
+    rows = accepted[:, None]
+    np.copyto(cloud.theta, proposal, where=rows)
+    np.copyto(cloud.log_like, prop.log_like, where=accepted)
+    np.copyto(cloud.log_prior, prop.log_prior, where=accepted)
+    np.copyto(cloud.grad_log_like, prop.grad_log_like, where=rows)
+    np.copyto(cloud.grad_log_prior, prop.grad_log_prior, where=rows)
     distance = np.where(accepted, np.sqrt(sq_jump), 0.0)
     return accept_prob, sq_jump, distance
 

@@ -39,7 +39,6 @@ from steincv.smc import (
     run_smc,
 )
 from steincv.polybasis import SubsetSpec, build_design_matrix, enumerate_exponents
-from steincv.regression import refit_fixed_intercept
 from steincv.zvcv import ZvSpec, zvcv_estimate
 
 
@@ -144,20 +143,17 @@ def test_stabilised_vanilla_and_zero():
         stabilised_cv_expectation(s, np.zeros(7), ZvSpec())
 
 
-def test_ratio_fallback_fixed_intercept():
+def test_ratio_fallback_takes_the_weighted_mean():
     # regression overshoots on a spiky positive integrand: intercept < 0
     theta = np.array([[0.0], [1.0], [2.0], [3.0]])
     s = SampleSet(theta=theta, grad_log_target=-theta, weights=None)
     phi = np.array([1e-3, 1e-3, 1e-3, 1.0])      # max |phi| = 1: no rescaling
     c0 = float(s.weights @ phi)
-    X = build_design_matrix(s, enumerate_exponents(1, 1))
-    # a ZV fit is refitted with its intercept pinned at the weighted mean
+    # a non-positive ZV estimate is replaced by the weighted mean
     for spec in (ZvSpec(degree=1), ZvSpec(degree=1, penalty="ridge", lam=0.1)):
         rec = expectation_with_provenance(s, phi, spec, ratio=True, kind="ratio")
-        fb = refit_fixed_intercept(X, phi, s.weights, intercept=c0,
-                                   method=spec.penalty, lam=spec.lam or 0.0)
-        assert rec.fallback == "fixed_intercept"
-        assert rec.estimate == c0 + float(s.weights @ (X @ fb.beta)) > 0.0
+        assert rec.fallback == "vanilla"
+        assert rec.estimate == c0
     # a CF estimate has no refit and falls back to the weighted mean itself
     for method in (CfMethod(bandwidth=3.0), CfMethod(kind="polynomial", degree=1)):
         rec = expectation_with_provenance(s, phi, method, ratio=True, kind="ratio")
@@ -169,8 +165,9 @@ def test_ratio_fallback_fixed_intercept():
 
 
 @pytest.mark.parametrize("n, d, draw, penalty", [(30, 3, 1, "lasso"), (40, 2, 3, "ridge")])
-def test_crossval_rescue_refits_at_the_winners_penalty(monkeypatch, n, d, draw, penalty):
-    # the pinned-intercept refit uses the lambda of crossval's full-data refit
+def test_crossval_ratio_rescue_takes_the_weighted_mean(monkeypatch, n, d, draw, penalty):
+    # a penalised winner whose estimate is not positive, or not finite, is
+    # replaced by the weighted mean, not refitted
     theta = np.random.default_rng(draw).normal(size=(n, d))
     s = SampleSet(theta=theta, grad_log_target=-theta, weights=None)
     phi = np.exp(0.5 * theta[:, 0] + 0.3 * theta[:, 1])
@@ -178,15 +175,50 @@ def test_crossval_rescue_refits_at_the_winners_penalty(monkeypatch, n, d, draw, 
     result, _ = zvcv_mod.crossval_select(s, IntegrandValues(phi / scale), seed=0)
     assert result.chosen.penalty == penalty and result.lam > 0.0
     real = evidence_mod.crossval_select
-    monkeypatch.setattr(evidence_mod, "crossval_select",     # force a negative estimate
-                        lambda *args, **kwargs: (real(*args, **kwargs)[0], -1.0))
-    rec = expectation_with_provenance(s, phi, CrossvalMethod(), ratio=True, seed=0)
     c0 = float(s.weights @ phi)
-    X = build_design_matrix(s, enumerate_exponents(d, result.chosen.degree))
-    fb = refit_fixed_intercept(X, phi / scale, s.weights, intercept=c0 / scale,
-                               method=penalty, lam=result.lam)
-    assert rec.fallback == "fixed_intercept"
-    assert rec.estimate == scale * float(c0 / scale + s.weights @ (X @ fb.beta))
+    for forced in (-1.0, 0.0, np.nan):
+        monkeypatch.setattr(evidence_mod, "crossval_select",
+                            lambda *args, **kwargs: (real(*args, **kwargs)[0], forced))
+        rec = expectation_with_provenance(s, phi, CrossvalMethod(), ratio=True, seed=0)
+        assert rec.fallback == "vanilla"
+        assert rec.method == result.chosen.label()
+        assert rec.estimate == c0
+
+
+def test_forced_ratio_factors_take_the_weighted_mean_in_a_wide_report(monkeypatch):
+    # the paper's regime: Q = 3 in d = 3 gives J = 19 covariates on 16 draws.
+    # Factors 1, 3 and 4 are forced to a zero, negative and NaN estimate; each
+    # takes the weighted mean of its scaled integrand, and factor 2 keeps its fit
+    n, spec = 16, ZvSpec(degree=3)
+    theta = np.random.default_rng(5).normal(size=(n, 3))
+    snap = Snapshot(t=0.0, theta=theta, weights=np.full(n, 1 / n),
+                    log_like=-0.5 * np.sum((theta - 1.0) ** 2, axis=1),
+                    log_prior=-0.5 * np.sum(theta ** 2, axis=1),
+                    grad_log_like=1.0 - theta, grad_log_prior=-theta)
+    assert build_design_matrix(snap.sample_set(0.0),
+                               enumerate_exponents(3, spec.degree)).shape[1] == 19
+    forced = {1: 0.0, 3: -1.0, 4: np.nan}
+    real = evidence_mod._apply_method
+
+    def apply_method(s, phi, method, seed):
+        out = real(s, phi, method, seed)
+        return replace(out, estimate=forced.get(seed[1], out.estimate))
+
+    monkeypatch.setattr(evidence_mod, "_apply_method", apply_method)
+    sched = TemperatureSchedule((0.0, 0.2, 0.4, 0.7, 1.0), (0, 0, 0, 0, 0))
+    report = smc_evidence_estimate(sched, [snap], cv=spec, seed=3)
+    assert report.fallbacks_triggered == len(forced)
+    for j, rec in enumerate(report.per_expectation, start=1):
+        if j not in forced:
+            assert rec.fallback is None and rec.method == spec.label()
+            continue
+        ss = snap.sample_set(rec.temperature)
+        dll = (rec.detail["t_next"] - rec.temperature) * ss.log_like
+        shift = float(np.max(dll))
+        assert rec.fallback == "vanilla"
+        assert rec.estimate == shift + float(np.log(ss.weights @ np.exp(dll - shift)))
+        assert rec.estimate == pytest.approx(rec.raw, rel=1e-12, abs=1e-12)
+    assert report.log_evidence == sum(r.estimate for r in report.per_expectation)
 
 
 def test_ratio_degenerate_mean_raises():
@@ -455,6 +487,20 @@ def test_report_round_trip(tmp_path, conjugate_run):
         (tmp_path / f"typed{i}.json").write_text(json.dumps(payload))
         with pytest.raises(InvalidInput):
             EvidenceReport.load(tmp_path / f"typed{i}.json")
+
+
+def test_a_report_naming_the_retired_refit_still_loads(conjugate_run):
+    # reports written while ratio factors could be refitted with a pinned
+    # intercept name that rescue; they load and write back unchanged
+    _, ps = conjugate_run
+    d = json.loads(json.dumps(smc_evidence_estimate(ps.schedule(), ps,
+                                                    cv=ZvSpec(degree=1)).to_dict()))
+    d["per_expectation"][0]["fallback"] = "fixed_intercept"
+    d["fallbacks_triggered"] = 1
+    loaded = EvidenceReport.from_dict(d)
+    assert loaded.per_expectation[0].fallback == "fixed_intercept"
+    assert loaded.fallbacks_triggered == 1
+    assert loaded.to_dict() == d
 
 
 # --- oracle: one CF weight vector per temperature, shared across reports -------------
@@ -788,7 +834,6 @@ def test_linear_zv_weights_match_the_per_integrand_fit(case, base):
         want, fit = zvcv_estimate(s, phi, spec, seed=i)
         assert got.estimate == pytest.approx(want, rel=1e-12)
         assert got.detail == {"Q": spec.degree, "penalty": spec.penalty, "lam": fit.lam}
-        assert got.lam == fit.lam and got.zv_spec == spec
     J = build_design_matrix(s, enumerate_exponents(s.dim, spec.degree, subset)).shape[1]
     if case == "wide":
         assert J >= s.count
