@@ -118,11 +118,6 @@ class KernelSpec:
         if self.jitter < 0:
             raise InvalidInput("jitter must be >= 0")
 
-    def label(self) -> str:
-        if self.kind == "gaussian":
-            return f"cf:gaussian:bw={self.bandwidth:g}"
-        return f"cf:poly:Q={self.degree}"
-
 
 def _exponent_rows(theta, c):
     """Augmented rows [-e, 1, z] and [1, -e, z] with z = sqrt(c) x, and e.

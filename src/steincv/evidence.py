@@ -104,15 +104,12 @@ class CrossvalMethod:
     """Per-expectation selection across polynomial orders and penalties."""
 
     max_degree: int | None = None
-    min_degree: int = 1
 
     def __post_init__(self):
-        lo, hi = _check_degree_range(self.min_degree, self.max_degree)
-        object.__setattr__(self, "min_degree", lo)
-        object.__setattr__(self, "max_degree", hi)
+        object.__setattr__(self, "max_degree", _check_degree_range(1, self.max_degree)[1])
 
     def label(self) -> str:
-        """The method string that parses back to this selector (``min_degree`` aside)."""
+        """The method string that parses back to this selector."""
         return "crossval" + ("" if self.max_degree is None else f":maxQ={self.max_degree}")
 
 
@@ -135,7 +132,9 @@ class ExpectationRecord:
     """Provenance of one estimated expectation.
 
     ``raw`` is the plain weighted mean, ``estimate`` the control-variate
-    value actually used.  Ratio records hold both on the log scale
+    value actually used.  ``method`` is the label of the selector that ran,
+    or under crossval of the spec it chose; a cross-validated bandwidth or
+    penalty is in ``detail``.  Ratio records hold both on the log scale
     (log_scale=True).  ``fallback`` is "vanilla" when a ratio factor's
     estimate was not positive and the weighted mean replaced it; older
     reports may also name "fixed_intercept", a refit no longer made.
@@ -256,12 +255,10 @@ def _apply_method(s: SampleSet, phi: IntegrandValues, method,
         key = _cf_memo_key(kernel, method.lam_r)
         if key not in s._memo:
             s._memo[key] = _cf_weights(s, kernel, method.lam_r)
-        return _MethodOutcome(float(s._memo[key] @ phi.values), kernel.label(), detail)
+        return _MethodOutcome(float(s._memo[key] @ phi.values), method.label(), detail)
     if isinstance(method, CrossvalMethod):
-        result, est = crossval_select(
-            s, phi, seed=_seed_of(seed),
-            min_degree=method.min_degree, max_degree=method.max_degree,
-        )
+        result, est = crossval_select(s, phi, seed=_seed_of(seed),
+                                      max_degree=method.max_degree)
         chosen = result.chosen
         detail = {
             "selected": chosen.label(),
@@ -279,9 +276,7 @@ def stabilised_cv_expectation(s: SampleSet, phi, method=VANILLA, *,
     Returns the rescaled estimate.  With ``ratio=True`` (positive integrands
     such as likelihood-ratio factors) a control-variate estimate that is not
     positive and finite is replaced by the plain weighted mean of phi, and
-    DegenerateWeights is raised if that mean is not positive either.  The
-    vanilla method, and any method on an all-zero phi, return the weighted
-    mean unguarded.
+    DegenerateWeights is raised if that mean is not positive either.
     """
     _check_seed(seed)
     _, est, _ = _stabilised(s, _values(s, phi), method, ratio=ratio, seed=seed)
@@ -342,12 +337,12 @@ def _stabilised(s: SampleSet, values: np.ndarray, method, *, ratio: bool,
     """
     raw = float(s.weights @ values)
     if method is None or method == VANILLA:
-        return raw, raw, _MethodOutcome(raw, VANILLA, {})
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return raw, 0.0, _MethodOutcome(0.0, method_label(method), {"scale": 0.0})
-    out = _apply_method(s, IntegrandValues(values / scale), method, seed)
-    est = out.estimate * scale
+        est, out = raw, _MethodOutcome(raw, VANILLA, {})
+    elif (scale := float(np.max(np.abs(values)))) == 0.0:
+        est, out = 0.0, _MethodOutcome(0.0, method_label(method), {"scale": 0.0})
+    else:
+        out = _apply_method(s, IntegrandValues(values / scale), method, seed)
+        est = out.estimate * scale
     if not ratio or (est > 0.0 and np.isfinite(est)):
         return raw, est, out
     # positivity rescue for ratio factors: the weighted mean, positive whenever

@@ -69,9 +69,6 @@ class RegressionFit:
         X = np.asarray(X, dtype=float)
         return self.intercept - X @ self.beta
 
-    def active(self) -> np.ndarray:
-        return np.flatnonzero(self.beta != 0.0)
-
 
 @dataclass(frozen=True)
 class CvConfig:
@@ -302,12 +299,12 @@ def _lasso_path(X, f, w, lams):
     and the Cholesky factor of G_AA grows by one row per join and is
     refactored after a drop.  A joining column in the span of A (non-positive
     pivot) stays at zero.  The steps call LAPACK's potrs, trtrs and potrf
-    with the arguments scipy's cho_solve, solve_triangular and cholesky pass
-    them (check_finite=False), so a path is bitwise the one those wrappers
-    give.  Returns (gammas, steps): column k of the (J, L) matrix gammas
-    solves lams[k], reached after steps[k] path events (joins, drops and
-    rejected joins); more than 8 max(n, J) steps, or a factor LAPACK rejects,
-    raise ConvergenceError.
+    directly, and a path is bitwise the one scipy's cho_solve,
+    solve_triangular and cholesky give (check_finite=False).  Returns
+    (gammas, steps): column k of the (J, L) matrix gammas solves lams[k],
+    reached after steps[k] path events (joins, drops and rejected joins);
+    more than 8 max(n, J) steps, or a factor LAPACK rejects, raise
+    ConvergenceError.
     """
     n, J = X.shape
     lams = np.asarray(lams, dtype=float)
@@ -373,11 +370,8 @@ def _lasso_path(X, f, w, lams):
                 col = X.T @ (w * X[:, join])
                 row = col[active[:k]]
                 if k:
-                    # as solve_triangular: a block that is not Fortran-ordered
-                    # is solved as the transposed system of its transpose
-                    T = L[:k, :k]
-                    row, info = (dtrtrs(T, row, lower=1) if T.flags.f_contiguous
-                                 else dtrtrs(T.T, row, lower=0, trans=1))
+                    # L is C-ordered: solve the transposed system of its transpose
+                    row, info = dtrtrs(L[:k, :k].T, row, lower=0, trans=1)
                     if info:
                         raise failed(f"could not solve with its factor (LAPACK info {info})")
                 pivot = col[join] - row @ row

@@ -39,9 +39,9 @@ _PENALTY_RANK = {"ols": 0, "lasso": 1, "ridge": 2}
 class ZvSpec:
     """One ZV-CV configuration: order, penalty, coordinate subset, estimator.
 
-    ``lam`` fixes the penalty level; None selects it by cross-validation with
-    ``cv`` (defaults apply when that is None too).  ``relaxed`` requests the
-    least-squares refit of the lasso support.
+    ``lam`` fixes the penalty level; None selects it by 10-fold
+    cross-validation, seeded from the method's seed.  ``relaxed`` requests
+    the least-squares refit of the lasso support.
     """
 
     degree: int = 2
@@ -49,7 +49,6 @@ class ZvSpec:
     subset: SubsetSpec | None = None
     estimator: str = "combined"
     lam: float | None = None
-    cv: CvConfig | None = None
     relaxed: bool = False
 
     def __post_init__(self):
@@ -62,7 +61,7 @@ class ZvSpec:
             raise InvalidInput(f"unknown estimator {self.estimator!r}")
 
     def label(self) -> str:
-        """The method string that parses back to this spec (``cv`` aside)."""
+        """The method string that parses back to this spec."""
         parts = [f"zv:Q={self.degree}", self.penalty]
         if self.lam is not None:
             parts.append(f"lam={_number_label(self.lam)}")
@@ -99,8 +98,7 @@ def _fit_dispatch(X, f, w, spec: ZvSpec, seed: int) -> RegressionFit:
         if spec.penalty == "ridge":
             return fit_ridge(X, f, w, lam=spec.lam)
         return fit_lasso(X, f, w, lam=spec.lam, relaxed=spec.relaxed)
-    cfg = spec.cv or CvConfig(seed=seed)
-    _, fit = cv_lambda(X, f, w, method=spec.penalty, cfg=cfg)
+    _, fit = cv_lambda(X, f, w, method=spec.penalty, cfg=CvConfig(seed=seed))
     if spec.penalty == "lasso" and spec.relaxed:
         fit = fit_lasso(X, f, w, lam=fit.lam, relaxed=True)
     return fit

@@ -151,7 +151,7 @@ def test_jitter_escalation_exhaustion(monkeypatch):
     assert ei.value.diagnostics["jitter"] > 0
 
 
-def test_kernel_spec_validation_and_labels():
+def test_kernel_spec_validation():
     with pytest.raises(InvalidInput):
         KernelSpec(kind="matern")
     for bad in (0.0, np.inf, np.nan):
@@ -161,8 +161,6 @@ def test_kernel_spec_validation_and_labels():
         KernelSpec(kind="polynomial", degree=0)
     with pytest.raises(InvalidInput):
         KernelSpec(jitter=-1e-12)
-    assert KernelSpec("gaussian", bandwidth=0.25).label() == "cf:gaussian:bw=0.25"
-    assert KernelSpec("polynomial", degree=3).label() == "cf:poly:Q=3"
 
 
 # --- bandwidth selection -----------------------------------------------------------

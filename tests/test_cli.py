@@ -41,9 +41,9 @@ from steincv.evidence import (
 from steincv.models import model_from_manifest
 from steincv.polybasis import SubsetSpec
 from steincv.regression import CvConfig
-from steincv.samples import IntegrandValues
+from steincv.samples import IntegrandValues, SampleSet
 from steincv.smc import SmcConfig, TemperatureSchedule, load_particle_system
-from steincv.zvcv import ZvSpec
+from steincv.zvcv import ZvSpec, crossval_select
 
 
 # --- method grammar -----------------------------------------------------------------
@@ -271,16 +271,62 @@ def test_method_label_parses_back(method):
     assert parse_method_reference(label) == method
 
 
+# every field of every method selector, with a value other than its default
+NON_DEFAULT = {
+    ZvSpec: {"degree": 3, "penalty": "ridge", "subset": SubsetSpec((0,)),
+             "estimator": "split", "lam": 0.5, "relaxed": True},
+    CfMethod: {"bandwidth": 2.0, "lam_r": 0.1, "kind": "polynomial", "degree": 3, "folds": 4},
+    CrossvalMethod: {"max_degree": 3},
+}
+
+
+@pytest.mark.parametrize("cls", list(NON_DEFAULT), ids=lambda cls: cls.__name__)
+def test_every_selector_field_shows_in_its_label(cls):
+    # a field the label leaves out lets two methods run under one name
+    assert set(NON_DEFAULT[cls]) == {f.name for f in fields(cls)}
+    default = method_label(cls())
+    for name, value in NON_DEFAULT[cls].items():
+        method = cls(**{name: value})
+        assert method_label(method) != default, name
+        assert parse_method(method_label(method)) == method
+
+
+RECORDED_METHODS = ("vanilla", "zv:ols", "zv:ridge:lam=0.1", "zv:ridge", "zv:lasso", "zv:split",
+                    "cf:bw=3:lam=0.01", "cf", "cf:poly:Q=2:lam=0.5", "crossval:maxQ=2")
+LINEAR_METHODS = {"zv:ols", "zv:ridge:lam=0.1", "cf:bw=3:lam=0.01", "cf:poly:Q=2:lam=0.5"}
+
+
+def _small_weighted_set():
+    rng = np.random.default_rng(4)
+    theta = rng.normal(size=(40, 2))
+    return SampleSet(theta=theta, grad_log_target=-theta, weights=rng.uniform(0.5, 1.5, 40))
+
+
+@pytest.mark.parametrize("token", RECORDED_METHODS)
+def test_a_record_names_the_method_that_ran(token):
+    s = _small_weighted_set()
+    phi = np.exp(0.5 * s.theta[:, 0]) + s.theta[:, 1] ** 2
+    method = parse_method(token)
+    rec = expectation_with_provenance(s, phi, method, seed=3)
+    named = parse_method(rec.method)
+    if isinstance(method, CrossvalMethod):
+        assert isinstance(named, ZvSpec) and named == parse_method(rec.detail["selected"])
+    else:
+        assert named == method
+    if token in LINEAR_METHODS:
+        again = expectation_with_provenance(_small_weighted_set(), phi, named, seed=3)
+        assert again.estimate == rec.estimate
+
+
 INTEGER_FIELDS = {
     "ZvSpec.degree": lambda v: ZvSpec(degree=v),
-    "CvConfig.folds": lambda v: ZvSpec(penalty="ridge", cv=CvConfig(folds=v)),
+    "CvConfig.folds": lambda v: CvConfig(folds=v),
     "CfMethod.folds": lambda v: CfMethod(folds=v),
     "CfMethod.degree": lambda v: CfMethod(kind="polynomial", degree=v),
     "KernelSpec.degree": lambda v: KernelSpec(kind="polynomial", degree=v),
-    "CrossvalMethod.min_degree": lambda v: CrossvalMethod(min_degree=v),
     "CrossvalMethod.max_degree": lambda v: CrossvalMethod(max_degree=v),
 }
-UNLABELLED = {"CvConfig.folds", "KernelSpec.degree", "CrossvalMethod.min_degree"}
+UNLABELLED = {"CvConfig.folds", "KernelSpec.degree"}       # neither is a method selector
 
 
 @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
@@ -305,6 +351,9 @@ INTEGER_ARGUMENTS = {
     "cf_cv_bandwidth.folds": lambda v: cf_cv_bandwidth(
         unit_snapshot(20, 0.0, seed=0).sample_set(), IntegrandValues(np.arange(20.0)),
         [0.5, 2.0], folds=v),
+    "crossval_select.min_degree": lambda v: crossval_select(
+        unit_snapshot(20, 0.0, seed=0).sample_set(), IntegrandValues(np.arange(20.0)),
+        min_degree=v)[1],
 }
 
 

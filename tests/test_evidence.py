@@ -222,9 +222,15 @@ def test_forced_ratio_factors_take_the_weighted_mean_in_a_wide_report(monkeypatc
 
 
 def test_ratio_degenerate_mean_raises():
+    # one guard under every method: the vanilla estimate, and any estimate of
+    # an all-zero integrand, used to come back unguarded (-1.0 and 0.0)
     s = unit_gaussian_set(8, seed=3)
-    with pytest.raises(DegenerateWeights):
-        stabilised_cv_expectation(s, np.full(8, -1.0), ZvSpec(degree=1), ratio=True)
+    for value in (-1.0, 0.0):
+        phi = np.full(8, value)
+        for method in (VANILLA, ZvSpec(degree=1)):
+            with pytest.raises(DegenerateWeights):
+                stabilised_cv_expectation(s, phi, method, ratio=True)
+            assert stabilised_cv_expectation(s, phi, method) == value
 
 
 def test_expectation_record_fields():
@@ -426,11 +432,10 @@ def test_cf_method_validation():
 
 
 def test_crossval_method_validation():
-    for kwargs in ({"max_degree": 0}, {"max_degree": -3}, {"min_degree": 0},
-                   {"min_degree": 3, "max_degree": 2}):
+    for kwargs in ({"max_degree": 0}, {"max_degree": -3}):
         with pytest.raises(InvalidInput):
             CrossvalMethod(**kwargs)
-    for kwargs in ({"max_degree": 1}, {"min_degree": 2, "max_degree": 2}, {"min_degree": 4}):
+    for kwargs in ({"max_degree": 1}, {"max_degree": 4}):
         CrossvalMethod(**kwargs)
 
 
