@@ -18,16 +18,17 @@ Two base kernels are supported:
   e = ||x||^2 / bandwidth, W = [x, u] L = [sqrt(2) c x - u/sqrt(2), u/sqrt(2)]
   (L L^T = [[2c^2, -c], [-c, 1]]) and r = c x.u - c^2 ||x||^2 + c d / 2,
       K0(x, y) = exp(c x.y - e_x - e_y) (W_x . W_y + r_x + r_y),
-  built in one fused pass of two matrix products.  The square kernel is
-  symmetric to rounding, not bitwise, and is not symmetrised afterwards.
-  Exponents more than 70 below the block's largest (a square kernel's
-  diagonal, 0) are set to -inf before the exp, so neither the exp nor the
-  Cholesky factor meets subnormal numbers, whose arithmetic costs several
-  times more.  A factor dropped so is below exp(-70) ~ 4e-31 times its
-  polynomial factor, some 20 orders of magnitude under the 1e-10 jitter
-  that already perturbs every system, so it cannot move an estimate or a
-  chosen bandwidth beyond the jitter's own effect; on the populations
-  tested the CF weights stayed bitwise the same.
+  built in one fused pass of two matrix products (64 rows at a time by
+  ``_gaussian_stein_cross``).  The square kernel is symmetric to rounding,
+  not bitwise, and is not symmetrised afterwards.  A factor whose exponent
+  lies more than 70 below 0, the square's largest (its diagonal's, to
+  rounding), is set to 0, so neither the exp nor the Cholesky factor meets
+  subnormal numbers, whose arithmetic costs several times more.  A factor
+  dropped so is below exp(-70) ~ 4e-31 times its polynomial factor, some 20
+  orders of magnitude under the 1e-10 jitter that already perturbs every
+  system, so it cannot move an estimate or a chosen bandwidth beyond the
+  jitter's own effect; on the populations tested the CF weights stayed
+  bitwise the same.
 * ``polynomial``: the Gram matrix of the degree-Q second-order Stein
   covariates, K0 = X X^T.  With regulariser lambda_r this reproduces the
   unstandardised ridge ZV-CV estimate exactly.
@@ -37,7 +38,7 @@ a_hat = v^T phi with v = K^{-1} w~ / 1^T K^{-1} w~, so ``_cf_weights`` factorise
 K once, solves once against w~ and keeps only the N weights: every integrand
 on the same draws, kernel and lambda_r is then one inner product.  Every
 factorisation runs in place in a C-ordered block (a fresh kernel, a fold's
-gathered training block, a J x J Gram, the one array of the gaussian
+training block, a J x J Gram, the one array of the gaussian
 weights), through its Fortran-ordered transpose, and reads and writes only
 the block's upper triangle.  A failed try has the triangle it overwrote
 rewritten: the gaussian weights refill it from their two factors, and any
@@ -66,8 +67,12 @@ two passes: the first fold of every bandwidth, then the rest of each in
 ascending order of that first error, a bandwidth stopped once its running
 error leaves the final choice's tie window.  Fold errors are nonnegative, so
 under any order a stopped bandwidth could not have won, and the choice is
-bitwise that of scoring every fold.  One kernel buffer, one scratch buffer
-and one training-block buffer serve a whole search.
+bitwise that of scoring every fold.  No N x N array is made: each fold's
+training and hold-out blocks are built from the draws, bitwise those entries
+of ``stein_kernel_matrix``, into one buffer of (1 - 1/folds) N^2 floats that
+serves the whole search, so it peaks at about that plus a few 64-row strips
+(1.2, 1.0 and 0.9 x 8 N^2 at N = 500, 1000 and 2000, against 2.8 x for an
+N x N kernel and a scratch buffer).
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ from .samples import IntegrandValues, SampleSet, _as_int, _check_seed, check_ali
 _JITTER_DOUBLINGS = 8
 # gaussian factors below exp(-70) ~ 4e-31 times a block's largest are set to 0
 _EXP_FLOOR = -70.0
-# rows of a gaussian kernel written per strip by _gaussian_cf_weights
+# rows of a gaussian kernel written per strip by _gaussian_cf_weights and
+# _gaussian_stein_cross
 _STRIP_ROWS = 64
 
 
@@ -140,13 +146,15 @@ def _polynomial_rows(theta, grad, c, e):
     return np.column_stack([r, one, W]), np.column_stack([one, r, W])
 
 
-def _floored_exp(K):
-    """exp of an exponent block in place, entries below its largest - 70 set to 0.
+def _floored_exp(K, top=None):
+    """exp of an exponent block in place, entries below top - 70 set to 0.
 
-    Those entries are raised to the floor before the exp and zeroed after it:
-    exp of a subnormal result or of -inf takes numpy's slow path.
+    ``top`` is the largest exponent of the kernel the block is cut from, the
+    block's own largest when None.  Those entries are raised to the floor
+    before the exp and zeroed after it: exp of a subnormal result or of -inf
+    takes numpy's slow path.
     """
-    floor = K.max() + _EXP_FLOOR
+    floor = (K.max() if top is None else top) + _EXP_FLOOR
     if not K.min() < floor:
         np.exp(K, out=K)
         return
@@ -156,22 +164,35 @@ def _floored_exp(K):
     np.copyto(K, 0.0, where=low)
 
 
-def _gaussian_stein_cross(theta, grad, bandwidth, *, out=None, scratch=None):
-    """First-order Stein kernel for k = exp(-||x-y||^2 / bw) on one set of draws.
+def _gaussian_stein_cross(theta, grad, bandwidth, rows=None, cols=None, *, out=None):
+    """The first-order Stein kernel for k = exp(-||x-y||^2 / bw) on one set
+    of draws, its rows in the order of ``rows``, a permutation of the draws,
+    and at columns ``cols`` (every draw, in order, when None).
 
     The fused form of the module docstring as two products of augmented rows,
-    [t_x, 1, m_x] . [1, t_y, m_y] = t_x + t_y + m_x . m_y; exp taken in place.
-    ``out`` receives the kernel and ``scratch`` the polynomial factor, two
-    N x N buffers the caller may reuse (fresh ones when None); the products
-    are the same either way, so the kernel is bitwise the same.
+    [t_x, 1, m_x] . [1, t_y, m_y] = t_x + t_y + m_x . m_y.  The square kernel
+    is built ``_STRIP_ROWS`` rows by every draw at a time, and a block takes
+    its entries from the strips that hold its rows: BLAS rounds an entry by
+    the tile it falls in, so only the same products give every entry bitwise
+    the square's.  Each strip's exponents are floored against 0, the
+    square's largest (see ``_floored_exp``).  ``out`` receives the block (a
+    fresh array when None).
     """
     c = 2.0 / bandwidth
     x_a, x_b, e = _exponent_rows(theta, c)
-    K = np.matmul(x_a, x_b.T, out=out)
-    _floored_exp(K)
     p_a, p_b = _polynomial_rows(theta, grad, c, e)
-    K *= np.matmul(p_a, p_b.T, out=scratch)
-    return K
+    n = len(x_a)
+    at = np.arange(n)                       # each draw's row of the block
+    if rows is not None:
+        at[rows] = np.arange(n)
+    if out is None:
+        out = np.empty((n, n if cols is None else len(cols)))
+    for a in range(0, n, _STRIP_ROWS):
+        K = x_a[a:a + _STRIP_ROWS] @ x_b.T
+        _floored_exp(K, 0.0)
+        K *= p_a[a:a + _STRIP_ROWS] @ p_b.T
+        out[at[a:a + _STRIP_ROWS]] = K if cols is None else K[:, cols]
+    return out
 
 
 def _design(s: SampleSet, degree: int) -> np.ndarray:
@@ -399,15 +420,15 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     bandwidth, one whose fold fails to factorise and one with a non-finite
     fold error all score inf.
 
-    One N x N kernel buffer, one N x N scratch buffer and one training-block
-    buffer serve the whole search.  A bandwidth's kernel (its sub-exp(-70)
-    factors dropped, see the module docstring) is built into the kernel
-    buffer, with its polynomial factor in the scratch buffer; pass 2 rebuilds
-    it there, bitwise the same.  Each fold gathers its training block, rows
-    then columns through the scratch buffer, into the training buffer, which
-    is factorised in place, and its hold-out rows the same way; the hold-out
-    block is kept F-ordered, as a row-then-column index gather leaves it, so
-    its product with the surrogate is the same float.
+    One buffer of N x (N - the smallest fold) floats serves the whole
+    search, and no N x N array is made.  Each fold builds its training rows,
+    then its hold-out rows, by the training columns into the buffer with one
+    ``_gaussian_stein_cross``, every entry bitwise the square kernel's (its
+    sub-exp(-70) factors dropped, see the module docstring), and factorises
+    the training block in place.  The hold-out block is then copied,
+    F-ordered, over the factor it no longer needs, so its product with the
+    surrogate is the float a row-then-column gather from the square kernel
+    gives.
     """
     check_aligned(s, phi)
     grid = default_bandwidth_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -426,53 +447,45 @@ def cf_cv_bandwidth(s: SampleSet, phi: IntegrandValues, grid=None,
     splits = [(hold, np.delete(np.arange(n), hold)) for hold in _fold_slices(n, folds, seed)]
     f = phi.values
     jitter = KernelSpec().jitter
-    K0, scratch = np.empty((n, n)), np.empty((n, n))
-    block = np.empty(max(train.size for _, train in splits) ** 2)
+    block = np.empty(n * max(train.size for _, train in splits))
 
-    def fold_error(hold, train):
-        # the fold indices are in range; with mode="raise" np.take would
-        # write through a temporary, not straight into out
+    def fold_error(bw, hold, train):
+        # the training block's rows, then the hold-out block's
         h, m = hold.size, train.size
-        A = block[:m * m].reshape(m, m)
-        np.take(np.take(K0, train, axis=0, out=scratch[:m], mode="clip"), train, axis=1,
-                out=A, mode="clip")
-        factor, v = _kernel_weights(A, 0.0, jitter, np.ones(m))
+        K = _gaussian_stein_cross(theta, g, bw, np.concatenate([train, hold]), train,
+                                  out=block[:n * m].reshape(n, m))
+        factor, v = _kernel_weights(K[:m], 0.0, jitter, np.ones(m))
         a = float(v @ f[train])
         # the factor is of a finite triangle, and f is finite
         alpha = cho_solve(factor, f[train] - a, check_finite=False)
-        rows = np.take(K0, hold, axis=0, out=scratch[:h], mode="clip")
-        # F-ordered, as K0[hold][:, train] is, so the product below is the same float
-        cross = scratch[h:].reshape(-1)[:h * m].reshape(m, h).T
-        np.take(rows, train, axis=1, out=cross, mode="clip")
+        # the hold-out block F-ordered, over the factor no longer needed, so
+        # the product below is the float a row-then-column gather gives
+        cross = block[:h * m].reshape(m, h).T
+        cross[...] = K[m:]
         return float(np.mean((f[hold] - (a + cross @ alpha)) ** 2))
 
-    def score(some_splits, err, cut):
-        """err plus the errors of ``some_splits`` in order; inf once over the cut."""
+    def score(bw, some_splits, err, cut):
+        """err plus the errors of ``some_splits`` at bandwidth bw, in order;
+        inf once over the cut."""
         for hold, train in some_splits:
             try:
-                err += fold_error(hold, train)
+                err += fold_error(bw, hold, train)
             except ConditioningError:
                 return np.inf
             if not err <= cut:              # NaN too: this bandwidth cannot win
                 return np.inf
         return err
 
-    def build(gi):
-        _gaussian_stein_cross(theta, g, float(grid[gi]), out=K0, scratch=scratch)
-
     by_size = np.argsort(-grid, kind="stable")
     partial = np.empty(grid.size)           # first-fold errors, NaN as inf
     for gi in by_size:
-        build(gi)
-        partial[gi] = score(splits[:1], 0.0, np.inf)
+        partial[gi] = score(float(grid[gi]), splits[:1], 0.0, np.inf)
     scores = np.full(grid.size, np.inf)
     cut = np.inf
-    for k, gi in enumerate(by_size[np.argsort(partial[by_size], kind="stable")]):
+    for gi in by_size[np.argsort(partial[by_size], kind="stable")]:
         if partial[gi] > cut or partial[gi] == np.inf:
             break                           # and every bandwidth after it
-        if k or gi != by_size[-1]:          # the last kernel pass 1 built is still in K0
-            build(gi)
-        scores[gi] = score(splits[1:], partial[gi], cut)
+        scores[gi] = score(float(grid[gi]), splits[1:], partial[gi], cut)
         cut = min(cut, scores[gi] * (1 + 1e-12) + 1e-300)
     best = float(np.min(scores))
     if not np.isfinite(best):

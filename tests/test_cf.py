@@ -20,7 +20,8 @@ from steincv.cf import (
     stein_kernel_matrix,
 )
 from steincv.errors import ConditioningError, InvalidInput
-from steincv.regression import fit_ridge
+from steincv.evidence import CfMethod, expectation_with_provenance
+from steincv.regression import _fold_slices, fit_ridge
 from steincv.polybasis import basis_size, enumerate_exponents, design_columns
 from steincv.models import ConjugateGaussianModel
 from steincv.samples import IntegrandValues, SampleSet
@@ -459,35 +460,75 @@ def test_a_kernel_that_overflows_raises_conditioning_error():
         assert bw > 1e-3 and np.isfinite(cf_estimate(s, phi, KernelSpec(bandwidth=bw)))
 
 
-def test_search_builds_each_kernel_in_one_buffer_and_rebuilds_it_bitwise(monkeypatch):
+@pytest.mark.parametrize("weighted", [False, True])
+def test_search_builds_every_fold_block_bitwise_from_the_square_kernel(monkeypatch, weighted):
+    # each fold's training block (train x train) and hold-out block (hold x
+    # train), built from the strips that hold their rows, are bitwise those
+    # entries of stein_kernel_matrix at every default bandwidth, the floored
+    # ones 1e-3 to 3.16e-2 included; n is no multiple of the folds.  At
+    # n = 613 a product over a fold's columns alone rounds some entries
+    # differently from those columns of the full-width strip
+    draw = weighted_draws if weighted else gaussian_draws
     builds = []
     real = cf_mod._gaussian_stein_cross
 
-    def block(*args, **kwargs):
-        K = real(*args, **kwargs)
-        builds.append((args[2], K, K.copy()))
+    def block(theta, grad, bandwidth, rows, cols, **buffers):
+        K = real(theta, grad, bandwidth, rows, cols, **buffers)
+        builds.append((bandwidth, rows, cols, K.copy()))
         return K
 
     monkeypatch.setattr(cf_mod, "stein_kernel_matrix", None)     # not called
     monkeypatch.setattr(cf_mod, "_gaussian_stein_cross", block)
-    s = gaussian_draws(30, seed=12, d=2)
-    for f, grid, rebuilt in [
-        # first errors 1.3e-7, 2.3e-7, 8.7e-6: 64 completes, 32 is stopped in
-        # pass 2 and 16 is not continued; both continuing kernels are rebuilt
-        (s.theta[:, 0], [16.0, 64.0, 32.0], [64.0, 32.0]),
-        # first errors 0.18, 0.27, 3.5: 0.4, the last kernel pass 1 built, is
-        # still in the buffer and continues first without a rebuild
-        (np.sin(6 * s.theta[:, 0]), [0.4, 1.6, 0.8], [0.8]),
-    ]:
+    grid = default_bandwidth_grid()
+    for d, folds, n in [(1, 2, 37), (2, 3, 71), (3, 4, 130), (4, 5, 151), (5, 6, 97), (5, 7, 200),
+                        (3, 5, 613)]:
+        s = draw(n, 40 + folds, d=d)
+        phi = IntegrandValues(np.sin(s.theta[:, 0]) + 0.5 * s.theta[:, -1] ** 2)
         builds.clear()
-        cf_cv_bandwidth(s, IntegrandValues(f), grid=grid)
-        # pass 1 builds every kernel once, the largest bandwidth first
-        assert [bw for bw, _, _ in builds[:len(grid)]] == sorted(grid, reverse=True)
-        assert [bw for bw, _, _ in builds[len(grid):]] == rebuilt
-        first = {bw: K for bw, _, K in builds[:len(grid)]}
-        for bw, K, copy in builds:
-            assert K is builds[0][1] and K.shape == (30, 30)       # one buffer
-            assert np.array_equal(copy, first[bw]), bw
+        cf_cv_bandwidth(s, phi, folds=folds, seed=folds)
+        holds = _fold_slices(n, folds, folds)
+        squares = {bw: real(s.theta, s.grad_log_target, bw) for bw in grid}
+        # pass 1 builds the first fold of every bandwidth, the largest first
+        assert [bw for bw, *_ in builds[:grid.size]] == list(grid[::-1])
+        for bw, rows, cols, K in builds:
+            m = cols.size
+            train, hold = rows[:m], rows[m:]
+            assert any(np.array_equal(hold, h) for h in holds)
+            assert np.array_equal(train, np.delete(np.arange(n), hold))
+            assert np.array_equal(cols, train)
+            assert np.array_equal(K[:m], squares[bw][np.ix_(train, train)]), (d, folds, bw)
+            assert np.array_equal(K[m:], squares[bw][np.ix_(hold, train)]), (d, folds, bw)
+        assert np.any(builds[grid.size - 1][3] == 0.0)     # bw = 1e-3 is floored
+    monkeypatch.undo()
+    assert np.array_equal(squares[grid[0]], stein_kernel_matrix(s, KernelSpec(bandwidth=grid[0])))
+
+
+def strip_square_reference(theta, grad, bw):
+    """The square gaussian kernel from its 64-row strip products, floored
+    against 0, its largest exponent, by the -inf reference."""
+    c = 2.0 / bw
+    x_a, x_b, e = cf_mod._exponent_rows(theta, c)
+    p_a, p_b = cf_mod._polynomial_rows(theta, grad, c, e)
+    strips = range(0, len(theta), cf_mod._STRIP_ROWS)
+    E = np.vstack([x_a[a:a + cf_mod._STRIP_ROWS] @ x_b.T for a in strips])
+    minus_inf_floored_exp(E, top=0.0)
+    return E * np.vstack([p_a[a:a + cf_mod._STRIP_ROWS] @ p_b.T for a in strips])
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_square_kernel_equals_the_strip_reference_floored_against_0(d):
+    # draws in two clusters, resampled with duplicates, leave some strips
+    # floored and some not at the smaller bandwidths
+    rng = np.random.default_rng(d)
+    for n, shift in [(40, 0.0), (150, 3.0), (201, 30.0)]:
+        theta = rng.normal(size=(n, d))
+        theta[: n // 3] += shift
+        theta = theta[rng.integers(0, n, n)]
+        grad = -theta + 0.1 * rng.normal(size=(n, d))
+        s = SampleSet(theta=theta, grad_log_target=grad, weights=None)
+        for bw in default_bandwidth_grid():
+            got = stein_kernel_matrix(s, KernelSpec(bandwidth=bw))
+            assert np.array_equal(got, strip_square_reference(theta, grad, bw)), (n, bw)
 
 
 # --- oracles: the kernel without the exponent floor, and np.ix_ fold blocks -------
@@ -586,9 +627,10 @@ def unfloored_search_reference(s, phi, grid=None, folds=5, seed=0):
     return float(np.max(grid[scores <= best * (1 + 1e-12) + 1e-300]))
 
 
-def minus_inf_floored_exp(K):
-    """The floor as first written: entries below the largest - 70 set to -inf, then exp."""
-    floor = K.max() + cf_mod._EXP_FLOOR
+def minus_inf_floored_exp(K, top=None):
+    """The floor as first written: entries below the largest (or ``top``) - 70
+    set to -inf, then exp."""
+    floor = (K.max() if top is None else top) + cf_mod._EXP_FLOOR
     if K.min() < floor:
         K[K < floor] = -np.inf
     np.exp(K, out=K)
@@ -784,9 +826,9 @@ def test_a_nan_fold_error_scores_its_bandwidth_inf(monkeypatch):
         current = []
         real_kernel, real_solve = cf_mod._gaussian_stein_cross, cf_mod.cho_solve
 
-        def kernel(theta, grad, bandwidth, **buffers):
+        def kernel(theta, grad, bandwidth, *block, **buffers):
             current.append(bandwidth)
-            return real_kernel(theta, grad, bandwidth, **buffers)
+            return real_kernel(theta, grad, bandwidth, *block, **buffers)
 
         def solve(factor, b, **kwargs):
             x = real_solve(factor, b, **kwargs)
@@ -1069,6 +1111,20 @@ def test_a_failed_first_try_retries_the_gaussian_buffer(conjugate_sets, monkeypa
         assert np.array_equal(cf_mod._cf_weights(s, kernel, 0.0), v)
 
 
+def traced_peak(run):
+    """(run(), the most memory it held at once beyond what was held before, in bytes)."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        got = run()
+        return got, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_gaussian_weights_keep_one_n_by_n_array():
     # E and each set's kernel share one N x N array, dropped before an array
     # of another size is made.  Beside it live one strip's polynomial factor
@@ -1078,18 +1134,40 @@ def test_gaussian_weights_keep_one_n_by_n_array():
     # the kernel in two arrays peaked at 2.17 x, and an old array kept through
     # the reallocation would add 8 * 500^2 bytes, 0.69 x.
     sets = tempered_sets([600, 500], spread=1.0, seed=5)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        got = list(cf_mod._gaussian_cf_weights(sets, KernelSpec(bandwidth=1.0), 0.0))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    got, peak = traced_peak(lambda: list(cf_mod._gaussian_cf_weights(
+        sets, KernelSpec(bandwidth=1.0), 0.0)))
     assert len(got) == len(sets) == 8
     assert peak < 1.25 * 8 * 600 ** 2
+
+
+def test_bandwidth_search_holds_no_n_by_n_array():
+    # a fold's block, its training rows and then its hold-out rows by the
+    # training columns, is (1 - 1/folds) x 8 N^2 = 0.8 x, and beside it live
+    # one strip's exponents and polynomial factor (64 x N each) and the block's
+    # share of them: 1.08 x measured here.  The search that built each N x N
+    # kernel into one buffer, gathered through a second, peaked at 2.82 x.
+    n = 600
+    s = weighted_draws(n, 8, d=3)
+    phi = IntegrandValues(np.sin(s.theta[:, 0]) + 0.5 * s.theta[:, -1] ** 2)
+    bw, peak = traced_peak(lambda: cf_cv_bandwidth(s, phi, seed=1))
+    assert bw in default_bandwidth_grid()
+    assert peak < 1.25 * 8 * n ** 2
+
+
+def test_a_cold_cv_estimate_builds_one_n_by_n_kernel(monkeypatch):
+    # CfMethod() on a fresh set: the search builds fold blocks only, and the
+    # chosen bandwidth's weights the one N x N gaussian factor, which sets the
+    # peak: 1.23 x 8 N^2 measured here, 2.82 x while the search built N x N
+    # kernels
+    n = 600
+    s = weighted_draws(n, 8, d=3)
+    phi = np.sin(s.theta[:, 0]) + 0.5 * s.theta[:, -1] ** 2
+    built = count_gaussian_factors(monkeypatch)
+    record, peak = traced_peak(lambda: expectation_with_provenance(s, phi, CfMethod(), seed=1))
+    assert np.isfinite(record.estimate)
+    assert built.count((n, n)) == 1 and all(rows <= 64 for rows, _ in built[:-1])
+    assert built[-1] == (n, n)
+    assert peak < 1.5 * 8 * n ** 2
 
 
 def factorised_triangles(monkeypatch) -> list:
@@ -1223,16 +1301,7 @@ def test_the_finiteness_check_makes_no_n_by_n_array():
     # strips' check peaks at 0.046 x here
     n = 600
     A = np.full((n, n), 0.1) + np.eye(n)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        cf_mod._factor_in_place(A, 0.0, 1e-10)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, peak = traced_peak(lambda: cf_mod._factor_in_place(A, 0.0, 1e-10))
     assert peak < 0.0625 * 8 * n ** 2
 
 

@@ -5,19 +5,21 @@
 
 Each revision is unpacked with ``git archive`` into its own directory under
 ``--workdir`` (a fresh temporary directory, removed afterwards, by default),
-and PARENT a second time, as the copy.  For every seed the three checkouts
-run ``perfbench/run.py --seed S`` for the ``run_seconds`` of the parent's
-``BENCHMARK.json``, one after the other, and the order rotates from seed to
-seed (parent, copy, change; then copy, change, parent; ...).  Only the last
-line of each run's output, its result JSON, is read.  The copy is an A/A
-control: what it differs from the parent by is what two identical programs
-differ by on this machine.
+and PARENT a second time, as the copy.  A ``--workdir`` that already holds
+a ``parent/``, ``copy/`` or ``change/`` is refused, with one line and exit
+code 2.  For every seed the three checkouts run ``perfbench/run.py --seed S``
+for the ``run_seconds`` of the parent's ``BENCHMARK.json``, one after the
+other, and the order rotates from seed to seed (parent, copy, change; then
+copy, change, parent; ...).  Only the last line of each run's output, its
+result JSON, is read.  The copy is an A/A control: what it differs from the
+parent by is what two identical programs differ by on this machine.
 
-For each end-to-end metric of ``BENCHMARK.json`` the report gives the parent's
-and the change's median and quartiles, the relative change of the median, the
-seeds the change won, and whether the medians differ by more than the
-parent's interquartile range; beside it, the copy's median gap from the parent
-and the seeds the copy won.  Then every side's failed-job counts.  A run that
+The report opens with the command that reruns the pairs.  Then, for each
+end-to-end metric of ``BENCHMARK.json``, it gives the parent's and the
+change's median and quartiles, the relative change of the median, the seeds
+the change won, and whether the medians differ by more than the parent's
+interquartile range; beside it, the copy's median gap from the parent and
+the seeds the copy won.  Then every side's failed-job counts.  A run that
 printed a result with failed jobs has its ``perfbench: ... failed`` lines
 printed, with its seed and side (and, for a job that raised, the exception's
 line).  The exit code is 0 when every run printed a result, 1 otherwise.
@@ -286,7 +288,7 @@ def run_digest(sides, names, args) -> int:
     return 0 if same else 1
 
 
-def main(argv=None) -> int:
+def parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent")
     p.add_argument("change")
@@ -298,11 +300,22 @@ def main(argv=None) -> int:
     p.add_argument("--workdir", type=Path, help="where to unpack (default: a temporary directory)")
     p.add_argument("--label", help="append each metric's pair statistics, labelled so, to "
                                    f"{TRAJECTORY.name}")
+    return p
+
+
+def main(argv=None) -> int:
+    p = parser()
     args = p.parse_args(argv)
     if args.workload is None and not args.digest:
         p.error("pairs need --workload")
     if args.label is not None and args.digest:
         p.error("--label records pairs, not digests")
+    if args.workdir is not None:
+        taken = [args.workdir / side for side in SIDES if (args.workdir / side).exists()]
+        if taken:
+            print(f"bench_pairs: {taken[0]} exists; give --workdir a directory without "
+                  f"{', '.join(side + '/' for side in SIDES)}", file=sys.stderr)
+            return 2
 
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -344,7 +357,9 @@ def main(argv=None) -> int:
             shutil.rmtree(workdir, ignore_errors=True)
 
     print(f"{args.workload}: {args.parent} (parent and copy) against {args.change} (change), "
-          f"{len(runs)} seeds, --seconds {seconds}")
+          f"{len(runs)} seeds of {seconds} s; rerun with: python3 tools/bench_pairs.py "
+          f"{args.parent} {args.change} --workload {args.workload} "
+          f"--seeds {','.join(map(str, args.seeds))}")
     for line in summarise(runs, metrics):
         print(line)
     if args.label is not None:

@@ -3,6 +3,7 @@ record and digests (no benchmark runs)."""
 
 import hashlib
 import json
+import shlex
 import sys
 
 import numpy as np
@@ -124,6 +125,57 @@ def test_a_labelled_pair_run_appends_its_rows(monkeypatch, tmp_path):
     assert rows[0]["change_wins"] == 3 and rows[0]["seeds"] == [1, 2, 3]
     with pytest.raises(SystemExit):
         bench_pairs.main(["P", "C", "--digest", "--seeds", "1", "--label", "x"])
+
+
+def unpack_benchmark(rev, dest):
+    """What ``unpack`` leaves: the directory, with a BENCHMARK.json of 30 s runs."""
+    dest.mkdir(parents=True)
+    (dest / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": METRICS, "run_seconds": 30, "workloads": []}))
+    return dest
+
+
+def test_every_run_lasts_run_seconds_and_the_report_reruns_them(monkeypatch, tmp_path, capsys):
+    seen = []
+
+    def run_once(checkout, workload, seed, seconds):
+        seen.append(seconds)
+        return {**result(1.0, 10.0), "failed": 0, "attempted": 4}, ""
+
+    monkeypatch.setattr(bench_pairs, "unpack", unpack_benchmark)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["P", "C", "--workload", "w", "--seeds", "1-3,7",
+                             "--workdir", str(tmp_path)]) == 0
+    assert seen == [30] * 12                                    # BENCHMARK.json's
+    line, = [ln for ln in capsys.readouterr().out.splitlines() if "rerun with: " in ln]
+    command = shlex.split(line.split("rerun with: ")[1])
+    assert command[:2] == ["python3", "tools/bench_pairs.py"]
+    args = bench_pairs.parser().parse_args(command[2:])
+    assert (args.parent, args.change, args.workload, args.seeds) == ("P", "C", "w", [1, 2, 3, 7])
+
+
+def test_a_second_run_in_one_workdir_is_refused_in_one_line(monkeypatch, tmp_path, capsys):
+    def run_once(checkout, workload, seed, seconds):
+        return {**result(1.0, 10.0), "failed": 0, "attempted": 4}, ""
+
+    monkeypatch.setattr(bench_pairs, "unpack", unpack_benchmark)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    work = tmp_path / "work"
+    pairs = ["P", "C", "--workload", "w", "--seeds", "1", "--workdir", str(work)]
+    assert bench_pairs.main(pairs) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(bench_pairs, "unpack", None)           # nothing is unpacked
+    for argv in (pairs, ["P", "C", "--digest", "--seeds", "1", "--workdir", str(work)]):
+        assert bench_pairs.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"bench_pairs: {work / 'parent'} exists; give --workdir a directory without "
+            "parent/, copy/, change/\n")
+    for side in bench_pairs.SIDES:                              # any one of them is refused
+        used = tmp_path / f"only-{side}"
+        (used / side).mkdir(parents=True)
+        assert bench_pairs.main(["P", "C", "--digest", "--seeds", "1",
+                                 "--workdir", str(used)]) == 2
+        assert f"{used / side} exists" in capsys.readouterr().err
 
 
 def test_pairs_need_a_change_and_a_workload():
